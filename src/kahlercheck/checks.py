@@ -9,7 +9,9 @@ results always carry a reason.
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 import numpy as np
 
@@ -1189,11 +1191,18 @@ def run_check(check_id: str, fixture_name: str, seed: int,
     t0 = time.perf_counter()
     try:
         out = d.runner(fixture, seed, opts)
-    except KahlercheckError as exc:
+    except Exception as exc:
+        # one faulty check becomes a failed record instead of ending the run
+        details = {}
+        if isinstance(exc, KahlercheckError):
+            reason = f"{exc.slug}: {exc}"
+        else:
+            reason = f"internal-error: {type(exc).__name__}: {exc}"
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            details["raised_at"] = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
         ms = (time.perf_counter() - t0) * 1e3
         return CheckResult(check_id, fixture_name, seed, float("nan"), float("nan"),
-                           tol, None, "fail", f"{exc.slug}: {exc}", ms,
-                           manifest_hash())
+                           tol, None, "fail", reason, ms, manifest_hash(), details)
     ms = (time.perf_counter() - t0) * 1e3
     if out.status == "skipped":
         status = "skipped-with-reason"

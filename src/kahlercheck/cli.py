@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -86,7 +87,22 @@ def load_config(args) -> dict:
     return cfg
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _validate(cfg):
+    for key in ("suites", "fixtures", "checks"):
+        val = cfg[key]
+        if not ((val is None and key == "checks") or (val == "all" and key == "suites")
+                or (isinstance(val, list) and all(isinstance(x, str) for x in val))):
+            raise ConfigError(f"{key} must be a list of names, not {val!r}")
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path, not {cfg['out']!r}")
     suites = cfg["suites"]
     if suites == ["all"] or suites == "all":
         cfg["suites"] = list(ck.SUITES)
@@ -100,15 +116,27 @@ def _validate(cfg):
         for c in cfg["checks"]:
             if c not in ck.REGISTRY:
                 raise ConfigError(f"unknown check id {c!r}")
-    if cfg["tolerance_scale"] <= 0:
+    if not _is_int(cfg["seed"]):
+        raise ConfigError(f"seed must be an integer, not {cfg['seed']!r}")
+    for key in ("jobs", "node_count"):
+        if not _is_int(cfg[key]) or cfg[key] < 1:
+            raise ConfigError(f"{key} must be an integer >= 1, not {cfg[key]!r}")
+    if not _is_number(cfg["tolerance_scale"]) or cfg["tolerance_scale"] <= 0:
         raise ConfigError("tolerance scale must be positive")
+    if not isinstance(cfg["tolerances"], dict):
+        raise ConfigError("tolerances must map suites to scales")
     for suite, scale in cfg["tolerances"].items():
         if suite not in ck.SUITES:
             raise ConfigError(f"tolerances key {suite!r} is not a suite")
-        if scale <= 0:
+        if not _is_number(scale) or scale <= 0:
             raise ConfigError(f"tolerance scale for {suite!r} must be positive")
-    if cfg["fd"]["base_step"] <= 0:
+    fd = cfg["fd"]
+    if not isinstance(fd, dict) or set(fd) != {"base_step", "richardson_levels"}:
+        raise ConfigError("fd must give exactly base_step and richardson_levels")
+    if not _is_number(fd["base_step"]) or fd["base_step"] <= 0:
         raise ConfigError("finite-difference base step must be positive")
+    if not _is_int(fd["richardson_levels"]) or fd["richardson_levels"] < 0:
+        raise ConfigError("richardson_levels must be an integer >= 0")
 
 
 def _task_list(cfg):
@@ -142,7 +170,7 @@ def cmd_run(args) -> int:
     tasks = _task_list(cfg)
     if not tasks:
         raise ConfigError("no checks selected")
-    if cfg["jobs"] and cfg["jobs"] > 1:
+    if cfg["jobs"] > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as ex:
             records = list(ex.map(_run_task, tasks))
     else:

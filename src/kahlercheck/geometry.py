@@ -45,6 +45,11 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
     return Ginv, logdet
 
 
+def symplectic_form(J: Jet, g: Jet) -> Jet:
+    """omega_{ij} = g(J e_i, e_j)."""
+    return jet_einsum("pki,pkj->pij", J, g)
+
+
 class GeometryState:
     """Lazy per-batch jets of everything derived from (g, Omega, J)."""
 
@@ -200,12 +205,8 @@ class GeometryState:
     # -- symplectic form -------------------------------------------------------
 
     def omega(self, batch: NodeBatch, order: int) -> Jet:
-        """omega_{ij} = g(J e_i, e_j)."""
-
-        def build():
-            return jet_einsum("pki,pkj->pij", self.J(batch, order), self.g(batch, order))
-
-        return self._get("omega", batch, order, build)
+        return self._get("omega", batch, order,
+                         lambda: symplectic_form(self.J(batch, order), self.g(batch, order)))
 
     # -- norms and integrals ----------------------------------------------------
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,16 +247,183 @@ class Jet:
         return Jet(self.dim, self.order - 1, np.stack(parts, axis=-1))
 
 
+# -- truncated-Taylor convolution ------------------------------------------
+#
+# out[k] = sum over the table's triples (i, j, k) of contract(a[i], b[j]).
+# The triples of one output coefficient are added in table order (i-major,
+# then j), starting from 0.0.  "Rank" r of the convolution holds the r-th
+# pair of every coefficient that has more than r of them; the coefficients
+# are kept in descending order of their pair count, so the coefficients of
+# rank r are a prefix of those of rank r - 1 and accumulating rank by rank
+# only ever adds into a leading slice.  One gather at the end restores the
+# table's coefficient order.
+
+# Largest number of gathered elements per operand held at once; a
+# convolution above it runs as several groups of consecutive ranks.
+_GATHER_BUDGET = 1 << 20
+
+
+class _RankPlan(NamedTuple):
+    src_i: np.ndarray       # rank-major gather indices into the first factor
+    src_j: np.ndarray       # ... and into the second factor
+    widths: tuple           # coefficients covered by each rank, non-increasing
+    restore: np.ndarray     # rank order -> table order of the coefficients
+
+
+@lru_cache(maxsize=None)
+def _rank_plan(dim: int, order: int) -> _RankPlan:
+    tb = table(dim, order)
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(tb.ncoeff)]
+    for i, j, k in zip(tb.mul_i.tolist(), tb.mul_j.tolist(), tb.mul_k.tolist()):
+        pairs[k].append((i, j))
+    by_count = sorted(range(tb.ncoeff), key=lambda k: -len(pairs[k]))
+    widths = tuple(sum(len(p) > r for p in pairs)
+                   for r in range(len(pairs[by_count[0]])))
+    src = [pairs[k][r] for r, w in enumerate(widths) for k in by_count[:w]]
+    return _RankPlan(
+        src_i=np.array([i for i, _ in src], dtype=np.intp),
+        src_j=np.array([j for _, j in src], dtype=np.intp),
+        widths=widths,
+        restore=np.argsort(np.array(by_count, dtype=np.intp)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _rank_groups(widths: tuple, step: int) -> tuple:
+    """Consecutive ranks, grouped so each group gathers at most ``step``
+    coefficients (a single rank may exceed it)."""
+    groups, cur, size = [], [], 0
+    for r, w in enumerate(widths):
+        if cur and size + w > step:
+            groups.append(tuple(cur))
+            cur, size = [], 0
+        cur.append(r)
+        size += w
+    groups.append(tuple(cur))
+    return tuple(groups)
+
+
+def _convolve(dim: int, order: int, a: np.ndarray, b: np.ndarray, contract,
+              per_coeff: int) -> np.ndarray:
+    """Rank-ordered convolution of coefficient arrays ``a`` and ``b``.
+
+    ``contract(x, y)`` maps stacks of coefficients to stacks of products and
+    may overwrite ``x``, which is always a fresh copy.  ``per_coeff`` bounds
+    the elements of one coefficient of any operand or of the result.  The
+    result is in rank order; see :func:`_table_order`.
+    """
+    plan = _rank_plan(dim, order)
+    acc = None
+    lo = 0
+    for group in _rank_groups(plan.widths, max(1, _GATHER_BUDGET // max(per_coeff, 1))):
+        hi = lo + sum(plan.widths[r] for r in group)
+        prods = contract(a.take(plan.src_i[lo:hi], 0), b.take(plan.src_j[lo:hi], 0))
+        at = 0
+        for r in group:
+            w = plan.widths[r]
+            if acc is None:
+                acc = prods[:w]
+                acc += 0.0                  # 0.0 + p: the sum starts at 0.0
+            else:
+                acc[:w] += prods[at:at + w]
+            at += w
+        lo = hi
+    return acc
+
+
+def _table_order(dim: int, order: int, acc: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of rank-ordered coefficients in table order."""
+    return acc.take(_rank_plan(dim, order).restore, 0)
+
+
+def _multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if x.shape == y.shape and x.dtype == y.dtype:
+        return np.multiply(x, y, out=x)
+    return x * y
+
+
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Product of two jets with identical batch shapes (Leibniz-exact)."""
     k = min(a.order, b.order)
     a, b = a.truncate(k), b.truncate(k)
-    tb = table(a.dim, k)
-    prods = a.coeffs[tb.mul_i] * b.coeffs[tb.mul_j]
-    dtype = np.result_type(a.coeffs.dtype, b.coeffs.dtype)
-    out = np.zeros_like(a.coeffs, dtype=dtype)
-    np.add.at(out, tb.mul_k, prods)
-    return Jet(a.dim, k, out)
+    per_coeff = max(a.coeffs[0].size, b.coeffs[0].size)
+    acc = _convolve(a.dim, k, a.coeffs, b.coeffs, _multiply, per_coeff)
+    return Jet(a.dim, k, _table_order(a.dim, k, acc))
+
+
+class _Contraction(NamedTuple):
+    """One ``jet_einsum`` spec at given operand shapes, as a batched
+    contraction: each operand transposed to groups of labels, batch labels
+    first, with one axis per group; the result comes out as (batch, free-a,
+    free-b)."""
+    perm_a: tuple | None    # coefficient-axis-first transposes; None: identity
+    perm_b: tuple | None
+    shape_a: tuple          # size of each label group
+    shape_b: tuple
+    kernel: object
+    per_coeff: int
+    natural: tuple          # result sizes per label, (batch, free-a, free-b)
+    to_out: tuple | None    # transpose of the natural result into the spec's
+
+
+def _perm_or_none(perm: tuple) -> tuple | None:
+    return None if perm == tuple(range(len(perm))) else perm
+
+
+@lru_cache(maxsize=4096)
+def _contraction(spec: str, batch_a: tuple, batch_b: tuple) -> _Contraction | None:
+    lhs, rhs = spec.split("->")
+    s1, s2 = lhs.split(",")
+    if any(len(set(s)) != len(s) for s in (s1, s2, rhs)) or set(rhs) - set(s1 + s2) \
+            or (set(s1) ^ set(s2)) - set(rhs) or len(batch_a) != len(s1) \
+            or len(batch_b) != len(s2):
+        return None           # traces, one-sided sums: left to einsum
+    sizes = dict(zip(s1, batch_a))
+    if any(sizes.setdefault(c, n) != n for c, n in zip(s2, batch_b)):
+        return None           # broadcasting: left to einsum
+    batch = [c for c in s1 if c in s2 and c in rhs]
+    contracted = [c for c in s1 if c in s2 and c not in rhs]
+    free_a = [c for c in s1 if c not in s2]
+    free_b = [c for c in s2 if c not in s1]
+
+    def size(group):
+        return math.prod(sizes[c] for c in group)
+
+    nb, m, k, n = size(batch), size(free_a), size(contracted), size(free_b)
+    if k == 1 or (m > 1 and n > 1):
+        # with nothing contracted, (m, 1) times (1, n) is a plain product
+        kernel = _multiply if k == 1 else np.matmul
+        groups_a, groups_b = (batch, free_a, contracted), (batch, contracted, free_b)
+    else:
+        # a matrix-vector product, where einsum is faster than np.matmul;
+        # the matrix keeps its own order of free and contracted labels
+        mat, free = (s2, free_b) if m == 1 else (s1, free_a)
+        contracted = [c for c in mat if c in contracted]
+        rows_first = next(c for c in mat if c not in batch) in free
+        mat_groups = (batch, free, contracted) if rows_first else (batch, contracted, free)
+        mat_sub = "...fk" if rows_first else "...kf"
+        if m == 1:
+            groups_a, groups_b = (batch, contracted), mat_groups
+            kernel = partial(np.einsum, f"...k,{mat_sub}->...f")
+        else:
+            groups_a, groups_b = mat_groups, (batch, contracted)
+            kernel = partial(np.einsum, f"{mat_sub},...k->...f")
+
+    def perm(labels, groups):
+        return _perm_or_none((0,) + tuple(1 + labels.index(c) for g in groups for c in g))
+
+    natural = batch + free_a + free_b
+    return _Contraction(
+        perm(s1, groups_a), perm(s2, groups_b), tuple(size(g) for g in groups_a),
+        tuple(size(g) for g in groups_b), kernel,
+        nb * max(m * k, k * n, m * n), tuple(sizes[c] for c in natural),
+        _perm_or_none((0,) + tuple(1 + natural.index(c) for c in rhs)))
+
+
+def _arrange(x: np.ndarray, perm, shape) -> np.ndarray:
+    if perm is not None:
+        x = x.transpose(perm)
+    return x.reshape(x.shape[:1] + shape)
 
 
 def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
@@ -266,16 +434,22 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     """
     k = min(a.order, b.order)
     a, b = a.truncate(k), b.truncate(k)
-    tb = table(a.dim, k)
-    lhs, rhs = spec.split("->")
-    s1, s2 = lhs.split(",")
-    stacked = f"Y{s1},Y{s2}->Y{rhs}"
-    prods = np.einsum(stacked, a.coeffs[tb.mul_i], b.coeffs[tb.mul_j])
-    out_shape = (tb.ncoeff,) + prods.shape[1:]
-    dtype = np.result_type(a.coeffs.dtype, b.coeffs.dtype)
-    out = np.zeros(out_shape, dtype=dtype)
-    np.add.at(out, tb.mul_k, prods)
-    return Jet(a.dim, k, out)
+    c = _contraction(spec, a.coeffs.shape[1:], b.coeffs.shape[1:])
+    if c is None:
+        lhs, rhs = spec.split("->")
+        s1, s2 = lhs.split(",")
+        stacked = f"Y{s1},Y{s2}->Y{rhs}"
+        acc = _convolve(a.dim, k, a.coeffs, b.coeffs,
+                        lambda x, y: np.einsum(stacked, x, y),
+                        max(a.coeffs[0].size, b.coeffs[0].size))
+        return Jet(a.dim, k, _table_order(a.dim, k, acc))
+    x = _arrange(a.coeffs, c.perm_a, c.shape_a)
+    y = _arrange(b.coeffs, c.perm_b, c.shape_b)
+    acc = _convolve(a.dim, k, x, y, c.kernel, c.per_coeff)
+    acc = acc.reshape(acc.shape[:1] + c.natural)
+    if c.to_out is not None:
+        acc = acc.transpose(c.to_out)
+    return Jet(a.dim, k, _table_order(a.dim, k, acc))
 
 
 def jet_linear(spec: str, mat: np.ndarray, a: Jet) -> Jet:

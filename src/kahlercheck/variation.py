@@ -18,7 +18,7 @@ import numpy as np
 from . import jets as jmath
 from .backends import Field, Fixture, NodeBatch
 from .errors import FlowDivergedError, NanInFieldError
-from .geometry import GeometryState, inverse_and_logdet
+from .geometry import GeometryState, inverse_and_logdet, symplectic_form
 from .jets import Jet, jet_einsum
 
 # ---------------------------------------------------------------------------
@@ -220,16 +220,16 @@ class HamiltonianFlowCurve:
     def __init__(self, fixture: Fixture, u_field: Field, t_max: float = 0.2,
                  step: float = 0.0125):
         self.base = fixture
-        self.geom = GeometryState(fixture)
         self.u = u_field
         self.t_max = t_max
         self.step = step
         self._flows: dict = {}
-        geomref = self.geom
 
         def xi_fn(batch, order):
+            # every RK4 stage evaluates xi on a fresh batch: caching the
+            # fixture data under its token would only grow the cache
             du = u_field(batch, order + 1).gradient()
-            om = geomref.omega(batch, order)
+            om = symplectic_form(fixture.J(batch, order), fixture.g(batch, order))
             om_inv, _ = inverse_and_logdet(om)
             return jet_einsum("pij,pj->pi", om_inv, du) * (-0.5)
 

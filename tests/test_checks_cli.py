@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -130,3 +131,48 @@ def test_cli_io_error(tmp_path):
     code = main(["run", "--check", "ID-SHARP", "--fixture", "FLAT2",
                  "--out", str(blocker / "sub"), "--quiet"])
     assert code == 2
+
+
+def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_path):
+    def broken(fixture, seed, opts):
+        raise ZeroDivisionError("boom")
+
+    d = ck.REGISTRY["ID-SHARP"]
+    monkeypatch.setitem(ck.REGISTRY, "ID-SHARP", dataclasses.replace(d, runner=broken))
+    r = ck.run_check("ID-SHARP", "FLAT2", 0)
+    assert r.status == "fail"
+    assert r.reason == "internal-error: ZeroDivisionError: boom"
+    assert r.details["raised_at"].startswith("test_checks_cli.py:")
+    # the rest of the run goes on and the exit code reports the failure
+    assert main(["run", "--check", "ID-SHARP,ID-CONTR", "--fixture", "FLAT2",
+                 "--out", str(tmp_path), "--quiet"]) == 1
+    rep = json.loads((tmp_path / "report.json").read_text())
+    status = {r["check_id"]: r["status"] for r in rep["results"]}
+    assert status == {"ID-SHARP": "fail", "ID-CONTR": "pass"}
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"fd": {"base_step": 0.01}}, []),
+    ({"seed": "x"}, []),
+    ({"fd": {"base_step": 0.01, "richardson_levels": -1}}, []),
+    ({"node_count": 0}, []),
+    ({}, ["--jobs", "0"]),
+], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero"])
+def test_cli_config_contract(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": ["ID-SHARP"], "fixtures": ["FLAT2"],
+                               "out": str(tmp_path / "r"), **config}))
+    assert main(["run", "--config", str(cfg), "--quiet", *argv]) == 2
+    assert capsys.readouterr().err.startswith("config-error: ")
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_jobs_matches_serial(tmp_path):
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["run", "--check", "ID-SHARP,ID-CONTR", "--fixture", "FLAT2",
+                     "--jobs", jobs, "--out", str(out), "--quiet"]) == 0
+        reports.append(_strip_runtime(json.loads((out / "report.json").read_text())))
+    assert len(reports[0]["results"]) == 2
+    assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)

@@ -246,3 +246,107 @@ def test_arith_dispatch():
     from kahlercheck.errors import BadInputError
     with pytest.raises(BadInputError):
         jets.arith("frobnicate", x)
+
+
+# -- the convolution kernel against the scatter formulation -----------------
+
+
+def _scatter_mul(a, b):
+    """Reference product: every triple of the table scattered with np.add.at."""
+    k = min(a.order, b.order)
+    a, b = a.truncate(k), b.truncate(k)
+    tb = jets.table(a.dim, k)
+    prods = a.coeffs[tb.mul_i] * b.coeffs[tb.mul_j]
+    out = np.zeros_like(a.coeffs, dtype=np.result_type(a.coeffs, b.coeffs))
+    np.add.at(out, tb.mul_k, prods)
+    return out
+
+
+def _scatter_einsum(spec, a, b):
+    k = min(a.order, b.order)
+    a, b = a.truncate(k), b.truncate(k)
+    tb = jets.table(a.dim, k)
+    lhs, rhs = spec.split("->")
+    s1, s2 = lhs.split(",")
+    prods = np.einsum(f"Y{s1},Y{s2}->Y{rhs}", a.coeffs[tb.mul_i], b.coeffs[tb.mul_j])
+    out = np.zeros((tb.ncoeff,) + prods.shape[1:], dtype=prods.dtype)
+    np.add.at(out, tb.mul_k, prods)
+    return out
+
+
+def _random_jet(rng, dim, order, shape, dtype=float):
+    c = rng.standard_normal((jets.table(dim, order).ncoeff,) + shape)
+    if dtype is complex:
+        c = c + 1j * rng.standard_normal(c.shape)
+    return Jet(dim, order, c)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_jet_mul_bit_identical_to_scatter(dim, order, dtype):
+    rng = np.random.default_rng(10 * dim + order)
+    for shape in [(7,), (5, 3), (0,)]:
+        a = _random_jet(rng, dim, order, shape, dtype)
+        for b in (_random_jet(rng, dim, order, shape, dtype),
+                  _random_jet(rng, dim, order, shape, float)):
+            got = jets.jet_mul(a, b).coeffs
+            ref = _scatter_mul(a, b)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+    # signed zeros: the sum starts at +0.0 in both
+    z = Jet(dim, order, -np.zeros((jets.table(dim, order).ncoeff, 3)))
+    assert jets.jet_mul(z, z).coeffs.tobytes() == _scatter_mul(z, z).tobytes()
+
+
+def test_jet_mul_bit_identical_across_rank_groups(monkeypatch):
+    # a tiny gather budget splits the ranks into many groups
+    rng = np.random.default_rng(5)
+    a, b = _random_jet(rng, 4, 4, (9, 2)), _random_jet(rng, 4, 4, (9, 2))
+    monkeypatch.setattr(jets, "_GATHER_BUDGET", 40)
+    assert jets.jet_mul(a, b).coeffs.tobytes() == _scatter_mul(a, b).tobytes()
+
+
+ENGINE_SPECS = [
+    ("pik,pkj->pij", (6, 4, 4), (6, 4, 4)),           # matrix product
+    ("pki,pkj->pij", (6, 4, 4), (6, 4, 4)),           # transposed operand
+    ("pia,pij->paj", (6, 4, 3), (6, 4, 2)),
+    ("pij,pj->pi", (6, 4, 4), (6, 4)),                # matvec
+    ("pi,pij->pj", (6, 4), (6, 4, 4)),
+    ("pcab,pc->pab", (6, 4, 3, 2), (6, 4)),
+    ("pij,pij->p", (6, 4, 4), (6, 4, 4)),             # full contraction
+    ("pi,pi->p", (6, 4), (6, 4)),
+    ("p,pij->pij", (6,), (6, 4, 4)),                  # pure broadcast
+    ("p,p->p", (6,), (6,)),
+    ("pikq,pqlj->pijkl", (6, 4, 3, 2), (6, 2, 4, 3)),  # 4-index contraction
+    ("pkda,pkbc->pdabc", (6, 2, 3, 2), (6, 2, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("spec,sa,sb", ENGINE_SPECS)
+@pytest.mark.parametrize("dim,order", [(2, 4), (4, 2), (4, 3), (4, 0)])
+def test_jet_einsum_matches_scatter(spec, sa, sb, dim, order):
+    rng = np.random.default_rng(len(spec) + order)
+    for dtype in (float, complex):
+        a = _random_jet(rng, dim, order, sa, dtype)
+        b = _random_jet(rng, dim, min(order + 1, jets.MAX_ORDER), sb)
+        got = jets.jet_einsum(spec, a, b)
+        ref = _scatter_einsum(spec, a, b)
+        assert got.order == order and got.coeffs.shape == ref.shape
+        assert got.coeffs.dtype == ref.dtype and got.coeffs.flags.c_contiguous
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_jet_einsum_broadcast_and_fallback_specs():
+    rng = np.random.default_rng(8)
+    a, b = _random_jet(rng, 4, 3, (1, 4, 4)), _random_jet(rng, 4, 3, (5, 4, 4))
+    assert np.allclose(jets.jet_einsum("pik,pkj->pij", a, b).coeffs,
+                       _scatter_einsum("pik,pkj->pij", a, b), rtol=0, atol=1e-13)
+    # a trace inside one operand has no batched-matmul form
+    c = _random_jet(rng, 2, 3, (5, 3, 3))
+    d = _random_jet(rng, 2, 3, (5,))
+    assert np.allclose(jets.jet_einsum("pii,p->p", c, d).coeffs,
+                       _scatter_einsum("pii,p->p", c, d), rtol=0, atol=1e-13)
+    e = jets.jet_einsum("pij,pj->pi", _random_jet(rng, 2, 2, (0, 2, 2)),
+                        _random_jet(rng, 2, 2, (0, 2)))
+    assert e.coeffs.shape == (6, 0, 2)

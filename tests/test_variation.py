@@ -189,3 +189,18 @@ def test_flow_initial_speed_is_lie_derivative():
         - jet_einsum("pkj,pki->pij", J.truncate(1), dxi) \
         + jet_einsum("pik,pjk->pij", J.truncate(1), dxi)
     assert np.max(np.abs(Jdot.value - lie.value)) < 1e-7
+
+
+def test_flow_field_matches_the_cached_geometry():
+    # xi is evaluated on each RK4 stage's fresh batch without a geometry
+    # cache; it must equal the formula through GeometryState bit for bit
+    fx = bk.make_fixture("FS")
+    ham = fl.seeded_scalar(GeometryState(fx), 6, mean_zero=True, amp=0.5)
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    batch = fx.check_nodes(2, 30)[0]
+    from kahlercheck.geometry import inverse_and_logdet
+    from kahlercheck.jets import jet_einsum
+
+    om_inv, _ = inverse_and_logdet(GeometryState(fx).omega(batch, 2))
+    ref = jet_einsum("pij,pj->pi", om_inv, ham(batch, 3).gradient()) * (-0.5)
+    assert curve.xi(batch, 2).coeffs.tobytes() == ref.coeffs.tobytes()
