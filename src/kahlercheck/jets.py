@@ -452,8 +452,37 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     return Jet(a.dim, k, _table_order(a.dim, k, acc))
 
 
+@lru_cache(maxsize=None)
+def _linear_matmul(spec: str) -> tuple | None:
+    """``(jet_on_left, transpose_mat)`` when ``jet_linear``'s spec is a
+    matrix product over the last two labels, with the constant's leading
+    labels (if any) those of the jet; None otherwise."""
+    lhs, rhs = spec.split("->")
+    s1, s2 = lhs.split(",")
+    if any(len(set(s)) != len(s) for s in (s1, s2, rhs)) or len(s1) < 2 \
+            or len(s2) < 2 or len(rhs) != len(s2) or rhs[:-2] != s2[:-2] \
+            or s1[:-2] not in ("", s2[:-2]):
+        return None
+    (i, j), (x, y), mat = rhs[-2:], s2[-2:], s1[-2:]
+    if y == j and x not in rhs:         # mat[i, x] a[x, j]
+        jet_on_left, wanted = False, (i, x)
+    elif x == i and y not in rhs:       # a[i, y] mat[y, j]
+        jet_on_left, wanted = True, (y, j)
+    else:
+        return None
+    if mat not in ("".join(wanted), "".join(wanted[::-1])):
+        return None
+    return jet_on_left, mat != "".join(wanted)
+
+
 def jet_linear(spec: str, mat: np.ndarray, a: Jet) -> Jet:
     """Contract a constant array against a jet, coefficient-wise."""
+    plan = _linear_matmul(spec)
+    if plan is not None:
+        jet_on_left, transpose = plan
+        m = np.swapaxes(mat, -1, -2) if transpose else mat
+        out = np.matmul(a.coeffs, m) if jet_on_left else np.matmul(m, a.coeffs)
+        return Jet(a.dim, a.order, out)
     lhs, rhs = spec.split("->")
     s1, s2 = lhs.split(",")
     out = np.einsum(f"{s1},Z{s2}->Z{rhs}", mat, a.coeffs)

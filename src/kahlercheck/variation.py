@@ -10,8 +10,10 @@ extrapolation, and each result carries an observed convergence order.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +27,20 @@ from .jets import Jet, jet_einsum
 # composition of a field with jet-valued positions
 
 
+@lru_cache(maxsize=None)
+def _monomial_parents(dim: int, order: int) -> tuple:
+    """For every multi-index of the jet table but the first: the index of the
+    monomial it extends by one factor, and the axis of that factor (the
+    first non-zero entry).  Each parent comes earlier in table order."""
+    tb = jmath.table(dim, order)
+    parents = [(0, 0)]
+    for beta in tb.alphas[1:].tolist():
+        a = next(i for i, x in enumerate(beta) if x > 0)
+        beta[a] -= 1
+        parents.append((tb.index[tuple(beta)], a))
+    return tuple(parents)
+
+
 def compose_field(field: Field, chart: int, pos: list[Jet], order: int) -> Jet:
     """Taylor-exact evaluation of ``field`` along jet-valued positions.
 
@@ -35,46 +51,41 @@ def compose_field(field: Field, chart: int, pos: list[Jet], order: int) -> Jet:
     yvals = np.stack([np.real(p.value) for p in pos], axis=-1)
     nb = NodeBatch(chart, yvals)
     F = field(nb, order)
-    from .jets import table
-
-    tb = table(pos[0].dim, order)
+    dim = pos[0].dim
+    parents = _monomial_parents(dim, order)
     w = []
     for p in pos:
         q = p.truncate(order).copy()
-        q.coeffs = q.coeffs.copy()
         q.coeffs[0] = 0.0
         w.append(q)
+    nonzero = [bool(np.any(F.coeffs[idx])) for idx in range(len(parents))]
+    # a monomial is built if its coefficient is non-zero or a needed
+    # monomial extends it; built in table order, parents come first
+    needed = list(nonzero)
+    for idx in range(len(parents) - 1, 0, -1):
+        if needed[idx]:
+            needed[parents[idx][0]] = True
     shape_extra = (1,) * (F.coeffs.ndim - 2)
     out = None
-    mono_cache: dict = {}
-
-    def monomial(beta):
-        if beta in mono_cache:
-            return mono_cache[beta]
-        for a in range(len(beta)):
-            if beta[a] > 0:
-                prev = list(beta)
-                prev[a] -= 1
-                m = jmath.jet_mul(monomial(tuple(prev)), w[a])
-                mono_cache[beta] = m
-                return m
-        one = Jet.const(1.0, pos[0].dim, order, pos[0].batch_shape)
-        mono_cache[beta] = one
-        return one
-
-    for idx, beta in enumerate(tb.alphas):
-        coef = F.coeffs[idx]
-        if not np.any(coef):
+    monos: list = [None] * len(parents)
+    for idx, (prev, a) in enumerate(parents):
+        if not needed[idx]:
             continue
-        mono = monomial(tuple(int(x) for x in beta))
+        if idx == 0:
+            monos[0] = Jet.const(1.0, dim, order, pos[0].batch_shape)
+        else:
+            monos[idx] = jmath.jet_mul(monos[prev], w[a])
+        if not nonzero[idx]:
+            continue
+        mono = monos[idx]
         term = Jet(
             mono.dim,
             mono.order,
-            mono.coeffs.reshape(mono.coeffs.shape + shape_extra) * coef[None, ...],
+            mono.coeffs.reshape(mono.coeffs.shape + shape_extra) * F.coeffs[idx][None, ...],
         )
         out = term if out is None else out + term
     if out is None:
-        out = Jet.const(0.0, pos[0].dim, order, (yvals.shape[0],) + F.coeffs.shape[2:])
+        out = Jet.const(0.0, dim, order, (yvals.shape[0],) + F.coeffs.shape[2:])
     return out
 
 
@@ -103,6 +114,11 @@ _SCHEMES = {
 }
 
 
+# Every t at which the running fd_derivative evaluates its map: a flow curve
+# integrates the ones it has not cached yet in one stacked pass.
+_STENCIL: contextvars.ContextVar[tuple] = contextvars.ContextVar("stencil", default=())
+
+
 def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "central-4",
                   base_step: float = 1e-2, richardson_levels: int = 2,
                   t_max: float | None = None):
@@ -119,6 +135,7 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
         h = (t_max - abs(t0)) / (span * 1.25)
         shrunk = True
     cache: dict = {}
+    nlevels = max(richardson_levels + 1, 3)
 
     def ev(t):
         if t not in cache:
@@ -132,8 +149,6 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
     def coeffs_of(v):
         return v.coeffs if isinstance(v, Jet) else np.asarray(v, dtype=float)
 
-    proto = ev(t0 + h)
-
     def stencil_eval(step):
         acc = None
         for off, wgt in stencil.items():
@@ -141,7 +156,13 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
             acc = c if acc is None else acc + c
         return acc
 
-    levels = [stencil_eval(h / 2**k) for k in range(max(richardson_levels + 1, 3))]
+    scope = _STENCIL.set(tuple(t0 + off * (h / 2**k)
+                               for k in range(nlevels) for off in stencil))
+    try:
+        proto = ev(t0 + h)
+        levels = [stencil_eval(h / 2**k) for k in range(nlevels)]
+    finally:
+        _STENCIL.reset(scope)
     d0 = np.max(np.abs(levels[0] - levels[1]))
     d1 = np.max(np.abs(levels[1] - levels[2]))
     scale = np.max(np.abs(levels[-1])) + 1e-300
@@ -237,20 +258,52 @@ class HamiltonianFlowCurve:
 
     def flow_jets(self, batch: NodeBatch, t: float, order: int) -> list[Jet]:
         key = (batch.token, round(t, 12), order)
-        if key in self._flows:
+        pos = self._cached(key)
+        if pos is None:
+            self._integrate(batch, t, order)
             return self._flows[key]
-        dim = self.base.backend.dim
-        pos = Jet.coordinates(batch.pts, dim, order)
-        if t != 0.0:
-            n = max(4, int(math.ceil(abs(t) / self.step)))
-            h = t / n
-            for _ in range(n):
-                pos = self._rk4_step(batch.chart, pos, h, order)
-        for p in pos:
-            if not np.all(np.isfinite(p.coeffs)):
-                raise FlowDivergedError("flow integration produced non-finite jets")
         self._flows[key] = pos
         return pos
+
+    def _cached(self, key) -> list[Jet] | None:
+        # jet truncation is exact: a flow of higher order serves lower ones
+        token, tk, order = key
+        for k in range(order, jmath.MAX_ORDER + 1):
+            pos = self._flows.get((token, tk, k))
+            if pos is not None:
+                return pos if k == order else [p.truncate(order) for p in pos]
+        return None
+
+    def _steps(self, t: float) -> int:
+        return max(4, int(math.ceil(abs(t) / self.step)))
+
+    def _integrate(self, batch: NodeBatch, t: float, order: int) -> None:
+        """Flow to t, stacked with every other t of the running stencil that
+        takes as many RK4 steps and has no flow yet; each point of the stack
+        takes its own step.  Caches the flow of every t that stays finite."""
+        n = self._steps(t)
+        todo = {round(t, 12): t}
+        stencil = _STENCIL.get()
+        if t != 0.0 and round(t, 12) in {round(s, 12) for s in stencil}:
+            for s in stencil:
+                sk = round(s, 12)
+                if s != 0.0 and sk not in todo and self._steps(s) == n \
+                        and self._cached((batch.token, sk, order)) is None:
+                    todo[sk] = s
+        m = batch.size
+        pos = Jet.coordinates(np.tile(batch.pts, (len(todo), 1)),
+                              self.base.backend.dim, order)
+        if t != 0.0:
+            h = np.repeat(np.array(list(todo.values())) / n, m)
+            for _ in range(n):
+                pos = self._rk4_step(batch.chart, pos, h, order)
+        for j, tk in enumerate(todo):
+            part = [Jet(p.dim, p.order, p.coeffs[:, j * m:(j + 1) * m].copy())
+                    for p in pos]
+            if all(np.all(np.isfinite(p.coeffs)) for p in part):
+                self._flows[(batch.token, tk, order)] = part
+            elif j == 0:
+                raise FlowDivergedError("flow integration produced non-finite jets")
 
     def _rk4_step(self, chart, pos, h, order):
         def f(state):

@@ -176,3 +176,15 @@ def test_cli_jobs_matches_serial(tmp_path):
         reports.append(_strip_runtime(json.loads((out / "report.json").read_text())))
     assert len(reports[0]["results"]) == 2
     assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+
+
+def test_gauge_reports_each_sub_residual_on_its_own():
+    # the record residual is the larger of the two; the h-tensor detail is
+    # its own maximum, not a running maximum over both sub-checks
+    r = ck.run_check("S-GAUGE", "PERT2", 0)
+    h = r.details["h_equivariance"]
+    h_bar = r.details["H_bar_equivariance"]
+    assert r.status == "pass"
+    assert h <= r.residual_sup
+    assert r.residual_sup == max(h, h_bar)
+    assert h != h_bar

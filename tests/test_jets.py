@@ -350,3 +350,26 @@ def test_jet_einsum_broadcast_and_fallback_specs():
     e = jets.jet_einsum("pij,pj->pi", _random_jet(rng, 2, 2, (0, 2, 2)),
                         _random_jet(rng, 2, 2, (0, 2)))
     assert e.coeffs.shape == (6, 0, 2)
+
+
+@pytest.mark.parametrize("spec,sm,sa,matmul", [
+    ("pik,pkj->pij", (6, 4, 4), (6, 4, 4), True),     # inverse_and_logdet
+    ("pkj,pik->pij", (6, 4, 4), (6, 4, 4), True),
+    ("kj,pik->pij", (2, 2), (6, 2, 2), True),         # backends
+    ("ki,pkj->pij", (2, 2), (6, 2, 2), True),
+    ("ij,p->pij", (4, 4), (6,), False),               # outer product
+    ("pii,pij->pij", (6, 4, 4), (6, 4, 4), False),    # trace of the constant
+])
+def test_jet_linear_matches_einsum(spec, sm, sa, matmul):
+    rng = np.random.default_rng(len(spec))
+    assert (jets._linear_matmul(spec) is not None) == matmul
+    lhs, rhs = spec.split("->")
+    s1, s2 = lhs.split(",")
+    mat = rng.standard_normal(sm)
+    for dtype in (float, complex):
+        a = _random_jet(rng, 2, 3, sa, dtype)
+        got = jets.jet_linear(spec, mat, a)
+        ref = np.einsum(f"{s1},Z{s2}->Z{rhs}", mat, a.coeffs)
+        assert got.order == 3 and got.coeffs.shape == ref.shape
+        assert got.coeffs.dtype == ref.dtype
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -204,3 +205,104 @@ def test_flow_field_matches_the_cached_geometry():
     om_inv, _ = inverse_and_logdet(GeometryState(fx).omega(batch, 2))
     ref = jet_einsum("pij,pj->pi", om_inv, ham(batch, 3).gradient()) * (-0.5)
     assert curve.xi(batch, 2).coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def _flow_setup(npts=20):
+    fx = bk.make_fixture("FS")
+    ham = fl.seeded_scalar(GeometryState(fx), 6, mean_zero=True, amp=0.5)
+    return fx, ham, fx.check_nodes(2, npts)[0]
+
+
+def _count_compose(monkeypatch):
+    sizes = []
+    compose = va.compose_field
+
+    def counted(field, chart, pos, order):
+        sizes.append(pos[0].batch_shape[0])
+        return compose(field, chart, pos, order)
+
+    monkeypatch.setattr(va, "compose_field", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("t0,steps", [(0.0, {4}), (0.1, {7, 8, 9, 10})])
+def test_stacked_flow_is_bit_identical_to_single_t(monkeypatch, t0, steps):
+    fx, ham, batch = _flow_setup()
+    stacked = va.HamiltonianFlowCurve(fx, ham)
+    sizes = _count_compose(monkeypatch)
+    asked = []
+
+    def flow_map(t):
+        asked.append(t)
+        return stacked.flow_jets(batch, t, 2)[0]
+
+    va.fd_derivative(flow_map, t0, order=1, scheme="central-4")
+    ts = sorted(set(asked))
+    assert {stacked._steps(t) for t in ts} == steps
+    # one RK4 pass per step count, over all of its t-values at once
+    assert len(sizes) == 4 * sum(steps)
+    assert sum(sizes) == 4 * batch.size * sum(stacked._steps(t) for t in ts)
+    single = va.HamiltonianFlowCurve(fx, ham)
+    for t in ts:
+        got = stacked.flow_jets(batch, t, 2)
+        ref = single.flow_jets(batch, t, 2)
+        for g, r in zip(got, ref):
+            assert g.coeffs.flags.c_contiguous
+            assert g.coeffs.tobytes() == r.coeffs.tobytes()
+
+
+def test_zero_t_is_never_stacked(monkeypatch):
+    fx, ham, batch = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    sizes = _count_compose(monkeypatch)
+    scope = va._STENCIL.set((0.0, 0.01, -0.01))
+    try:
+        pos0 = curve.flow_jets(batch, 0.0, 2)
+        assert len(curve._flows) == 1 and sizes == []
+        curve.flow_jets(batch, -0.01, 2)
+    finally:
+        va._STENCIL.reset(scope)
+    assert set(sizes) == {2 * batch.size}
+    assert len(curve._flows) == 3
+    assert pos0[1].coeffs.tobytes() == \
+        Jet.coordinate(1, batch.pts, 2, 2).coeffs.tobytes()
+
+
+def test_lower_order_flow_reuses_a_higher_order_one(monkeypatch):
+    fx, ham, batch = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    high = curve.flow_jets(batch, 0.05, 3)
+    sizes = _count_compose(monkeypatch)
+    low = curve.flow_jets(batch, 0.05, 2)
+    assert sizes == []
+    direct = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, 0.05, 2)
+    for p, h, d in zip(low, high, direct):
+        assert p.order == 2 and np.shares_memory(p.coeffs, h.coeffs)
+        assert np.max(np.abs(p.coeffs - d.coeffs)) <= 1e-14 * np.max(np.abs(d.coeffs))
+
+
+def test_stencil_scope_is_reset_when_the_map_raises():
+    seen = []
+
+    def failing(t):
+        seen.append(va._STENCIL.get())
+        raise ValueError("map failed")
+
+    with pytest.raises(ValueError):
+        va.fd_derivative(failing, 0.0, order=1, scheme="central-4")
+    assert len(seen[0]) == 12 and 0.01 in seen[0]
+    assert va._STENCIL.get() == ()
+
+
+def test_compose_field_leaves_no_reference_cycles():
+    fx, ham, batch = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    pos = Jet.coordinates(batch.pts, 2, 3)
+    va.compose_field(curve.xi, batch.chart, pos, 3)     # warm the caches
+    gc.collect()
+    gc.disable()
+    try:
+        va.compose_field(curve.xi, batch.chart, pos, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
