@@ -11,7 +11,7 @@ import csv
 import sys
 
 from kahlercheck import backends as bk
-from kahlercheck import catalog as cat
+from kahlercheck import checks as ck
 from kahlercheck.catalog import RunOptions
 
 DEFAULT_IDS = ("V-ADJ", "V-DIV2", "V-DH", "V-HESS")
@@ -26,7 +26,7 @@ def main(argv=None):
     fixture = bk.make_fixture(args.fixture)
     rows = []
     for cid in args.checks.split(","):
-        entry = cat.CATALOG[cid]
+        entry = ck.REGISTRY[cid]
         for step in (4e-2, 2e-2, 1e-2, 5e-3):
             for rich in (0, 1, 2):
                 opts = RunOptions(base_step=step, richardson=rich, node_count=40)
@@ -36,8 +36,8 @@ def main(argv=None):
                     "fixture": args.fixture,
                     "base_step": step,
                     "richardson_levels": rich,
-                    "residual_sup": f"{out.residual_sup:.6e}",
-                    "observed_order": out.conv_order,
+                    "residual_sup": f"{out.sup:.6e}",
+                    "observed_order": out.order,
                 })
                 print(rows[-1])
     with open(args.out, "w", newline="") as fh:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as fl
+from . import jets as jmath
 from . import kahler as kh
 from . import soliton as so
 from . import tensorcalc as tc
@@ -21,7 +22,6 @@ from .conventions import MANIFEST
 from .geometry import GeometryState
 from .jets import Jet, jet_einsum, jet_map
 from .variation import (
-    FDInfo,
     HamiltonianFlowCurve,
     LinearCurve,
     StructureConjugationCurve,
@@ -40,13 +40,19 @@ class RunOptions:
 
 
 @dataclass
-class VariationOutcome:
-    residual_sup: float
-    residual_l2: float
-    conv_order: float | None
+class Outcome:
+    """Raw runner output before tolerance gating; ``l2`` defaults to ``sup``."""
+
+    sup: float
+    l2: float | None = None
+    order: float | None = None
     status: str = "computed"
     reason: str = ""
     details: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        self.sup = float(self.sup)
+        self.l2 = self.sup if self.l2 is None else float(self.l2)
 
 
 def _sup(arr) -> float:
@@ -54,6 +60,7 @@ def _sup(arr) -> float:
 
 
 def _l2(arr) -> float:
+    """Root mean square of the residual components."""
     a = np.abs(np.asarray(arr))
     return float(np.sqrt(np.mean(a * a))) if a.size else 0.0
 
@@ -67,7 +74,7 @@ def _geom_cache(curve):
             cache[key] = GeometryState(curve.fixture_at(t))
         return cache[key]
 
-    at.base = curve  # type: ignore[attr-defined]
+    at.curve = curve  # type: ignore[attr-defined]
     return at
 
 
@@ -77,75 +84,97 @@ def _directions(geom, seed):
     return v, Vs
 
 
-def _fd(map_fn, opts: RunOptions, order=1, scheme=None, t_max=None):
-    scheme = scheme or ("central-4" if order == 1 else "central-2")
+def _linear_family(fixture: Fixture, seed: int):
+    """Base geometry, the seeded direction (v, V*) and the geometry cache of
+    the linear curve along it."""
+    geom = GeometryState(fixture)
+    v, Vs = _directions(geom, seed)
+    return geom, v, Vs, _geom_cache(LinearCurve(fixture, v, Vs))
+
+
+def _fd(map_fn, opts: RunOptions, order=1, t_max=None):
+    scheme = "central-4" if order == 1 else "central-2"
     return fd_derivative(map_fn, 0.0, order=order, scheme=scheme,
                          base_step=opts.base_step,
                          richardson_levels=opts.richardson, t_max=t_max)
+
+
+def _first_order(orders):
+    vals = [o.observed_order for o in orders if o.observed_order is not None]
+    return float(np.median(vals)) if vals else None
+
+
+def _orders_ok(orders) -> bool:
+    return not any(abs(o.observed_order - o.nominal_order) > 0.5
+                   for o in orders if o.observed_order is not None)
+
+
+def _outcome(residuals, orders, **details) -> Outcome:
+    """Sup and RMS of the concatenated residuals, the median observed stencil
+    order, and ``order_ok`` whenever stencils ran."""
+    res = np.concatenate(residuals)
+    if orders:
+        details["order_ok"] = _orders_ok(orders)
+    return Outcome(_sup(res), _l2(res), _first_order(orders), details=details)
+
+
+def _fd_check(at, seed, opts, lhs, rhs, factor=1.0, inputs=lambda batch: ()) -> Outcome:
+    """The residual ``factor * d/dt lhs - rhs`` on every check batch.
+
+    Per batch, ``inputs(batch)`` is evaluated once; its tuple is passed on to
+    ``lhs(geometry at t, batch, *inputs)``, the map the stencil differentiates,
+    and then to ``rhs(batch, *inputs)``, the closed form at t = 0, which may
+    run stencils of its own.  The order of these calls is fixed because a flow
+    curve serves lower jet orders from the flows it has cached.
+    """
+    curve = at.curve
+    res, orders = [], []
+    for batch in curve.base.check_nodes(seed, opts.node_count):
+        x = inputs(batch)
+        der, info = _fd(lambda t: lhs(at(t), batch, *x), opts, t_max=curve.t_max)
+        res.append((der.value * factor - rhs(batch, *x).value).ravel())
+        orders.append(info)
+    return _outcome(res, orders)
 
 
 # ---------------------------------------------------------------------------
 # first-variation entries on linear curves
 
 
-def run_v_f(fixture: Fixture, seed: int, opts: RunOptions) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        der, info = _fd(lambda t: at(t).f(batch, 0), opts, t_max=curve.t_max)
+def run_v_f(fixture: Fixture, seed: int, opts: RunOptions) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
+
+    def rhs(batch):
         tr = jet_einsum("pij,pij->p", geom.ginv(batch, 0), v(batch, 0))
-        rhs = tr * 0.5 - Vs(batch, 0)
-        sups.append(der.value - rhs.value)
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+        return tr * 0.5 - Vs(batch, 0)
+
+    return _fd_check(at, seed, opts, lambda gt, batch: gt.f(batch, 0), rhs)
 
 
-def run_v_grad(fixture, seed, opts) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        der, info = _fd(lambda t: at(t).gradf(batch, 0), opts, t_max=curve.t_max)
+def run_v_grad(fixture, seed, opts) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
+
+    def rhs(batch):
         fdot_expr = jet_einsum("pij,pij->p", geom.ginv(batch, 1), v(batch, 1)) * 0.5 \
             - Vs(batch, 1)
         rhs = tc.grad_scalar(geom, batch, fdot_expr)
         vstar = tc.sharp_sym2(geom, batch, v(batch, 0))
-        rhs = rhs - jet_einsum("pij,pj->pi", vstar, geom.gradf(batch, 0))
-        r = der.value - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+        return rhs - jet_einsum("pij,pj->pi", vstar, geom.gradf(batch, 0))
+
+    return _fd_check(at, seed, opts, lambda gt, batch: gt.gradf(batch, 0), rhs)
 
 
-def run_v_adj(fixture, seed, opts) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
+def run_v_adj(fixture, seed, opts) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
     u = fl.seeded_sym2(geom, seed + 57)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        uj = u(batch, 1)
-        der, info = _fd(lambda t: tc.adjoint_sym2(at(t), batch, uj), opts,
-                        t_max=curve.t_max)
+
+    def rhs(batch, uj):
         w = _gauge_vector(geom, batch, v, Vs)
-        rhs = tc.m_form(geom, batch, v(batch, 2), uj) \
+        return tc.m_form(geom, batch, v(batch, 2), uj) \
             - jet_einsum("pi,pij->pj", w, uj.truncate(w.order)) * 2.0
-        r = der.value * 2.0 - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+
+    return _fd_check(at, seed, opts, tc.adjoint_sym2, rhs, factor=2.0,
+                     inputs=lambda batch: (u(batch, 1),))
 
 
 def _gauge_vector(geom, batch, v: Field, Vs: Field, order: int = 1) -> Jet:
@@ -163,22 +192,14 @@ def _pair_cd_with_sym2(geom, batch, cdW: Jet, v: Jet) -> Jet:
     return jet_einsum("paj,paj->p", lowered, v_up)
 
 
-def run_v_trcov(fixture, seed, opts) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
+def run_v_trcov(fixture, seed, opts) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
     u = fl.seeded_sym2(geom, seed + 57)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        uj = u(batch, 1)
-        gi0 = geom.ginv(batch, 0)
 
-        def map_fn(t):
-            cd = tc.cd_sym2(at(t), batch, uj)
-            return jet_einsum("pab,pabj->pj", gi0, cd)
+    def lhs(gt, batch, uj):
+        return jet_einsum("pab,pabj->pj", geom.ginv(batch, 0), tc.cd_sym2(gt, batch, uj))
 
-        der, info = _fd(map_fn, opts, t_max=curve.t_max)
+    def rhs(batch, uj):
         vj = v(batch, 2)
         vstar = tc.sharp_sym2(geom, batch, vj)
         w_unw = tc.adjoint_endo(geom.unweighted(), batch, vstar)
@@ -189,61 +210,36 @@ def run_v_trcov(fixture, seed, opts) -> VariationOutcome:
         t2 = jet_einsum("pa,paj->pj", X, ustar.truncate(X.order))
         u_up = tc.raise2(geom, batch, uj)
         t3 = jet_einsum("pbc,pabc->pa", u_up.truncate(cdv.order), cdv)
-        rhs = t1 + t2 - t3
-        r = der.value * 2.0 - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+        return t1 + t2 - t3
+
+    return _fd_check(at, seed, opts, lhs, rhs, factor=2.0,
+                     inputs=lambda batch: (u(batch, 1),))
 
 
-def run_v_div1(fixture, seed, opts) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
+def run_v_div1(fixture, seed, opts) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
     al = fl.seeded_oneform(geom, seed + 91)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        aj = al(batch, 1)
-        der, info = _fd(lambda t: tc.div_omega_oneform(at(t), batch, aj), opts,
-                        t_max=curve.t_max)
+
+    def rhs(batch, aj):
         sharp_a = tc.sharp_oneform(geom, batch, aj)
         cd_sharp = tc.cd_vector(geom, batch, sharp_a)
         pairing = _pair_cd_with_sym2(geom, batch, cd_sharp, v(batch, 1))
         w = _gauge_vector(geom, batch, v, Vs, order=0)
-        rhs = pairing * (-1.0) + jet_einsum("pi,pi->p", aj.truncate(w.order), w)
-        r = der.value - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+        return pairing * (-1.0) + jet_einsum("pi,pi->p", aj.truncate(w.order), w)
+
+    return _fd_check(at, seed, opts, tc.div_omega_oneform, rhs,
+                     inputs=lambda batch: (al(batch, 1),))
 
 
-def run_v_div2(fixture, seed, opts) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        vj2 = v(batch, 2)
+def run_v_div2(fixture, seed, opts) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
 
-        def map_fn(t):
-            gt = at(t)
-            alpha = tc.adjoint_sym2(gt, batch, vj2)
-            return tc.div_omega_oneform(gt, batch, alpha)
+    def lhs(gt, batch, vj2):
+        return tc.div_omega_oneform(gt, batch, tc.adjoint_sym2(gt, batch, vj2))
 
-        der, info = _fd(map_fn, opts, t_max=curve.t_max)
-        rhs = _v_div2_rhs(geom, batch, v, Vs)
-        r = der.value - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+    return _fd_check(at, seed, opts, lhs,
+                     lambda batch, _: _v_div2_rhs(geom, batch, v, Vs),
+                     inputs=lambda batch: (v(batch, 2),))
 
 
 def _v_div2_rhs(geom, batch, v: Field, Vs: Field) -> Jet:
@@ -267,47 +263,27 @@ def _v_div2_rhs(geom, batch, v: Field, Vs: Field) -> Jet:
     return r1.truncate(k) + r2.truncate(k) + r3.truncate(k) + r4.truncate(k) + r5.truncate(k)
 
 
-def run_v_super(fixture, seed, opts) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        vstar0 = tc.sharp_sym2(geom, batch, v(batch, 1))
-        der, info = _fd(lambda t: tc.adjoint_endo(at(t), batch, vstar0), opts,
-                        t_max=curve.t_max)
+def run_v_super(fixture, seed, opts) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
+
+    def rhs(batch, vstar0):
         vj = v(batch, 2)
         norm2 = tc.pair_2tensors(geom, batch, vj, vj)
         grad_norm = tc.grad_scalar(geom, batch, norm2.truncate(2))
         w = _gauge_vector(geom, batch, v, Vs, order=0)
-        rhs = grad_norm * 0.5 - jet_einsum(
+        return grad_norm * 0.5 - jet_einsum(
             "pij,pj->pi", vstar0.truncate(w.order), w
         ) * 2.0
-        r = der.value * 2.0 - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+
+    return _fd_check(at, seed, opts, tc.adjoint_endo, rhs, factor=2.0,
+                     inputs=lambda batch: (tc.sharp_sym2(geom, batch, v(batch, 1)),))
 
 
-def run_v_dh(fixture, seed, opts) -> VariationOutcome:
-    geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        der, info = _fd(lambda t: so.H_scalar(at(t), batch, 0), opts,
-                        t_max=curve.t_max)
-        rhs = _dh_formula(geom, batch, v(batch, 3), Vs(batch, 3))
-        r = der.value * 2.0 - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+def run_v_dh(fixture, seed, opts) -> Outcome:
+    geom, v, Vs, at = _linear_family(fixture, seed)
+    return _fd_check(at, seed, opts, lambda gt, batch: so.H_scalar(gt, batch, 0),
+                     lambda batch: _dh_formula(geom, batch, v(batch, 3), Vs(batch, 3)),
+                     factor=2.0)
 
 
 def _dh_formula(geom, batch, vj: Jet, Vsj: Jet) -> Jet:
@@ -319,37 +295,6 @@ def _dh_formula(geom, batch, vj: Jet, Vsj: Jet) -> Jet:
     pair = tc.pair_2tensors(geom, batch, vj.truncate(h.order), h)
     k = min(lapV.order, div.order, pair.order)
     return lapV.truncate(k) - div.truncate(k) - pair.truncate(k)
-
-
-def _hess_assemble(fixture, seed, opts, v: Field, Vs: Field, kappa: float,
-                   fdir_check: bool = False):
-    """Shared assembly for the second-variation checks; returns residual
-    arrays, observed orders, and the direction-constraint residual."""
-    geom = GeometryState(fixture)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders, precond = [], [], 0.0
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        d2, info = _fd(lambda t: so.H_scalar(at(t), batch, 0), opts, order=2,
-                       t_max=curve.t_max)
-        vj = v(batch, 3)
-        Vsj = Vs(batch, 3)
-        vstar = tc.sharp_sym2(geom, batch, vj)
-        theta = jet_einsum("p,pij->pij", Vsj, vj) - \
-            jet_einsum("pba,pbc->pac", vstar, vj)
-        norm2 = tc.pair_2tensors(geom, batch, vj, vj)
-        Vs2 = jet_einsum("p,p->p", Vsj, Vsj)
-        theta_star = (norm2 - Vs2 * 2.0 + (-kappa)) * 0.25
-        dh_theta = _dh_formula(geom, batch, theta, theta_star) * 0.5
-        lhs = d2.value * 2.0 - 2.0 * dh_theta.value
-
-        w = _gauge_vector(geom, batch, v, Vs, order=1)
-        if fdir_check:
-            precond = max(precond, _sup(w.value))
-        rhs = _hess_rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa)
-        sups.append(lhs - rhs.value)
-        orders.append(info)
-    return np.concatenate(sups), orders, precond
 
 
 def _hess_rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa):
@@ -378,29 +323,51 @@ def _hess_rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa):
         r5.truncate(k) + r6.truncate(k) + r7.truncate(k)
 
 
-def run_v_hess(fixture, seed, opts) -> VariationOutcome:
+def _hess_assemble(fixture, seed, opts, v: Field, Vs: Field, kappa: float,
+                   rhs=_hess_rhs):
+    """Shared assembly for the second-variation checks: the second t-derivative
+    of H less the first-variation correction, against ``rhs`` (the assembled
+    right-hand side by default).  Returns the residual array, the observed
+    orders, and the sup of the direction-constraint vector adj(v*) + grad V*."""
     geom = GeometryState(fixture)
-    v, Vs = _directions(geom, seed)
+    curve = LinearCurve(fixture, v, Vs)
+    at = _geom_cache(curve)
+    sups, orders, precond = [], [], 0.0
+    for batch in fixture.check_nodes(seed, opts.node_count):
+        d2, info = _fd(lambda t: so.H_scalar(at(t), batch, 0), opts, order=2,
+                       t_max=curve.t_max)
+        vj = v(batch, 3)
+        Vsj = Vs(batch, 3)
+        vstar = tc.sharp_sym2(geom, batch, vj)
+        theta = jet_einsum("p,pij->pij", Vsj, vj) - \
+            jet_einsum("pba,pbc->pac", vstar, vj)
+        norm2 = tc.pair_2tensors(geom, batch, vj, vj)
+        Vs2 = jet_einsum("p,p->p", Vsj, Vsj)
+        theta_star = (norm2 - Vs2 * 2.0 + (-kappa)) * 0.25
+        dh_theta = _dh_formula(geom, batch, theta, theta_star) * 0.5
+        lhs = d2.value * 2.0 - 2.0 * dh_theta.value
+
+        w = _gauge_vector(geom, batch, v, Vs, order=1)
+        precond = max(precond, _sup(w.value))
+        r = rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa)
+        sups.append(lhs - r.value)
+        orders.append(info)
+    return np.concatenate(sups), orders, precond
+
+
+def run_v_hess(fixture, seed, opts) -> Outcome:
+    v, Vs = _directions(GeometryState(fixture), seed)
     residues = {}
-    sups = None
-    orders = None
     for kappa in (0.0, 1.0, 10.0):
-        r, orders, _ = _hess_assemble(fixture, seed, opts, v, Vs, kappa)
-        residues[kappa] = r
-        if kappa == 0.0:
-            sups = r
+        residues[kappa], orders, _ = _hess_assemble(fixture, seed, opts, v, Vs, kappa)
     kap_spread = max(
         _sup(residues[a] - residues[b]) for a in residues for b in residues
     )
-    out = VariationOutcome(_sup(sups), _l2(sups), _first_order(orders),
-                           details={"order_ok": _orders_ok(orders)})
-    out.details["kappa_independence"] = kap_spread
-    return out
+    return _outcome([residues[0.0]], orders, kappa_independence=kap_spread)
 
 
-def run_v_hess_f(fixture, seed, opts) -> VariationOutcome:
+def run_v_hess_f(fixture, seed, opts) -> Outcome:
     geom = GeometryState(fixture)
-    from . import jets as jmath
 
     # the direction ((1 + f) e^f g, (e^f - mean) Omega) satisfies the
     # divergence constraint exactly; normalize it to keep the stencil tame
@@ -427,41 +394,18 @@ def run_v_hess_f(fixture, seed, opts) -> VariationOutcome:
 
     v = Field(v_fn, shape=(geom.dim,) * 2)
     Vs = Field(Vs_fn)
-    residues, orders, precond = {}, None, 0.0
+    residues = {}
     for kappa in (0.0, 1.0):
-        r, orders, precond = _hess_assemble(fixture, seed, opts, v, Vs, kappa,
-                                            fdir_check=True)
-        residues[kappa] = r
-
+        residues[kappa], orders, precond = _hess_assemble(fixture, seed, opts, v, Vs, kappa)
     # the constrained statement replaces the assembled right-hand side; check
-    # it directly at kappa = 0 by comparing against the dedicated formula
-    geom2 = GeometryState(fixture)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups = []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        d2, info = _fd(lambda t: so.H_scalar(at(t), batch, 0), opts, order=2,
-                       t_max=curve.t_max)
-        vj = v(batch, 3)
-        Vsj = Vs(batch, 3)
-        vstar = tc.sharp_sym2(geom2, batch, vj)
-        theta = jet_einsum("p,pij->pij", Vsj, vj) - jet_einsum("pba,pbc->pac", vstar, vj)
-        norm2 = tc.pair_2tensors(geom2, batch, vj, vj)
-        Vs2 = jet_einsum("p,p->p", Vsj, Vsj)
-        theta_star = (norm2 - Vs2 * 2.0) * 0.25
-        dh_theta = _dh_formula(geom2, batch, theta, theta_star) * 0.5
-        lhs = d2.value * 2.0 - 2.0 * dh_theta.value
-        rhs = _hess_f_rhs(geom2, batch, vj, Vsj)
-        sups.append(lhs - rhs.value)
-    res = np.concatenate(sups)
-    out = VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                           details={"order_ok": _orders_ok(orders)})
-    out.details["kappa_independence"] = _sup(residues[0.0] - residues[1.0])
-    out.details["direction_constraint"] = precond
-    return out
+    # it directly at kappa = 0 against the dedicated formula
+    res, _, _ = _hess_assemble(fixture, seed, opts, v, Vs, 0.0, rhs=_hess_f_rhs)
+    return _outcome([res], orders,
+                    kappa_independence=_sup(residues[0.0] - residues[1.0]),
+                    direction_constraint=precond)
 
 
-def _hess_f_rhs(geom, batch, vj: Jet, Vsj: Jet) -> Jet:
+def _hess_f_rhs(geom, batch, vj: Jet, Vsj: Jet, *_) -> Jet:
     L = so.lichnerowicz_sym2(geom, batch, vj)
     alpha = tc.adjoint_sym2(geom, batch, vj)
     grad_adj = tc.cd_oneform(geom, batch, alpha)
@@ -478,26 +422,6 @@ def _hess_f_rhs(geom, batch, vj: Jet, Vsj: Jet) -> Jet:
                     tc.pair_2tensors(geom, batch, vj.truncate(h.order), h))
     k = min(r1.order, r2.order, r3.order)
     return r1.truncate(k) + r2.truncate(k) + r3.truncate(k)
-
-
-def _first_order(orders):
-    vals = []
-    for o in orders:
-        obs = o.observed_order if hasattr(o, "observed_order") else o
-        if obs is not None:
-            vals.append(obs)
-    return float(np.median(vals)) if vals else None
-
-
-def _orders_ok(orders) -> bool:
-    for o in orders:
-        if not hasattr(o, "observed_order"):
-            continue
-        if o.observed_order is None:
-            continue
-        if abs(o.observed_order - o.nominal_order) > 0.5:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +453,7 @@ def make_kahler_family(fixture: Fixture, seed: int):
     return HamiltonianFlowCurve(fixture, ham)
 
 
-def run_v_gdot(fixture, seed, opts) -> VariationOutcome:
+def run_v_gdot(fixture, seed, opts) -> Outcome:
     curve = make_structure_curve(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
@@ -549,24 +473,16 @@ def run_v_gdot(fixture, seed, opts) -> VariationOutcome:
                          jet_einsum("pik,pkj->pij", gdds, J0))
         proj10 = (gdds - JgJ) * 0.5
         sups2.append((proj10 - jet_einsum("pik,pkj->pij", gds, gds)).value.ravel())
-    res = np.concatenate(sups)
-    out = VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                           details={"order_ok": _orders_ok(orders)})
-    out.details["second_order_residual"] = _sup(np.concatenate(sups2))
-    return out
+    return _outcome(sups, orders, second_order_residual=_sup(np.concatenate(sups2)))
 
 
-def run_v_nj(fixture, seed, opts) -> VariationOutcome:
+def run_v_nj(fixture, seed, opts) -> Outcome:
     curve = make_structure_curve(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
-    sups, orders, consequence = [], [], 0.0
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        def N_map(t):
-            gt = at(t)
-            return kh.nijenhuis(gt, batch, gt.J(batch, 1))
+    consequence = [0.0]
 
-        Ndot, info = _fd(N_map, opts, t_max=curve.t_max)
+    def rhs(batch):
         Jdot, _ = _fd(lambda t: at(t).J(batch, 2), opts, t_max=curve.t_max)
         db = kh.dbar_endo(geom, batch, Jdot)
         J0 = geom.J(batch, db.order)
@@ -574,12 +490,9 @@ def run_v_nj(fixture, seed, opts) -> VariationOutcome:
         N0 = kh.nijenhuis(geom, batch, geom.J(batch, 2))
         hook = tc.generalized_contraction(Jdot.truncate(N0.order), N0, 1, 2)
         comp = jet_einsum("pik,pkab->piab", Jdot.truncate(N0.order), N0)
-        rhs = dbar_term + hook - comp
-        r = Ndot.value - rhs.truncate(0).value
-        sups.append(r.ravel())
-        orders.append(info)
-        # consequence: along the curve the structure variation stays del-bar
-        # closed whenever the structures remain integrable
+        # consequence, on the same batch: along the curve the structure
+        # variation stays del-bar closed whenever the structures remain
+        # integrable
         if fixture.backend.kind == "CP1" or fixture.backend.dim == 2:
             for tt in (0.0, 0.5 * curve.t_max * 0.4, -0.5 * curve.t_max * 0.4):
                 gt = at(tt)
@@ -587,16 +500,16 @@ def run_v_nj(fixture, seed, opts) -> VariationOutcome:
                                         order=1, scheme="central-4",
                                         base_step=opts.base_step,
                                         richardson_levels=1, t_max=curve.t_max)
-                db_t = kh.dbar_endo(gt, batch, Jd_t)
-                consequence = max(consequence, _sup(db_t.value))
-    res = np.concatenate(sups)
-    out = VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                           details={"order_ok": _orders_ok(orders)})
-    out.details["dbar_Jdot_along_curve"] = consequence
+                consequence.append(_sup(kh.dbar_endo(gt, batch, Jd_t).value))
+        return dbar_term + hook - comp
+
+    out = _fd_check(at, seed, opts,
+                    lambda gt, batch: kh.nijenhuis(gt, batch, gt.J(batch, 1)), rhs)
+    out.details["dbar_Jdot_along_curve"] = max(consequence)
     return out
 
 
-def run_v_dbarvar(fixture, seed, opts) -> VariationOutcome:
+def run_v_dbarvar(fixture, seed, opts) -> Outcome:
     curve = make_kahler_family(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
@@ -612,15 +525,12 @@ def run_v_dbarvar(fixture, seed, opts) -> VariationOutcome:
         der, info = _fd(map_fn, opts, t_max=curve.t_max)
         n10 = jet_map("paij->piaj", kh.nabla10_endo(geom, batch, gstar0.truncate(2)))
         rhs = tc.generalized_contraction(gstar0.truncate(n10.order), n10, 1, 2) * (-1.0)
-        r = der.value - rhs.value
-        sups.append(r.ravel())
+        sups.append((der.value - rhs.value).ravel())
         orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+    return _outcome(sups, orders)
 
 
-def run_v_secord(fixture, seed, opts) -> VariationOutcome:
+def run_v_secord(fixture, seed, opts) -> Outcome:
     curve = make_kahler_family(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
@@ -635,24 +545,18 @@ def run_v_secord(fixture, seed, opts) -> VariationOutcome:
         lhs = kh.dbar_endo(geom, batch, xi_star)
         n10 = jet_map("paij->piaj", kh.nabla10_endo(geom, batch, gds))
         rhs = tc.generalized_contraction(gds.truncate(n10.order), n10, 1, 2)
-        r = lhs.value - rhs.truncate(0).value
-        sups.append(r.ravel())
+        sups.append((lhs.value - rhs.value).ravel())
         orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+    return _outcome(sups, orders)
 
 
-def run_v_dbarvf(fixture, seed, opts) -> VariationOutcome:
+def run_v_dbarvf(fixture, seed, opts) -> Outcome:
     curve = make_kahler_family(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
     xi_field = fl.seeded_vector(geom, seed + 3)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        xij = xi_field(batch, 2)
-        der, info = _fd(lambda t: kh.dbar_vector(at(t), batch, xij), opts,
-                        t_max=curve.t_max)
+
+    def rhs(batch, xij):
         gdot, _ = _fd(lambda t: at(t).g(batch, 1), opts, t_max=curve.t_max)
         gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 1), gdot)
         cd_gds = tc.cd_endo(geom, batch, gds)
@@ -662,38 +566,29 @@ def run_v_dbarvf(fixture, seed, opts) -> VariationOutcome:
         k = min(p_xi.order, gds.order)
         t2 = tc.commutator(p_xi.truncate(k), gds.truncate(k))
         t3 = tc.commutator(db_xi.truncate(k), gds.truncate(k))
-        rhs = t1 - t2 + t3
-        r = der.value * 2.0 - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+        return t1 - t2 + t3
+
+    return _fd_check(at, seed, opts, kh.dbar_vector, rhs, factor=2.0,
+                     inputs=lambda batch: (xi_field(batch, 2),))
 
 
-def run_v_trans(fixture, seed, opts) -> VariationOutcome:
+def run_v_trans(fixture, seed, opts) -> Outcome:
     curve = make_structure_curve(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
     A_field = fl.seeded_sym_endo(geom, seed + 5)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        Aj = A_field(batch, 1)
-        der, info = _fd(lambda t: tc.transpose_endo(at(t), batch, Aj), opts,
-                        t_max=curve.t_max)
+
+    def rhs(batch, Aj):
         gdot, _ = _fd(lambda t: at(t).g(batch, 0), opts, t_max=curve.t_max)
         gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 0), gdot)
         At = tc.transpose_endo(geom, batch, Aj)
-        rhs = tc.commutator(At.truncate(gds.order), gds)
-        r = der.value - rhs.value
-        sups.append(r.ravel())
-        orders.append(info)
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), _first_order(orders),
-                            details={"order_ok": _orders_ok(orders)})
+        return tc.commutator(At.truncate(gds.order), gds)
+
+    return _fd_check(at, seed, opts, tc.transpose_endo, rhs,
+                     inputs=lambda batch: (A_field(batch, 1),))
 
 
-def run_v_kursym(fixture, seed, opts) -> VariationOutcome:
+def run_v_kursym(fixture, seed, opts) -> Outcome:
     curve = make_kahler_family(fixture, seed)
     at = _geom_cache(curve)
     sups = []
@@ -708,126 +603,34 @@ def run_v_kursym(fixture, seed, opts) -> VariationOutcome:
             E = kh.dbar_vector(gt, batch, W)
             r = E - tc.transpose_endo(gt, batch, E)
             sups.append(r.value.ravel())
-    res = np.concatenate(sups)
-    return VariationOutcome(_sup(res), _l2(res), None)
+    return _outcome(sups, [])
 
 
-def run_v_kur1(fixture, seed, opts) -> VariationOutcome:
+def run_v_kur1(fixture, seed, opts) -> Outcome:
     curve = make_kahler_family(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
     batch = fixture.check_nodes(seed, opts.node_count)[0]
     gdot, _ = _fd(lambda t: at(t).g(batch, 1), opts, t_max=curve.t_max)
     rho_dot, _ = _fd(lambda t: at(t).rho(batch, 2), opts, t_max=curve.t_max)
-    Vstar = jet_einsum("p,p->p", rho_dot, _recip(geom.rho(batch, 2)))
+    Vstar = jet_einsum("p,p->p", rho_dot, jmath.reciprocal(geom.rho(batch, 2)))
     gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 1), gdot)
     w = tc.adjoint_endo(geom, batch, gds) + tc.grad_scalar(geom, batch, Vstar)
     scale = max(_sup(gds.value), 1e-9)
     precond = _sup(w.value)
     if _sup(gds.value) < 1e-10:
-        return VariationOutcome(0.0, 0.0, None, status="skipped",
-                                reason="trivial direction: the curve does not move the metric")
+        return Outcome(0.0, 0.0, status="skipped",
+                       reason="trivial direction: the curve does not move the metric")
     if precond > 1e-6 * max(1.0, scale):
-        return VariationOutcome(precond, precond, None, status="skipped",
-                                reason=f"direction not divergence-compatible: constraint residual {precond:.2e}")
-    return VariationOutcome(precond, precond, None, status="skipped",
-                            reason="constraint met only by a trivial direction at desk scale")
+        return Outcome(precond, precond, status="skipped",
+                       reason=f"direction not divergence-compatible: constraint residual {precond:.2e}")
+    return Outcome(precond, precond, status="skipped",
+                   reason="constraint met only by a trivial direction at desk scale")
 
 
-def _recip(rho: Jet) -> Jet:
-    from . import jets as jmath
-
-    return jmath.reciprocal(rho)
-
-
-def run_v_fundcx(fixture, seed, opts) -> VariationOutcome:
-    return VariationOutcome(
-        0.0, 0.0, None, status="skipped",
+def run_v_fundcx(fixture, seed, opts) -> Outcome:
+    return Outcome(
+        0.0, 0.0, status="skipped",
         reason="harmonic structure variations are trivial on the rigid fixture; "
                "the symmetry statement has no nontrivial instance at desk scale",
     )
-
-
-# ---------------------------------------------------------------------------
-# catalog table
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    tag: str
-    formula: str
-    fixtures: tuple
-    tol: float
-    fd_order: int
-    runner: object
-    notes: str = ""
-
-
-TORI = ("FLAT2", "PERT2", "RIEM4", "KAH4")
-KAHLER_CURVES = ("FLAT2", "PERT2", "KAH4", "FS")
-
-CATALOG = {
-    e.id: e
-    for e in [
-        CatalogEntry("V-F", "var-f", "df/dt = (1/2) tr_g(dg/dt) - dOmega*/dt",
-                     TORI, 1e-6, 1, run_v_f),
-        CatalogEntry("V-GRAD", "var-grad",
-                     "d/dt grad f = grad(df/dt) - (dg/dt)* grad f",
-                     TORI, 1e-6, 1, run_v_grad),
-        CatalogEntry("V-ADJ", "var-adjDer",
-                     "2 D(adj)(v,V) u = M(v,u) - 2 u(adj(v*) + grad V*)",
-                     TORI, 1e-6, 1, run_v_adj),
-        CatalogEntry("V-TRCOV", "Tr-varCov",
-                     "2 g^-1 hook D(cd)(v) u = 2 u(adj0 v*) + cd v(u* ., e, e) - cd v(., u* e, e)",
-                     TORI, 1e-6, 1, run_v_trcov),
-        CatalogEntry("V-DIV1", "var-div-oneform",
-                     "D(div_w)(v,V) a = -<cd a*, v*> + a(adj(v*) + grad V*)",
-                     TORI, 1e-6, 1, run_v_div1,
-                     notes="coefficient 1 on the drift term, fixed numerically"),
-        CatalogEntry("V-DIV2", "var-div2",
-                     "D(div_w adj)(v,V) v = the five-term assembly",
-                     TORI, 1e-6, 1, run_v_div2),
-        CatalogEntry("V-SUPER", "super-var-Div",
-                     "2 D(adj)(v,V) v* = (1/2) grad |v|^2 - 2 v*(adj(v*) + grad V*)",
-                     TORI, 1e-6, 1, run_v_super),
-        CatalogEntry("V-DH", "first-var-H",
-                     "2 dH/dt = (lap_w - 2)V* - div_w(adj v + dV*) - <v, h>",
-                     TORI, 1e-6, 1, run_v_dh),
-        CatalogEntry("V-HESS", "sec-var-H",
-                     "second variation of H with covariant speed correction",
-                     TORI, 1e-5, 2, run_v_hess),
-        CatalogEntry("V-HESS-F", "corol-sec-varH",
-                     "constrained second variation on divergence-compatible directions",
-                     TORI, 1e-5, 2, run_v_hess_f),
-        CatalogEntry("V-GDOT", "gdot-JJdot",
-                     "dg*/dt = -J dJ/dt; (d2g*/dt2)^(1,0) = (dg*/dt)^2",
-                     KAHLER_CURVES, 1e-6, 1, run_v_gdot),
-        CatalogEntry("V-NJ", "var-nijenhuis",
-                     "dN/dt = Jdot hook N - Jdot N + del-bar Jdot",
-                     KAHLER_CURVES, 1e-6, 1, run_v_nj),
-        CatalogEntry("V-DBARVAR", "var-dbar-endo",
-                     "(d/dt del-bar) g* = -g* hook nabla10 g*",
-                     KAHLER_CURVES, 1e-6, 1, run_v_dbarvar),
-        CatalogEntry("V-SECORD", "sec-ord-Defm",
-                     "del-bar(d/dt g*) = g* hook nabla10 g*",
-                     KAHLER_CURVES, 1e-5, 2, run_v_secord),
-        CatalogEntry("V-DBARVF", "var-dbar-vf",
-                     "2 d/dt(del-bar xi) = xi hook cd g* - [del xi, g*] + [del-bar xi, g*]",
-                     KAHLER_CURVES, 1e-6, 1, run_v_dbarvf),
-        CatalogEntry("V-TRANS", "var-transpose",
-                     "d/dt A^T = [A^T, dg*/dt]",
-                     KAHLER_CURVES, 1e-6, 1, run_v_trans),
-        CatalogEntry("V-KURSYM", "basic-kuranishSym",
-                     "del-bar adj(dg*/dt) is g-symmetric along compatible families",
-                     ("FS",), 1e-7, 1, run_v_kursym),
-        CatalogEntry("V-KUR1", "first-kur-sm",
-                     "symmetry of del-bar adj(d/dt dg*/dt) under the divergence constraint",
-                     ("FS",), 1e-6, 1, run_v_kur1,
-                     notes="conditional: requires a divergence-compatible initial speed"),
-        CatalogEntry("V-FUNDCX", "fund-cx-def-sm",
-                     "symmetry of adj(Jdot hook nabla10 Jdot) for harmonic Jdot",
-                     ("FS",), 1e-6, 1, run_v_fundcx,
-                     notes="conditional: needs a nontrivial harmonic variation"),
-    ]
-}

@@ -131,12 +131,3 @@ def seeded_antilinear(geom, seed) -> Field:
         return (S + jet_einsum("pik,pkj->pij", J, jet_einsum("pik,pkj->pij", S, J))) * 0.5
 
     return Field(fn, shape=(geom.dim,) * 2, name="seeded-antilinear")
-
-
-def scalar_field_from(geom, build) -> Field:
-    """Wrap a jet-level closure (batch, order) -> Jet as a Field."""
-    return Field(build)
-
-
-def eval_values(field: Field, nodes) -> list[np.ndarray]:
-    return [field(b, 0).value for b in nodes]

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     BadAxisError,
-    BadInputError,
     DomainError,
     SingularJetError,
     UnsupportedOrderError,
@@ -595,24 +594,3 @@ def power(a: Jet, p) -> Jet:
         derivs.append(c * v ** (p - k))
         c *= p - k
     return _compose(a, _outer_table(a, derivs))
-
-
-ARITH = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": jet_mul,
-    "div": lambda x, y: x / y,
-    "pow": power,
-    "exp": exp,
-    "log": log,
-    "sin": sin,
-    "cos": cos,
-    "sqrt": sqrt,
-}
-
-
-def arith(op: str, *args):
-    """Dispatch table over the supported jet operations."""
-    if op not in ARITH:
-        raise BadInputError(f"unknown jet operation {op!r}")
-    return ARITH[op](*args)

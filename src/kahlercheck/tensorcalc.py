@@ -116,10 +116,6 @@ def raise2(geom, batch, v: Jet) -> Jet:
     return jet_einsum("pik,pkj->pij", gi, jet_einsum("pik,pjk->pij", v, gi))
 
 
-def pair_scalars(a: Jet, b: Jet) -> Jet:
-    return jet_einsum("p,p->p", a, b)
-
-
 def pair_vectors(geom, batch, X: Jet, Y: Jet) -> Jet:
     return jet_einsum("pi,pi->p", flat_vector(geom, batch, X), Y)
 
@@ -224,15 +220,6 @@ def laplacian_scalar(geom, batch, u: Jet) -> Jet:
 
 def hessian_scalar(geom, batch, u: Jet) -> Jet:
     return cd_oneform(geom, batch, u.gradient())
-
-
-def rough_laplacian_endo(geom, batch, A: Jet) -> Jet:
-    cdA = cd_endo(geom, batch, A)                       # (m, a, i, j)
-    T = jet_map("paij->piaj", cdA)
-    cd2 = cd_mixed12(geom, batch, T)                    # (m, b, i, a, j)
-    gi = geom.ginv(batch, cd2.order)
-    lap = jet_einsum("pba,pbiaj->pij", gi, cd2) * (-1.0)
-    return lap + jet_einsum("pa,paij->pij", geom.gradf(batch, cd2.order), cdA)
 
 
 def rough_laplacian_sym2(geom, batch, v: Jet) -> Jet:

@@ -1,11 +1,15 @@
+import csv
 import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kahlercheck import catalog as cat
 from kahlercheck import checks as ck
 from kahlercheck import report
 from kahlercheck.catalog import RunOptions
@@ -30,6 +34,50 @@ def test_run_check_pass_and_fail_gating():
     tight = ck.run_check("ID-DIV-TR", "PERT2", 0,
                          RunOptions(tolerance_scale=1e-12, node_count=40))
     assert tight.status == "fail"
+
+
+def test_registry_holds_every_variation_check():
+    ids = {cid for cid, d in ck.REGISTRY.items() if d.suite == "variation"}
+    assert ids == {
+        "V-F", "V-GRAD", "V-ADJ", "V-TRCOV", "V-DIV1", "V-DIV2", "V-SUPER", "V-DH",
+        "V-HESS", "V-HESS-F", "V-GDOT", "V-NJ", "V-DBARVAR", "V-SECORD", "V-DBARVF",
+        "V-TRANS", "V-KURSYM", "V-KUR1", "V-FUNDCX",
+    }
+
+
+def test_outcome_l2_is_the_rms_and_defaults_to_sup():
+    assert ck.Outcome(2).l2 == 2.0
+    out = cat._outcome([np.array([3.0, -4.0]), np.array([0.0, 0.0])], [])
+    assert out.sup == 4.0
+    assert out.l2 == pytest.approx(2.5)
+    assert out.order is None and out.details == {}
+
+
+def test_integral_identity_off_the_shrinker_is_a_skip_with_its_gap():
+    # the seeded argument is not harmonic on KAH4, so the identity does not
+    # apply: the record is a skip that reports the real gap, not a masked pass
+    r = ck.run_check("S-INT", "KAH4", 0)
+    assert r.status == "skipped-with-reason"
+    assert "harmonic" in r.reason
+    d = r.details
+    assert set(d) == {"cone_integral", "drift_side", "harmonicity_defect"}
+    assert d["harmonicity_defect"] > 1e-3
+    assert r.residual_sup >= abs(d["cone_integral"] - d["drift_side"])
+    assert r.residual_sup > 0.1
+
+
+def test_convergence_table_script_writes_the_study(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_table.py"
+    spec = importlib.util.spec_from_file_location("convergence_table", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    out = tmp_path / "conv.csv"
+    mod.main(["--checks", "V-F", "--fixture", "FLAT2", "--out", str(out)])
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    assert {r["check_id"] for r in rows} == {"V-F"}
+    assert all(float(r["residual_sup"]) < 1e-6 for r in rows)
 
 
 def test_skipped_checks_carry_reasons():
@@ -74,6 +122,12 @@ def test_cli_tolerance_scale_forces_failures(tmp_path):
     code = main(["run", "--check", "ID-DIV-TR", "--fixture", "PERT2",
                  "--tolerance-scale", "1e-12", "--out", str(tmp_path), "--quiet"])
     assert code == 1
+    recs = json.loads((tmp_path / "report.json").read_text())["results"]
+    fails = [r for r in recs if r["status"] == "fail"]
+    assert fails
+    for r in fails:
+        assert r["reason"].startswith("residual_sup ")
+        assert "exceeds tolerance" in r["reason"]
 
 
 def test_cli_config_file_and_errors(tmp_path):
@@ -109,12 +163,6 @@ def test_cli_conventions(capsys):
     assert main(["conventions"]) == 0
     out = capsys.readouterr().out
     data = json.loads(out)
-    assert data == MANIFEST
-
-
-def test_repo_conventions_copy_matches():
-    root = Path(__file__).resolve().parents[1]
-    data = json.loads((root / "conventions.json").read_text())
     assert data == MANIFEST
 
 

@@ -237,15 +237,15 @@ def test_leibniz_property(a, b):
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-13)
 
 
-def test_arith_dispatch():
+def test_sin_exp_product_composition():
+    # d/dx of sin(x) exp(y) is cos(x) exp(y), and d/dy leaves it unchanged
     pts = np.array([[0.4, 0.2]])
     x, y = Jet.coordinates(pts, 2, 2)
-    out = jets.arith("mul", jets.arith("sin", x), jets.arith("exp", y))
-    ref = jets.sin(x) * jets.exp(y)
-    assert np.allclose(out.coeffs, ref.coeffs)
-    from kahlercheck.errors import BadInputError
-    with pytest.raises(BadInputError):
-        jets.arith("frobnicate", x)
+    out = jets.jet_mul(jets.sin(x), jets.exp(y))
+    assert np.allclose(out.value, np.sin(0.4) * np.exp(0.2))
+    assert np.allclose(out.derivative(0).value, np.cos(0.4) * np.exp(0.2))
+    assert np.allclose(out.derivative(1).value, out.value)
+    assert np.allclose(out.coeffs, (jets.sin(x) * jets.exp(y)).coeffs)
 
 
 # -- the convolution kernel against the scatter formulation -----------------

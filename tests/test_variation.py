@@ -6,6 +6,7 @@ import pytest
 
 from kahlercheck import backends as bk
 from kahlercheck import catalog as cat
+from kahlercheck import checks as ck
 from kahlercheck import fields as fl
 from kahlercheck import variation as va
 from kahlercheck.catalog import RunOptions
@@ -147,16 +148,16 @@ def test_conjugation_curve_structure():
     ("V-TRANS", "FLAT2"),
 ])
 def test_catalog_entries_pass(cid, fixture):
-    entry = cat.CATALOG[cid]
+    entry = ck.REGISTRY[cid]
     out = entry.runner(bk.make_fixture(fixture), 11, OPTS)
     assert out.status == "computed"
-    assert out.residual_sup < entry.tol, (cid, fixture, out.residual_sup)
+    assert out.sup < entry.tolerance, (cid, fixture, out.sup)
     assert out.details.get("order_ok", True)
 
 
 def test_v_hess_kappa_protocol():
     out = cat.run_v_hess(bk.make_fixture("FLAT2"), 11, OPTS)
-    assert out.residual_sup < 1e-6
+    assert out.sup < 1e-6
     assert out.details["kappa_independence"] < 1e-8
 
 
