@@ -96,10 +96,25 @@ class Backend:
     n_charts = 1
     is_fano = False
 
+    def __init__(self):
+        self._check_memo: dict = {}
+
     def quad_nodes(self) -> NodeSet:
         raise NotImplementedError
 
     def check_nodes(self, seed: int, count: int = 200) -> NodeSet:
+        """Seeded random check batches, the same read-only objects on every
+        call in a process, so that caches keyed by the batch token (flows)
+        serve every check that draws the same nodes."""
+        key = (seed, count)
+        if key not in self._check_memo:
+            batches = self._draw_check_nodes(seed, count)
+            for b in batches:
+                b.pts.flags.writeable = False
+            self._check_memo[key] = batches
+        return self._check_memo[key]
+
+    def _draw_check_nodes(self, seed: int, count: int) -> NodeSet:
         raise NotImplementedError
 
     def integrate_chart(self, values_per_batch, nodes: NodeSet) -> float:
@@ -115,6 +130,7 @@ class Backend:
 
 class Torus(Backend):
     def __init__(self, dim: int, grid: int):
+        super().__init__()
         self.dim = dim
         self.kind = f"Torus{dim}"
         self.grid = grid
@@ -130,7 +146,7 @@ class Torus(Backend):
             self._quad = (NodeBatch(0, pts, w),)
         return self._quad
 
-    def check_nodes(self, seed: int, count: int = 200) -> NodeSet:
+    def _draw_check_nodes(self, seed: int, count: int) -> NodeSet:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, 1.0, size=(count, self.dim))
         return (NodeBatch(0, pts),)
@@ -145,6 +161,7 @@ class CP1(Backend):
     is_fano = True
 
     def __init__(self, n_theta: int = 32, n_phi: int = 64):
+        super().__init__()
         self.n_theta = n_theta
         self.n_phi = n_phi
         self._quad = None
@@ -174,7 +191,7 @@ class CP1(Backend):
             return np.stack([X / (1.0 - Z), Y / (1.0 - Z)], axis=-1)
         return np.stack([X / (1.0 + Z), -Y / (1.0 + Z)], axis=-1)
 
-    def check_nodes(self, seed: int, count: int = 200) -> NodeSet:
+    def _draw_check_nodes(self, seed: int, count: int) -> NodeSet:
         rng = np.random.default_rng(seed)
         u = rng.uniform(-1.0, 1.0, size=count)
         phi = rng.uniform(0.0, TWO_PI, size=count)

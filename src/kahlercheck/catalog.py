@@ -433,12 +433,16 @@ def make_structure_curve(fixture: Fixture, seed: int):
     two complex dimensions, which is what the torsion-variation check
     wants), Hamiltonian pullbacks on the projective line."""
     if fixture.backend.kind == "CP1":
-        geom = GeometryState(fixture)
-        ham = fl.seeded_scalar(geom, seed + 7, mean_zero=True, amp=0.5)
-        return HamiltonianFlowCurve(fixture, ham)
-    geom = GeometryState(fixture)
-    A = fl.seeded_antilinear(geom, seed + 7)
+        # the same Hamiltonian as the Kahler family, so the same curve
+        return make_kahler_family(fixture, seed)
+    A = fl.seeded_antilinear(GeometryState(fixture), seed + 7)
     return StructureConjugationCurve(fixture, A)
+
+
+# One Hamiltonian pullback curve per (fixture object, seed) for the life of
+# the process: its flow cache then serves every check along that curve.  The
+# fixture is kept beside its curve so that its id cannot be reused.
+_FAMILIES: dict = {}
 
 
 def make_kahler_family(fixture: Fixture, seed: int):
@@ -447,10 +451,12 @@ def make_kahler_family(fixture: Fixture, seed: int):
     The structure-derivative formulas below differentiate the Kahler
     condition, so their premise is an integrable family; symplectomorphism
     pullbacks realize that on every fixture."""
-    geom = GeometryState(fixture)
-    amp = 0.5 if fixture.backend.kind == "CP1" else 0.15
-    ham = fl.seeded_scalar(geom, seed + 7, mean_zero=True, amp=amp)
-    return HamiltonianFlowCurve(fixture, ham)
+    key = (id(fixture), seed)
+    if key not in _FAMILIES:
+        amp = 0.5 if fixture.backend.kind == "CP1" else 0.15
+        ham = fl.seeded_scalar(GeometryState(fixture), seed + 7, mean_zero=True, amp=amp)
+        _FAMILIES[key] = (fixture, HamiltonianFlowCurve(fixture, ham))
+    return _FAMILIES[key][1]
 
 
 def run_v_gdot(fixture, seed, opts) -> Outcome:

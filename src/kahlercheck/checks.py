@@ -989,11 +989,18 @@ def run_gauge(fixture, seed, opts) -> Outcome:
     t = 0.08
     gt = GeometryState(curve.fixture_at(t))
     pt = so.PerelmanData(gt)
+    H_field = Field(lambda batch, order: so.H_scalar(geom, batch, order))
+    pointwise = []
     for b in fixture.check_nodes(seed, 60):
         lhs = pt.H_bar(b, 0).value
         rhs = curve.pullback_scalar_values(Field(hbar_field), b, t)
         sups.append(_sup(lhs - rhs))
+        pointwise.append(_sup(so.H_scalar(gt, b, 0).value
+                              - curve.pullback_scalar_values(H_field, b, t)))
     details["H_bar_equivariance"] = max(sups)
+    # its two parts: H itself, point by point, and the quadrature of its mean
+    details["H_pointwise_equivariance"] = max(pointwise)
+    details["H_mean_drift"] = float(abs(pt.H_mean - H_mean))
     # the defect tensor transports as a 2-tensor
     h_sups = []
     for b in fixture.check_nodes(seed, 40):

@@ -25,12 +25,15 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
 
     Uses the Neumann series around the pointwise value, which terminates
     exactly at the jet order because the remainder has no constant term.
+    That constant term is set to its exact zero rather than left as the
+    rounding noise of ``I - G0^{-1} G0``, so the result truncated to a lower
+    order is bit-identical to the inverse computed at that order.
     """
     G0 = G.value
     G0inv = np.linalg.inv(G0)
     n = G0.shape[-1]
     E = jet_linear("pik,pkj->pij", G0inv, G) * (-1.0)
-    E.coeffs[0] += np.eye(n)
+    E.coeffs[0] = 0.0
     acc = E.copy()
     acc.coeffs[0] += np.eye(n)
     logdet_corr = jet_map("pii->p", E) * (-1.0)

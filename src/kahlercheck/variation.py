@@ -114,8 +114,8 @@ _SCHEMES = {
 }
 
 
-# Every t at which the running fd_derivative evaluates its map: a flow curve
-# integrates the ones it has not cached yet in one stacked pass.
+# Every t at which the running fd_derivative evaluates its map, and its
+# centre: a flow curve integrates the ones it has not cached yet in one pass.
 _STENCIL: contextvars.ContextVar[tuple] = contextvars.ContextVar("stencil", default=())
 
 
@@ -156,8 +156,9 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
             acc = c if acc is None else acc + c
         return acc
 
-    scope = _STENCIL.set(tuple(t0 + off * (h / 2**k)
-                               for k in range(nlevels) for off in stencil))
+    # the centre too: off-centre callers ask for the geometry there next
+    scope = _STENCIL.set((t0,) + tuple(t0 + off * (h / 2**k)
+                                       for k in range(nlevels) for off in stencil))
     try:
         proto = ev(t0 + h)
         levels = [stencil_eval(h / 2**k) for k in range(nlevels)]
@@ -257,10 +258,14 @@ class HamiltonianFlowCurve:
         self.xi = Field(xi_fn, shape=(fixture.backend.dim,))
 
     def flow_jets(self, batch: NodeBatch, t: float, order: int) -> list[Jet]:
+        """The flow to t of the batch's points, as position jets of ``order``.
+
+        Cached under (batch token, t rounded to 12 digits, order) and computed
+        at that rounded t, so each flow is a function of its key alone."""
         key = (batch.token, round(t, 12), order)
         pos = self._cached(key)
         if pos is None:
-            self._integrate(batch, t, order)
+            self._integrate(batch, key[1], order)
             return self._flows[key]
         self._flows[key] = pos
         return pos
@@ -279,31 +284,40 @@ class HamiltonianFlowCurve:
 
     def _integrate(self, batch: NodeBatch, t: float, order: int) -> None:
         """Flow to t, stacked with every other t of the running stencil that
-        takes as many RK4 steps and has no flow yet; each point of the stack
-        takes its own step.  Caches the flow of every t that stays finite."""
-        n = self._steps(t)
-        todo = {round(t, 12): t}
-        stencil = _STENCIL.get()
-        if t != 0.0 and round(t, 12) in {round(s, 12) for s in stencil}:
-            for s in stencil:
-                sk = round(s, 12)
-                if s != 0.0 and sk not in todo and self._steps(s) == n \
-                        and self._cached((batch.token, sk, order)) is None:
-                    todo[sk] = s
+        has no flow yet, in one RK4 pass of as many steps as the longest.
+
+        The stack is sorted by step count, largest first; after step i the
+        t that take i steps leave it as finished, and the pass goes on with
+        the prefix that is left.  Each point takes its own t's step, so every
+        flow is bit-identical to integrating its t alone.  Caches the flow of
+        every t that stays finite; t = 0 is the identity and never stacked."""
+        dim = self.base.backend.dim
+        if t == 0.0:
+            self._flows[(batch.token, t, order)] = Jet.coordinates(batch.pts, dim, order)
+            return
+        todo = {t}
+        scope = {round(s, 12) for s in _STENCIL.get()}
+        if t in scope:
+            todo |= {s for s in scope if s != 0.0
+                     and self._cached((batch.token, s, order)) is None}
+        todo = sorted(todo, key=lambda s: (-self._steps(s), s))
+        counts = [self._steps(s) for s in todo]
         m = batch.size
-        pos = Jet.coordinates(np.tile(batch.pts, (len(todo), 1)),
-                              self.base.backend.dim, order)
-        if t != 0.0:
-            h = np.repeat(np.array(list(todo.values())) / n, m)
-            for _ in range(n):
-                pos = self._rk4_step(batch.chart, pos, h, order)
-        for j, tk in enumerate(todo):
-            part = [Jet(p.dim, p.order, p.coeffs[:, j * m:(j + 1) * m].copy())
-                    for p in pos]
-            if all(np.all(np.isfinite(p.coeffs)) for p in part):
-                self._flows[(batch.token, tk, order)] = part
-            elif j == 0:
-                raise FlowDivergedError("flow integration produced non-finite jets")
+        pos = Jet.coordinates(np.tile(batch.pts, (len(todo), 1)), dim, order)
+        h = np.repeat(np.array(todo) / counts, m)
+        live = len(todo)
+        for i in range(1, counts[0] + 1):
+            pos = self._rk4_step(batch.chart, pos, h, order)
+            while live and counts[live - 1] == i:
+                live -= 1
+                part = [Jet(p.dim, p.order, p.coeffs[:, live * m:(live + 1) * m].copy())
+                        for p in pos]
+                if all(np.all(np.isfinite(p.coeffs)) for p in part):
+                    self._flows[(batch.token, todo[live], order)] = part
+                elif todo[live] == t:
+                    raise FlowDivergedError("flow integration produced non-finite jets")
+            pos = [Jet(p.dim, p.order, p.coeffs[:, :live * m]) for p in pos]
+            h = h[:live * m]
 
     def _rk4_step(self, chart, pos, h, order):
         def f(state):

@@ -89,6 +89,34 @@ def test_inverse_and_logdet_jets():
     assert np.max(np.abs(jets.log(det_direct).coeffs - logdet.coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_inverse_and_logdet_truncate_to_the_lower_order_result(dim, order):
+    # the Neumann remainder's constant term is exactly zero, so the extra
+    # powers of a higher order add nothing below it, to the last bit
+    rng = np.random.default_rng(10 * dim + order)
+    c = rng.normal(size=(Jet.const(0.0, dim, order).coeffs.shape[0], 30, dim, dim)) * 0.1
+    c = c + np.swapaxes(c, -1, -2)
+    c[0] += 2.0 * np.eye(dim)
+    G = Jet(dim, order, c)
+    inv, logdet = inverse_and_logdet(G)
+    for j in range(order):
+        inv_j, logdet_j = inverse_and_logdet(G.truncate(j))
+        assert inv.truncate(j).coeffs.tobytes() == inv_j.coeffs.tobytes()
+        assert logdet.truncate(j).coeffs.tobytes() == logdet_j.coeffs.tobytes()
+
+
+def test_check_nodes_are_the_same_read_only_batches_every_time():
+    fx = bk.make_fixture("FS")
+    first = fx.check_nodes(5, 33)
+    again = bk.make_fixture("FS").check_nodes(5, 33)
+    assert all(a is b for a, b in zip(first, again))
+    for b in first:
+        assert not b.pts.flags.writeable
+        with pytest.raises(ValueError):
+            b.pts[0, 0] = 0.0
+
+
 def test_flat2_geometry_is_trivial():
     fx = bk.make_fixture("FLAT2")
     geom = GeometryState(fx)

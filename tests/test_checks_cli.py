@@ -236,3 +236,28 @@ def test_gauge_reports_each_sub_residual_on_its_own():
     assert h <= r.residual_sup
     assert r.residual_sup == max(h, h_bar)
     assert h != h_bar
+
+
+def test_gauge_names_the_mean_of_H_as_the_failing_part():
+    # on PERT2 at seed 3 H itself transports to rounding, and the failure of
+    # the normalized H is the drift of its quadrature mean along the flow
+    r = ck.run_check("S-GAUGE", "PERT2", 3)
+    d = r.details
+    assert r.status == "fail"
+    assert d["H_pointwise_equivariance"] < 1e-11
+    assert d["H_mean_drift"] > 1e-5
+    assert d["H_bar_equivariance"] == pytest.approx(d["H_mean_drift"], rel=1e-6)
+    assert r.residual_sup == max(d["H_bar_equivariance"], d["h_equivariance"])
+
+
+def test_flow_selection_with_two_jobs_matches_serial(tmp_path):
+    # each worker shares one flow curve across the checks it runs, so this
+    # holds only because a cached flow does not depend on which check made it
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["run", "--check", "V-NJ,V-DBARVAR,V-SECORD,V-DBARVF,V-KURSYM",
+                     "--fixture", "FS", "--jobs", jobs, "--out", str(out), "--quiet"]) == 0
+        reports.append(_strip_runtime(json.loads((out / "report.json").read_text())))
+    assert len(reports[0]["results"]) == 5
+    assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)

@@ -238,10 +238,11 @@ def test_stacked_flow_is_bit_identical_to_single_t(monkeypatch, t0, steps):
         return stacked.flow_jets(batch, t, 2)[0]
 
     va.fd_derivative(flow_map, t0, order=1, scheme="central-4")
-    ts = sorted(set(asked))
+    # the centre is in the scope, so a non-zero one joins the pass
+    ts = sorted((set(asked) | {t0}) - {0.0})
     assert {stacked._steps(t) for t in ts} == steps
-    # one RK4 pass per step count, over all of its t-values at once
-    assert len(sizes) == 4 * sum(steps)
+    # one RK4 pass for the whole stencil, as long as its longest flow
+    assert len(sizes) == 4 * max(steps)
     assert sum(sizes) == 4 * batch.size * sum(stacked._steps(t) for t in ts)
     single = va.HamiltonianFlowCurve(fx, ham)
     for t in ts:
@@ -279,7 +280,45 @@ def test_lower_order_flow_reuses_a_higher_order_one(monkeypatch):
     direct = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, 0.05, 2)
     for p, h, d in zip(low, high, direct):
         assert p.order == 2 and np.shares_memory(p.coeffs, h.coeffs)
-        assert np.max(np.abs(p.coeffs - d.coeffs)) <= 1e-14 * np.max(np.abs(d.coeffs))
+        assert p.coeffs.tobytes() == d.coeffs.tobytes()
+
+
+def test_flow_is_integrated_at_its_canonical_t():
+    # a t one ulp above 0.05 shares the key of 0.05 but would take 5 steps
+    fx, ham, batch = _flow_setup()
+    t = float(np.nextafter(0.05, 1.0))
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    assert curve._steps(t) == 5 and curve._steps(0.05) == 4
+    got = curve.flow_jets(batch, t, 2)
+    ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, 0.05, 2)
+    for g, r in zip(got, ref):
+        assert g.coeffs.tobytes() == r.coeffs.tobytes()
+
+
+def test_one_flow_curve_per_fixture_and_seed():
+    fs = bk.make_fixture("FS")
+    curve = cat.make_kahler_family(fs, 4)
+    assert cat.make_kahler_family(fs, 4) is curve
+    assert cat.make_structure_curve(fs, 4) is curve
+    assert cat.make_kahler_family(fs, 5) is not curve
+    assert cat.make_kahler_family(bk.make_fixture("KAH4"), 4) is not curve
+
+
+def test_a_record_does_not_depend_on_the_checks_run_before_it(monkeypatch):
+    # V-NJ's off-centre stencil reaches 0.05 as 0.04000000000000001 + 0.01,
+    # V-KURSYM asks for a literal 0.05 on the same curve and the same batches
+    monkeypatch.setattr(cat, "_FAMILIES", {})
+    opts = RunOptions(node_count=40)
+
+    def record(cid):
+        rec = ck.run_check(cid, "FS", 0, opts).to_record()
+        rec.pop("runtime_ms")
+        return rec
+
+    alone = record("V-KURSYM")
+    cat._FAMILIES.clear()
+    record("V-NJ")
+    assert record("V-KURSYM") == alone
 
 
 def test_stencil_scope_is_reset_when_the_map_raises():
@@ -291,7 +330,7 @@ def test_stencil_scope_is_reset_when_the_map_raises():
 
     with pytest.raises(ValueError):
         va.fd_derivative(failing, 0.0, order=1, scheme="central-4")
-    assert len(seen[0]) == 12 and 0.01 in seen[0]
+    assert len(seen[0]) == 13 and 0.01 in seen[0] and 0.0 in seen[0]
     assert va._STENCIL.get() == ()
 
 
