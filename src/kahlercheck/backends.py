@@ -50,21 +50,19 @@ NodeSet = tuple
 class Field:
     """Chart-indexed tensor field, evaluated as a jet at a node batch."""
 
-    def __init__(self, fn, shape=(), name=""):
+    def __init__(self, fn):
         self.fn = fn
-        self.shape = shape
-        self.name = name
 
     def __call__(self, batch: NodeBatch, order: int) -> Jet:
         return self.fn(batch, order)
 
 
-def chart_expr_field(backend, exprs, shape=(), name=""):
+def chart_expr_field(backend, exprs):
     """Build a Field from per-chart closures acting on coordinate jets.
 
     ``exprs`` is a single callable (same formula on every chart) or a dict
     chart -> callable; each callable receives the coordinate jets and returns
-    a Jet of batch shape ``(m, *shape)``.
+    a Jet whose batch shape starts with the node count.
     """
 
     def fn(batch: NodeBatch, order: int) -> Jet:
@@ -72,10 +70,10 @@ def chart_expr_field(backend, exprs, shape=(), name=""):
         xs = Jet.coordinates(batch.pts, backend.dim, order)
         return e(*xs)
 
-    return Field(fn, shape=shape, name=name)
+    return Field(fn)
 
 
-def const_matrix_field(backend, mat, name=""):
+def const_matrix_field(backend, mat):
     m = np.asarray(mat, dtype=float)
 
     def fn(batch: NodeBatch, order: int) -> Jet:
@@ -83,7 +81,7 @@ def const_matrix_field(backend, mat, name=""):
         j.coeffs[0] = m
         return j
 
-    return Field(fn, shape=m.shape, name=name)
+    return Field(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +317,10 @@ def trig_scalar(backend, rng, band=1, nmodes=3, amp=1.0, mean_zero=False):
             acc = acc + a * jets.sin(arg)
         return acc
 
-    return chart_expr_field(backend, expr, name="trig-scalar")
+    return chart_expr_field(backend, expr)
 
 
-def stack_matrix_field(backend, entries, name=""):
+def stack_matrix_field(entries):
     """Assemble a matrix Field from a dim x dim nested list of scalar Fields."""
 
     def fn(batch, order):
@@ -331,7 +329,7 @@ def stack_matrix_field(backend, entries, name=""):
             rows.append(jet_stack([f(batch, order) for f in row], axis=2))
         return jet_stack(rows, axis=2)
 
-    return Field(fn, shape=(backend.dim, backend.dim), name=name)
+    return Field(fn)
 
 
 def standard_J(dim: int) -> np.ndarray:
@@ -369,7 +367,7 @@ def _kahler_metric_from_modes(backend, modes, J0: np.ndarray):
         g = jets.jet_linear("ki,pkj->pij", -J0, om)
         return g
 
-    return Field(fn, shape=(dim, dim), name="kahler-metric")
+    return Field(fn)
 
 
 def _seeded_potential_modes(rng, dim, band, nmodes, amp):
@@ -395,7 +393,7 @@ def _normalized_density(backend, raw: Field, name: str) -> Field:
     def fn(batch, order):
         return raw(batch, order) * scale
 
-    return Field(fn, name=name)
+    return Field(fn)
 
 
 def _check_spd(fixture: Fixture, floor: float = 0.15):
@@ -419,11 +417,9 @@ def _check_unit_mass(fixture: Fixture, tol: float = 1e-10):
 
 def _flat2(desc):
     backend = Torus(2, desc.get("grid", 24))
-    g = const_matrix_field(backend, np.eye(2), name="flat-metric")
-    rho = chart_expr_field(
-        backend, lambda x, y: Jet.const(1.0, 2, x.order, x.batch_shape), name="lebesgue"
-    )
-    J = const_matrix_field(backend, standard_J(2), name="J0")
+    g = const_matrix_field(backend, np.eye(2))
+    rho = chart_expr_field(backend, lambda x, y: Jet.const(1.0, 2, x.order, x.batch_shape))
+    J = const_matrix_field(backend, standard_J(2))
     return Fixture("FLAT2", backend, g, rho, J, frozenset({"riemannian", "kahler", "flat"}), desc)
 
 
@@ -440,9 +436,9 @@ def _pert2(desc):
         (np.array([1.0, -1.0]), 0.0, amp / 2.0),
     ]
     g = _kahler_metric_from_modes(backend, modes, J0)
-    raw = chart_expr_field(backend, lambda x, y: jets.exp(jets.sin(TWO_PI * y)), name="raw-density")
+    raw = chart_expr_field(backend, lambda x, y: jets.exp(jets.sin(TWO_PI * y)))
     rho = _normalized_density(backend, raw, "PERT2-density")
-    J = const_matrix_field(backend, J0, name="J0")
+    J = const_matrix_field(backend, J0)
     fx = Fixture("PERT2", backend, g, rho, J, frozenset({"riemannian", "kahler"}), desc)
     _check_spd(fx)
     _check_unit_mass(fx)
@@ -465,7 +461,7 @@ def _riem4(desc):
             else:
                 entries[i][j] = f
                 entries[j][i] = f
-    g = stack_matrix_field(backend, entries, name="riem4-metric")
+    g = stack_matrix_field(entries)
     raw_pert = trig_scalar(backend, rng, band=1, nmodes=2, amp=0.3, mean_zero=True)
     raw = _field_shift(raw_pert, 1.0)
     rho = _normalized_density(backend, raw, "RIEM4-density")
@@ -486,7 +482,7 @@ def _kah4(desc):
     raw_pert = trig_scalar(backend, rng, band=1, nmodes=2, amp=0.25, mean_zero=True)
     raw = _field_shift(raw_pert, 1.0)
     rho = _normalized_density(backend, raw, "KAH4-density")
-    J = const_matrix_field(backend, J0, name="J0")
+    J = const_matrix_field(backend, J0)
     fx = Fixture("KAH4", backend, g, rho, J, frozenset({"riemannian", "kahler"}), desc)
     _check_spd(fx)
     _check_unit_mass(fx)
@@ -506,9 +502,9 @@ def _fs(desc):
     def rho_expr(x, y):
         return (1.0 / math.pi) / ((1.0 + x * x + y * y) ** 2)
 
-    g = chart_expr_field(backend, g_expr, shape=(2, 2), name="fs-metric")
-    rho = chart_expr_field(backend, rho_expr, name="fs-density")
-    J = const_matrix_field(backend, standard_J(2), name="J0")
+    g = chart_expr_field(backend, g_expr)
+    rho = chart_expr_field(backend, rho_expr)
+    J = const_matrix_field(backend, standard_J(2))
     fx = Fixture(
         "FS", backend, g, rho, J, frozenset({"riemannian", "kahler", "fano_soliton"}), desc
     )
@@ -518,11 +514,11 @@ def _fs(desc):
 
 
 def _field_sum(f1: Field, f2: Field) -> Field:
-    return Field(lambda b, k: f1(b, k) + f2(b, k), shape=f1.shape)
+    return Field(lambda b, k: f1(b, k) + f2(b, k))
 
 
 def _field_shift(f: Field, c: float) -> Field:
-    return Field(lambda b, k: f(b, k) + c, shape=f.shape)
+    return Field(lambda b, k: f(b, k) + c)
 
 
 _MAKERS = {"FLAT2": _flat2, "PERT2": _pert2, "RIEM4": _riem4, "KAH4": _kah4, "FS": _fs}
@@ -588,7 +584,7 @@ def ambient_poly_scalar(backend, rng, degree=2, amp=1.0):
 
         return expr
 
-    return chart_expr_field(backend, {0: expr_for(0), 1: expr_for(1)}, name="ambient-poly")
+    return chart_expr_field(backend, {0: expr_for(0), 1: expr_for(1)})
 
 
 def holomorphic_basis(backend) -> list[Field]:
@@ -600,7 +596,7 @@ def holomorphic_basis(backend) -> list[Field]:
             re, im = chart_exprs[batch.chart](*xs)
             return jet_stack([re, im], axis=2)
 
-        return Field(fn, shape=(2,), name="holomorphic-field")
+        return Field(fn)
 
     def c(val, x):
         return Jet.const(val, 2, x.order, x.batch_shape)

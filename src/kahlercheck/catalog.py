@@ -392,7 +392,7 @@ def run_v_hess_f(fixture, seed, opts) -> Outcome:
     def Vs_fn(batch, order):
         return (jmath.exp(geom.f(batch, order)) - mean) * scale
 
-    v = Field(v_fn, shape=(geom.dim,) * 2)
+    v = Field(v_fn)
     Vs = Field(Vs_fn)
     residues = {}
     for kappa in (0.0, 1.0):
@@ -519,21 +519,16 @@ def run_v_dbarvar(fixture, seed, opts) -> Outcome:
     curve = make_kahler_family(fixture, seed)
     at = _geom_cache(curve)
     geom = at(0.0)
-    sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        gdot_jets, _ = _fd(lambda t: at(t).g(batch, 2), opts, t_max=curve.t_max)
-        gi = geom.ginv(batch, 2)
-        gstar0 = jet_einsum("pik,pkj->pij", gi, gdot_jets)
 
-        def map_fn(t):
-            return kh.dbar_endo(at(t), batch, gstar0.truncate(2))
+    def gstar0(batch):
+        gdot, _ = _fd(lambda t: at(t).g(batch, 2), opts, t_max=curve.t_max)
+        return (jet_einsum("pik,pkj->pij", geom.ginv(batch, 2), gdot),)
 
-        der, info = _fd(map_fn, opts, t_max=curve.t_max)
-        n10 = jet_map("paij->piaj", kh.nabla10_endo(geom, batch, gstar0.truncate(2)))
-        rhs = tc.generalized_contraction(gstar0.truncate(n10.order), n10, 1, 2) * (-1.0)
-        sups.append((der.value - rhs.value).ravel())
-        orders.append(info)
-    return _outcome(sups, orders)
+    def rhs(batch, gs):
+        n10 = jet_map("paij->piaj", kh.nabla10_endo(geom, batch, gs))
+        return tc.generalized_contraction(gs.truncate(n10.order), n10, 1, 2) * (-1.0)
+
+    return _fd_check(at, seed, opts, kh.dbar_endo, rhs, inputs=gstar0)
 
 
 def run_v_secord(fixture, seed, opts) -> Outcome:

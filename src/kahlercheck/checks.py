@@ -18,11 +18,12 @@ import numpy as np
 from . import backends as bk
 from . import catalog as vcat
 from . import fields as fl
+from . import jets as jmath
 from . import kahler as kh
 from . import soliton as so
 from . import tensorcalc as tc
 from .backends import Field, NodeBatch
-from .catalog import Outcome, RunOptions, _first_order, _geom_cache, _l2, _sup
+from .catalog import Outcome, RunOptions, _first_order, _geom_cache, _outcome, _sup
 from .conventions import manifest_hash
 from .errors import KahlercheckError
 from .geometry import GeometryState
@@ -94,22 +95,41 @@ class CheckDef:
         return base * scale
 
 
-def _pointwise(geom, seed, opts, residual_fn):
-    """Aggregate a pointwise jet residual over the check node batches."""
-    vals = []
-    for batch in geom.fixture.check_nodes(seed, opts.node_count):
-        r = residual_fn(batch)
-        vals.append(np.ravel(r.value if isinstance(r, Jet) else r))
-    res = np.concatenate(vals)
-    return Outcome(_sup(res), _l2(res))
+def _pointwise(residual):
+    """The runner of a pointwise identity: ``residual(geom, batch, seed)`` on
+    every check batch, raveled, with its sup and RMS over all batches.
+
+    ``residual`` builds its seeded fields in its body; each is seeded by its
+    construction, so every batch sees the same field."""
+
+    def run(fixture, seed, opts) -> Outcome:
+        geom = GeometryState(fixture)
+        res = []
+        for batch in fixture.check_nodes(seed, opts.node_count):
+            r = residual(geom, batch, seed)
+            res.append(np.ravel(r.value if isinstance(r, Jet) else r))
+        return _outcome(res, [])
+
+    return run
 
 
-def _duality(geom, sides) -> float:
+def _gap(geom, sides) -> float:
     """|integral of lhs - integral of rhs| over the quadrature nodes, where
     ``sides(b)`` returns the values of both sides on one node batch."""
     nodes = geom.fixture.quad_nodes()
     lhs, rhs = zip(*(sides(b) for b in nodes))
     return abs(geom.integrate(list(lhs), nodes) - geom.integrate(list(rhs), nodes))
+
+
+def _duality(sides):
+    """The runner of an integral duality: the gap between the integrals of
+    the two sides that ``sides(geom, batch, seed)`` returns per batch."""
+
+    def run(fixture, seed, opts) -> Outcome:
+        geom = GeometryState(fixture)
+        return Outcome(_gap(geom, lambda b: sides(geom, b, seed)))
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +146,23 @@ def run_fixture_invariants(fixture, seed, opts) -> Outcome:
     sups.append(details["unit_mass"])
     for batch in fixture.check_nodes(seed, opts.node_count):
         g = geom.g(batch, 0).value
-        ev = np.linalg.eigvalsh(g)
-        details["min_metric_eig"] = float(np.min(ev))
+        eig = float(np.min(np.linalg.eigvalsh(g)))
+        details["min_metric_eig"] = min(details.get("min_metric_eig", eig), eig)
         if geom.is_kahler:
             J = geom.J(batch, 1)
             jj = np.einsum("pij,pjk->pik", J.value, J.value) + np.eye(fixture.dim)
-            details["J_square"] = _sup(jj)
             comp = np.einsum("pai,pab,pbj->pij", J.value, g, J.value) - g
-            details["J_compatibility"] = _sup(comp)
             N = kh.nijenhuis(geom, batch, J)
-            details["integrability"] = _sup(N.value)
             om = geom.omega(batch, 1)
             dom = jet_map("pijd->pdij", om.gradient()).value
             curl = dom + np.transpose(dom, (0, 3, 1, 2)) + np.transpose(dom, (0, 2, 3, 1))
-            details["symplectic_closed"] = _sup(curl)
             cdJ = tc.cd_endo(geom, batch, J)
-            details["parallel_J"] = _sup(cdJ.value)
-            sups += [details["J_square"], details["J_compatibility"],
-                     details["integrability"], details["symplectic_closed"],
-                     details["parallel_J"]]
+            # each detail is the largest over the check batches
+            for name, r in (("J_square", _sup(jj)), ("J_compatibility", _sup(comp)),
+                            ("integrability", _sup(N.value)),
+                            ("symplectic_closed", _sup(curl)), ("parallel_J", _sup(cdJ.value))):
+                details[name] = max(details.get(name, r), r)
+                sups.append(r)
     return Outcome(max(sups), details=details)
 
 
@@ -169,22 +187,16 @@ def run_quadrature(fixture, seed, opts) -> Outcome:
     return Outcome(max(sups), details=details)
 
 
-def run_metric_compat(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    return _pointwise(geom, seed, opts,
-                      lambda b: tc.cd_sym2(geom, b, geom.g(b, 1)))
+@_pointwise
+def run_metric_compat(geom, b, seed):
+    return tc.cd_sym2(geom, b, geom.g(b, 1))
 
 
-def run_div_lap(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    u = fl.seeded_scalar(geom, seed)
-
-    def res(b):
-        uj = u(b, 3)
-        X = tc.grad_scalar(geom, b, uj)
-        return tc.div_omega_vector(geom, b, X) + tc.laplacian_scalar(geom, b, uj.truncate(3))
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_div_lap(geom, b, seed):
+    uj = fl.seeded_scalar(geom, seed)(b, 3)
+    X = tc.grad_scalar(geom, b, uj)
+    return tc.div_omega_vector(geom, b, X) + tc.laplacian_scalar(geom, b, uj.truncate(3))
 
 
 def run_div_integral(fixture, seed, opts) -> Outcome:
@@ -196,171 +208,129 @@ def run_div_integral(fixture, seed, opts) -> Outcome:
     return Outcome(abs(total))
 
 
-def _identity_inputs(geom, seed, opts, batch):
+def _identity_inputs(geom, seed, batch):
     u = fl.seeded_scalar(geom, seed + 1)(batch, 2)
     xi = fl.seeded_vector(geom, seed + 2)(batch, 2)
     A = fl.seeded_sym_endo(geom, seed + 3)(batch, 2)
     return u, xi, A
 
 
-def run_div_ua(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-
-    def res(b):
-        u, xi, A = _identity_inputs(geom, seed, opts, b)
-        uA = jet_einsum("p,pij->pij", u, A)
-        lhs = tc.adjoint_endo(geom, b, uA)
-        gradu = tc.grad_scalar(geom, b, u)
-        rhs = jet_einsum("pij,pj->pi", A.truncate(gradu.order), gradu) * (-1.0) + \
-            jet_einsum("p,pi->pi", u.truncate(1), tc.adjoint_endo(geom, b, A))
-        return lhs - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_div_ua(geom, b, seed):
+    u, xi, A = _identity_inputs(geom, seed, b)
+    uA = jet_einsum("p,pij->pij", u, A)
+    lhs = tc.adjoint_endo(geom, b, uA)
+    gradu = tc.grad_scalar(geom, b, u)
+    rhs = jet_einsum("pij,pj->pi", A.truncate(gradu.order), gradu) * (-1.0) + \
+        jet_einsum("p,pi->pi", u.truncate(1), tc.adjoint_endo(geom, b, A))
+    return lhs - rhs
 
 
-def run_div_uxi(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-
-    def res(b):
-        u, xi, A = _identity_inputs(geom, seed, opts, b)
-        uxi = jet_einsum("p,pi->pi", u, xi)
-        lhs = tc.div_omega_vector(geom, b, uxi)
-        rhs = jet_einsum("pi,pi->p", u.gradient().truncate(1), xi.truncate(1)) + \
-            jet_einsum("p,p->p", u.truncate(1), tc.div_omega_vector(geom, b, xi))
-        return lhs - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_div_uxi(geom, b, seed):
+    u, xi, A = _identity_inputs(geom, seed, b)
+    uxi = jet_einsum("p,pi->pi", u, xi)
+    lhs = tc.div_omega_vector(geom, b, uxi)
+    rhs = jet_einsum("pi,pi->p", u.gradient().truncate(1), xi.truncate(1)) + \
+        jet_einsum("p,p->p", u.truncate(1), tc.div_omega_vector(geom, b, xi))
+    return lhs - rhs
 
 
-def run_div_a2(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-
-    def res(b):
-        _, _, A = _identity_inputs(geom, seed, opts, b)
-        lhs = tc.adjoint_endo(geom, b, tc.endo_mul(A, A))
-        cdA = tc.cd_endo(geom, b, A)
-        W = jet_einsum("paij,pjm->paim", cdA, A.truncate(cdA.order))
-        tr = jet_einsum("pam,paim->pi", geom.ginv(b, cdA.order), W)
-        rhs = tr * (-1.0) + jet_einsum("pij,pj->pi", A.truncate(1),
-                                       tc.adjoint_endo(geom, b, A))
-        return lhs - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_div_a2(geom, b, seed):
+    _, _, A = _identity_inputs(geom, seed, b)
+    lhs = tc.adjoint_endo(geom, b, tc.endo_mul(A, A))
+    cdA = tc.cd_endo(geom, b, A)
+    W = jet_einsum("paij,pjm->paim", cdA, A.truncate(cdA.order))
+    tr = jet_einsum("pam,paim->pi", geom.ginv(b, cdA.order), W)
+    rhs = tr * (-1.0) + jet_einsum("pij,pj->pi", A.truncate(1),
+                                   tc.adjoint_endo(geom, b, A))
+    return lhs - rhs
 
 
-def run_div_ev(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-
-    def res(b):
-        _, xi, A = _identity_inputs(geom, seed, opts, b)
-        Axi = jet_einsum("pij,pj->pi", A, xi)
-        lhs = tc.div_omega_vector(geom, b, Axi)
-        adjA = tc.adjoint_endo(geom, b, A)
-        cdxi = tc.cd_vector(geom, b, xi)
-        g = geom.g(b, 1)
-        gA = tc.flat_endo(geom, b, A.truncate(1))
-        pairing = jet_einsum("pai,pai->p",
-                             jet_einsum("pja,pji->pai", geom.ginv(b, 1), gA),
-                             cdxi.truncate(1))
-        rhs = tc.pair_vectors(geom, b, adjA, xi.truncate(1)) * (-1.0) + pairing
-        return lhs - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_div_ev(geom, b, seed):
+    _, xi, A = _identity_inputs(geom, seed, b)
+    Axi = jet_einsum("pij,pj->pi", A, xi)
+    lhs = tc.div_omega_vector(geom, b, Axi)
+    adjA = tc.adjoint_endo(geom, b, A)
+    cdxi = tc.cd_vector(geom, b, xi)
+    gA = tc.flat_endo(geom, b, A.truncate(1))
+    pairing = jet_einsum("pai,pai->p",
+                         jet_einsum("pja,pji->pai", geom.ginv(b, 1), gA),
+                         cdxi.truncate(1))
+    rhs = tc.pair_vectors(geom, b, adjA, xi.truncate(1)) * (-1.0) + pairing
+    return lhs - rhs
 
 
-def run_div_tr(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-
-    def res(b):
-        _, _, A = _identity_inputs(geom, seed, opts, b)
-        cdA = tc.cd_endo(geom, b, A)
-        W = jet_einsum("paij,pjm->paim", cdA, A.truncate(cdA.order))
-        TrW = jet_einsum("pam,paim->pi", geom.ginv(b, cdA.order), W)
-        lhs = tc.div_omega_vector(geom, b, TrW)
-        hat = jet_map("pjia->piaj", cdA)
-        adjB = tc.adjoint_slots2(geom, b, hat)
-        rhs = tc.pair_endos(geom, b, adjB, A.truncate(adjB.order)) * (-1.0) + \
-            tc.pair_slots2(geom, b, hat.truncate(1), jet_map("paij->piaj", cdA.truncate(1)))
-        return lhs - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_div_tr(geom, b, seed):
+    _, _, A = _identity_inputs(geom, seed, b)
+    cdA = tc.cd_endo(geom, b, A)
+    W = jet_einsum("paij,pjm->paim", cdA, A.truncate(cdA.order))
+    TrW = jet_einsum("pam,paim->pi", geom.ginv(b, cdA.order), W)
+    lhs = tc.div_omega_vector(geom, b, TrW)
+    hat = jet_map("pjia->piaj", cdA)
+    adjB = tc.adjoint_slots2(geom, b, hat)
+    rhs = tc.pair_endos(geom, b, adjB, A.truncate(adjB.order)) * (-1.0) + \
+        tc.pair_slots2(geom, b, hat.truncate(1), jet_map("paij->piaj", cdA.truncate(1)))
+    return lhs - rhs
 
 
-def run_m_identity(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    v = fl.seeded_sym2(geom, seed + 11)
-
-    def res(b):
-        vj = v(b, 2)
-        M = tc.m_form(geom, b, vj, vj)
-        vstar = tc.sharp_sym2(geom, b, vj)
-        adj_vs = tc.adjoint_endo(geom, b, vstar)
-        adj_vs2 = tc.adjoint_endo(geom, b, tc.endo_mul(vstar, vstar))
-        normsq = tc.pair_2tensors(geom, b, vj, vj)
-        rhs = jet_einsum("pi,pij->pj", adj_vs, vj.truncate(adj_vs.order)) * 2.0 \
-            - tc.flat_vector(geom, b, adj_vs2) * 2.0 \
-            + normsq.gradient().truncate(1) * 0.5
-        return M - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_m_identity(geom, b, seed):
+    vj = fl.seeded_sym2(geom, seed + 11)(b, 2)
+    M = tc.m_form(geom, b, vj, vj)
+    vstar = tc.sharp_sym2(geom, b, vj)
+    adj_vs = tc.adjoint_endo(geom, b, vstar)
+    adj_vs2 = tc.adjoint_endo(geom, b, tc.endo_mul(vstar, vstar))
+    normsq = tc.pair_2tensors(geom, b, vj, vj)
+    rhs = jet_einsum("pi,pij->pj", adj_vs, vj.truncate(adj_vs.order)) * 2.0 \
+        - tc.flat_vector(geom, b, adj_vs2) * 2.0 \
+        + normsq.gradient().truncate(1) * 0.5
+    return M - rhs
 
 
 def run_frame_independence(fixture, seed, opts) -> Outcome:
+    # one generator draws the frames of every batch in turn
     geom = GeometryState(fixture)
     u = fl.seeded_sym2(geom, seed + 13)
     v = fl.seeded_sym2(geom, seed + 17)
     rng = np.random.default_rng(seed + 19)
-
-    def res(b):
+    res = []
+    for b in fixture.check_nodes(seed, opts.node_count):
         uj, vj = u(b, 1), v(b, 1)
         M = tc.m_form(geom, b, uj, vj)
         frame = tc.cholesky_frame(geom.g(b, 0).value, rng)
-        Mf = tc.m_form_frame_values(geom, b, uj, vj, frame)
-        return M.value - Mf
-
-    return _pointwise(geom, seed, opts, res)
+        res.append((M.value - tc.m_form_frame_values(geom, b, uj, vj, frame)).ravel())
+    return _outcome(res, [])
 
 
-def run_adj_sym2_duality(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    u = fl.seeded_sym2(geom, seed + 23)
-    al = fl.seeded_oneform(geom, seed + 29)
-
-    def sides(b):
-        uj, aj = u(b, 1), al(b, 1)
-        lhs = tc.pair_oneforms(geom, b, tc.adjoint_sym2(geom, b, uj), aj.truncate(0))
-        cda = tc.cd_oneform(geom, b, aj)
-        return lhs.value, jet_einsum("pij,pij->p", tc.raise2(geom, b, uj.truncate(0)), cda).value
-
-    return Outcome(_duality(geom, sides))
+@_duality
+def run_adj_sym2_duality(geom, b, seed):
+    uj = fl.seeded_sym2(geom, seed + 23)(b, 1)
+    aj = fl.seeded_oneform(geom, seed + 29)(b, 1)
+    lhs = tc.pair_oneforms(geom, b, tc.adjoint_sym2(geom, b, uj), aj.truncate(0))
+    cda = tc.cd_oneform(geom, b, aj)
+    return lhs.value, jet_einsum("pij,pij->p", tc.raise2(geom, b, uj.truncate(0)), cda).value
 
 
-def run_adj_endo_duality(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    A = fl.seeded_sym_endo(geom, seed + 31)
-    X = fl.seeded_vector(geom, seed + 37)
-
-    def sides(b):
-        Aj, Xj = A(b, 1), X(b, 1)
-        lhs = tc.pair_vectors(geom, b, tc.adjoint_endo(geom, b, Aj), Xj.truncate(0))
-        cdX = tc.cd_vector(geom, b, Xj)
-        return lhs.value, np.einsum("pij,pia,pab,pbj->p", geom.g(b, 0).value, Aj.value,
-                                    geom.ginv(b, 0).value, cdX.value)
-
-    return Outcome(_duality(geom, sides))
+@_duality
+def run_adj_endo_duality(geom, b, seed):
+    Aj = fl.seeded_sym_endo(geom, seed + 31)(b, 1)
+    Xj = fl.seeded_vector(geom, seed + 37)(b, 1)
+    lhs = tc.pair_vectors(geom, b, tc.adjoint_endo(geom, b, Aj), Xj.truncate(0))
+    cdX = tc.cd_vector(geom, b, Xj)
+    return lhs.value, np.einsum("pij,pia,pab,pbj->p", geom.g(b, 0).value, Aj.value,
+                                geom.ginv(b, 0).value, cdX.value)
 
 
-def run_lap_symmetry(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    u = fl.seeded_scalar(geom, seed + 41)
-    v = fl.seeded_scalar(geom, seed + 43)
-
-    def sides(b):
-        uj, vj = u(b, 2), v(b, 2)
-        return ((tc.laplacian_scalar(geom, b, uj) * vj.truncate(0)).value,
-                (tc.laplacian_scalar(geom, b, vj) * uj.truncate(0)).value)
-
-    return Outcome(_duality(geom, sides))
+@_duality
+def run_lap_symmetry(geom, b, seed):
+    uj = fl.seeded_scalar(geom, seed + 41)(b, 2)
+    vj = fl.seeded_scalar(geom, seed + 43)(b, 2)
+    return ((tc.laplacian_scalar(geom, b, uj) * vj.truncate(0)).value,
+            (tc.laplacian_scalar(geom, b, vj) * uj.truncate(0)).value)
 
 
 def run_lap_positivity(fixture, seed, opts) -> Outcome:
@@ -379,34 +349,30 @@ def run_lap_positivity(fixture, seed, opts) -> Outcome:
                                       "nonnegative": bool(dirichlet > 0)})
 
 
-def run_sharp(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    v = fl.seeded_sym2(geom, seed + 53)
-    xi = fl.seeded_vector(geom, seed + 59)
-    eta = fl.seeded_vector(geom, seed + 61)
-
-    def res(b):
-        vj = v(b, 0)
-        vs = tc.sharp_sym2(geom, b, vj)
-        lhs = jet_einsum("pi,pi->p", tc.flat_vector(geom, b, jet_einsum("pij,pj->pi", vs, xi(b, 0))), eta(b, 0))
-        rhs = jet_einsum("pi,pi->p", jet_einsum("pij,pj->pi", vj, xi(b, 0)), eta(b, 0))
-        return lhs - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_sharp(geom, b, seed):
+    vj = fl.seeded_sym2(geom, seed + 53)(b, 0)
+    xi = fl.seeded_vector(geom, seed + 59)(b, 0)
+    eta = fl.seeded_vector(geom, seed + 61)(b, 0)
+    vs = tc.sharp_sym2(geom, b, vj)
+    lhs = jet_einsum("pi,pi->p", tc.flat_vector(geom, b, jet_einsum("pij,pj->pi", vs, xi)), eta)
+    rhs = jet_einsum("pi,pi->p", jet_einsum("pij,pj->pi", vj, xi), eta)
+    return lhs - rhs
 
 
 def run_contraction_algebra(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
+    # one generator draws the tensors of every batch in turn
     rng = np.random.default_rng(seed + 67)
+    n = fixture.dim
 
-    def res(b):
-        m, n = b.size, fixture.dim
+    def cj(arr):
+        j = Jet.const(0.0, n, 1, arr.shape)
+        j.coeffs[0] = arr
+        return j
 
-        def cj(arr):
-            j = Jet.const(0.0, fixture.dim, 1, arr.shape)
-            j.coeffs[0] = arr
-            return j
-
+    res = []
+    for b in fixture.check_nodes(seed, opts.node_count):
+        m = b.size
         sym = rng.normal(size=(m, n, n))
         sym = sym + np.swapaxes(sym, 1, 2)
         anti = rng.normal(size=(m, n, n))
@@ -421,9 +387,8 @@ def run_contraction_algebra(fixture, seed, opts) -> Outcome:
         beta2 = cj(rng.normal(size=(m, n, n, n)))
         g2 = tc.generalized_contraction(alpha, beta2, 1, 2).value
         r4 = g2 + np.swapaxes(g2, 2, 3)
-        return np.concatenate([r.ravel() for r in (r1, r2, r3, r4)])
-
-    return _pointwise(geom, seed, opts, res)
+        res += [r.ravel() for r in (r1, r2, r3, r4)]
+    return _outcome(res, [])
 
 
 def run_chart_transition(fixture, seed, opts) -> Outcome:
@@ -444,24 +409,24 @@ def run_chart_transition(fixture, seed, opts) -> Outcome:
 # -- Kahler-only identity runners
 
 
+@_pointwise
+def _bidegree(geom, b, seed):
+    Aj = fl.seeded_antilinear(geom, seed + 73)(b, 2)
+    n10, n01 = kh.bidegree_split_endo(geom, b, Aj)
+    cdA = tc.cd_endo(geom, b, Aj)
+    rec = (n10 + n01) - cdA
+    J = geom.J(b, n01.order)
+    rot = jet_einsum("pba,pbij->paij", J, n01)
+    post = jet_einsum("pik,pakj->paij", J, n01) * (-1.0)
+    lin = rot - post
+    return np.concatenate([rec.value.ravel(), lin.value.ravel()])
+
+
 def run_bidegree(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    A = fl.seeded_antilinear(geom, seed + 73)
-    details = {}
-
-    def res(b):
-        Aj = A(b, 2)
-        n10, n01 = kh.bidegree_split_endo(geom, b, Aj)
-        cdA = tc.cd_endo(geom, b, Aj)
-        rec = (n10 + n01) - cdA
-        J = geom.J(b, n01.order)
-        rot = jet_einsum("pba,pbij->paij", J, n01)
-        post = jet_einsum("pik,pakj->paij", J, n01) * (-1.0)
-        lin = rot - post
-        return np.concatenate([rec.value.ravel(), lin.value.ravel()])
-
-    out = _pointwise(geom, seed, opts, res)
+    out = _bidegree(fixture, seed, opts)
     if fixture.backend.kind == "CP1":
+        # the holomorphic generators lie in the kernel of del-bar
+        geom = GeometryState(fixture)
         basis = bk.holomorphic_basis(fixture.backend)
         hol = 0.0
         for b in fixture.check_nodes(seed, opts.node_count):
@@ -472,58 +437,40 @@ def run_bidegree(fixture, seed, opts) -> Outcome:
     return out
 
 
-def run_dbar_squared(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    xi = fl.seeded_vector(geom, seed + 79)
-
-    def res(b):
-        e = kh.dbar_vector(geom, b, xi(b, 3))
-        return kh.dbar_endo(geom, b, e)
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_dbar_squared(geom, b, seed):
+    e = kh.dbar_vector(geom, b, fl.seeded_vector(geom, seed + 79)(b, 3))
+    return kh.dbar_endo(geom, b, e)
 
 
-def run_adj_dbar_duality(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    A = fl.seeded_antilinear(geom, seed + 83)
-    X = fl.seeded_vector(geom, seed + 89)
-
-    def sides(b):
-        Aj, Xj = A(b, 1), X(b, 1)
-        db = kh.dbar_vector(geom, b, Xj)
-        return (tc.pair_endos(geom, b, db, Aj.truncate(db.order)).value,
-                tc.pair_vectors(geom, b, Xj.truncate(0), tc.adjoint_endo(geom, b, Aj)).value)
-
-    return Outcome(_duality(geom, sides))
+@_duality
+def run_adj_dbar_duality(geom, b, seed):
+    Aj = fl.seeded_antilinear(geom, seed + 83)(b, 1)
+    Xj = fl.seeded_vector(geom, seed + 89)(b, 1)
+    db = kh.dbar_vector(geom, b, Xj)
+    return (tc.pair_endos(geom, b, db, Aj.truncate(db.order)).value,
+            tc.pair_vectors(geom, b, Xj.truncate(0), tc.adjoint_endo(geom, b, Aj)).value)
 
 
-def run_dbar_three_route(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    A = fl.seeded_antilinear(geom, seed + 97)
-
-    def res(b):
-        Aj = A(b, 2)
-        r1 = tc.adjoint_endo(geom, b, Aj)
-        free = geom.unweighted()
-        r2 = tc.adjoint_endo(free, b, Aj) + \
-            jet_einsum("pij,pj->pi", Aj.truncate(1), geom.gradf(b, 1))
-        from . import jets as jmath
-
-        f = geom.f(b, 2)
-        ef = jmath.exp(f)
-        emf = jmath.exp(f * (-1.0))
-        scaled = jet_einsum("p,pij->pij", emf, Aj)
-        r3 = jet_einsum("p,pi->pi", ef.truncate(1), tc.adjoint_endo(free, b, scaled))
-        return np.concatenate([(r1 - r2).value.ravel(), (r1 - r3).value.ravel()])
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_dbar_three_route(geom, b, seed):
+    Aj = fl.seeded_antilinear(geom, seed + 97)(b, 2)
+    r1 = tc.adjoint_endo(geom, b, Aj)
+    free = geom.unweighted()
+    r2 = tc.adjoint_endo(free, b, Aj) + \
+        jet_einsum("pij,pj->pi", Aj.truncate(1), geom.gradf(b, 1))
+    f = geom.f(b, 2)
+    ef = jmath.exp(f)
+    emf = jmath.exp(f * (-1.0))
+    scaled = jet_einsum("p,pij->pij", emf, Aj)
+    r3 = jet_einsum("p,pi->pi", ef.truncate(1), tc.adjoint_endo(free, b, scaled))
+    return np.concatenate([(r1 - r2).value.ravel(), (r1 - r3).value.ravel()])
 
 
-def run_hw_relation(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    A = fl.seeded_antilinear(geom, seed + 101)
-    return _pointwise(geom, seed, opts,
-                      lambda b: kh.hodge_witten_relation_residual(geom, b, A(b, 2)))
+@_pointwise
+def run_hw_relation(geom, b, seed):
+    return kh.hodge_witten_relation_residual(
+        geom, b, fl.seeded_antilinear(geom, seed + 101)(b, 2))
 
 
 def run_hw_self_adjoint(fixture, seed, opts) -> Outcome:
@@ -541,71 +488,50 @@ def run_hw_self_adjoint(fixture, seed, opts) -> Outcome:
         return (tc.pair_endos(geom, b, LA, Bj.truncate(0)).value,
                 tc.pair_endos(geom, b, LB, Aj.truncate(0)).value)
 
-    gap = _duality(geom, sides)
+    gap = _gap(geom, sides)
     quad = geom.integrate(aa, fixture.quad_nodes())
     return Outcome(max(gap, max(0.0, -quad)),
                    details={"energy": quad, "symmetry_gap": gap})
 
 
-def run_b_two_route(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    u = fl.seeded_scalar(geom, seed + 109)
-
-    def res(b):
-        uj = u(b, 2)
-        return kh.b_operator(geom, b, uj) - kh.b_operator_divergence_route(geom, b, uj)
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_b_two_route(geom, b, seed):
+    uj = fl.seeded_scalar(geom, seed + 109)(b, 2)
+    return kh.b_operator(geom, b, uj) - kh.b_operator_divergence_route(geom, b, uj)
 
 
-def run_b_skew(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    u = fl.seeded_scalar(geom, seed + 113)
-    v = fl.seeded_scalar(geom, seed + 127)
-
-    def sides(b):
-        # skewness: the integral of u B(v) is minus that of v B(u)
-        uj, vj = u(b, 1), v(b, 1)
-        return ((kh.b_operator(geom, b, uj) * vj.truncate(0)).value,
-                -(kh.b_operator(geom, b, vj) * uj.truncate(0)).value)
-
-    return Outcome(_duality(geom, sides))
+@_duality
+def run_b_skew(geom, b, seed):
+    # skewness: the integral of u B(v) is minus that of v B(u)
+    uj = fl.seeded_scalar(geom, seed + 113)(b, 1)
+    vj = fl.seeded_scalar(geom, seed + 127)(b, 1)
+    return ((kh.b_operator(geom, b, uj) * vj.truncate(0)).value,
+            -(kh.b_operator(geom, b, vj) * uj.truncate(0)).value)
 
 
-def run_b_chain(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    A = fl.seeded_antilinear(geom, seed + 131)
-
-    def res(b):
-        Aj = A(b, 2)
-        norm2 = tc.pair_endos(geom, b, Aj, Aj)
-        lhs = kh.b_operator(geom, b, norm2)
-        cdA = tc.cd_endo(geom, b, Aj)
-        J = geom.J(b, cdA.order)
-        Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, cdA.order))
-        hook = jet_einsum("pa,paij->pij", Jgf, cdA)
-        rhs = tc.pair_endos(geom, b, hook, Aj.truncate(hook.order)) * 2.0
-        return lhs - rhs
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_b_chain(geom, b, seed):
+    Aj = fl.seeded_antilinear(geom, seed + 131)(b, 2)
+    norm2 = tc.pair_endos(geom, b, Aj, Aj)
+    lhs = kh.b_operator(geom, b, norm2)
+    cdA = tc.cd_endo(geom, b, Aj)
+    J = geom.J(b, cdA.order)
+    Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, cdA.order))
+    hook = jet_einsum("pa,paij->pij", Jgf, cdA)
+    rhs = tc.pair_endos(geom, b, hook, Aj.truncate(hook.order)) * 2.0
+    return lhs - rhs
 
 
-def run_mc_equivalence(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    mu = fl.seeded_antilinear(geom, seed + 137)
-
-    def res(b):
-        _, _, equiv = kh.maurer_cartan_residuals(geom, b, mu(b, 2))
-        return equiv
-
-    return _pointwise(geom, seed, opts, res)
+@_pointwise
+def run_mc_equivalence(geom, b, seed):
+    _, _, equiv = kh.maurer_cartan_residuals(
+        geom, b, fl.seeded_antilinear(geom, seed + 137)(b, 2))
+    return equiv
 
 
-def run_mc_explicit(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    mu = fl.seeded_antilinear(geom, seed + 139)
-    return _pointwise(geom, seed, opts,
-                      lambda b: kh.mc_explicit_residual(geom, b, mu(b, 2)))
+@_pointwise
+def run_mc_explicit(geom, b, seed):
+    return kh.mc_explicit_residual(geom, b, fl.seeded_antilinear(geom, seed + 139)(b, 2))
 
 
 def run_lie_bracket(fixture, seed, opts) -> Outcome:
@@ -703,8 +629,6 @@ def run_characterization(fixture, seed, opts) -> Outcome:
     def rho_bad(batch, order):
         base = fixture.omega_density(batch, order)
         x = Jet.coordinates(batch.pts, 2, order)[0]
-        from . import jets as jmath
-
         bump = jmath.sin(x * 3.0) * 0.2 + 1.0
         raw = jet_einsum("p,p->p", base, bump)
         return raw
@@ -793,17 +717,17 @@ def run_g_metric(fixture, seed, opts) -> Outcome:
     geom = GeometryState(fixture)
     basis = so.lambda_basis(geom)
     details = {}
-    kernel = max(abs(so.g_metric(geom, basis, f, f)) for f in basis.functions)
+    kernel = max(abs(so.g_metric(geom, f, f)) for f in basis.functions)
     details["kernel_degeneracy"] = kernel
     phi = fl.seeded_complex_scalar(geom, seed + 11)
     psi = fl.seeded_complex_scalar(geom, seed + 13)
-    a = so.g_metric(geom, basis, phi, psi)
-    bsym = so.g_metric(geom, basis, psi, phi)
+    a = so.g_metric(geom, phi, psi)
+    bsym = so.g_metric(geom, psi, phi)
     details["symmetry"] = abs(a - bsym) / max(1.0, abs(a))
-    pos = so.g_metric(geom, basis, phi, phi)
+    pos = so.g_metric(geom, phi, phi)
     details["sample_positivity"] = pos
     comb = Field(lambda bt, k: phi(bt, k) + psi(bt, k) * 2.0)
-    lin = so.g_metric(geom, basis, comb, psi) - a - 2.0 * so.g_metric(geom, basis, psi, psi)
+    lin = so.g_metric(geom, comb, psi) - a - 2.0 * so.g_metric(geom, psi, psi)
     details["linearity"] = abs(lin) / max(1.0, abs(a))
     sup = max(kernel, details["symmetry"], details["linearity"],
               0.0 if pos > 0 else 1.0)
@@ -815,7 +739,7 @@ def run_tangent_cone(fixture, seed, opts) -> Outcome:
     psi = fl.seeded_complex_scalar(geom, seed + 17)
     v_f, Vs_f = so.eta_direction_fields(geom, psi)
     r_D, r_T = so.tangent_cone_residuals(geom, v_f, Vs_f, seed=seed + 19)
-    gf = Field(lambda b, k: geom.g(b, k), shape=(2, 2))
+    gf = Field(lambda b, k: geom.g(b, k))
     neg, _ = so.tangent_cone_residuals(geom, gf, Vs_f, seed=seed + 23)
     out = Outcome(max(r_D, r_T), details={"anti_invariance_and_dbar": r_D,
                                           "density_closedness": r_T,

@@ -16,7 +16,7 @@ from . import backends as bk
 from . import tensorcalc as tc
 from .backends import Field
 from .geometry import GeometryState
-from .jets import Jet, jet_einsum, jet_stack
+from .jets import jet_einsum, jet_stack
 
 
 def _rng(seed, *salt) -> np.random.Generator:
@@ -41,17 +41,18 @@ def seeded_scalar(geom: GeometryState, seed: int, mean_zero: bool = False,
     def fn(batch, order):
         return raw(batch, order) - mean
 
-    return Field(fn, name="seeded-scalar-0")
+    return Field(fn)
 
 
-def seeded_complex_scalar(geom, seed, mean_zero: bool = True) -> Field:
-    u1 = seeded_scalar(geom, seed, mean_zero=mean_zero)
-    u2 = seeded_scalar(geom, seed + 1009, mean_zero=mean_zero)
+def seeded_complex_scalar(geom, seed) -> Field:
+    """Mean-zero complex scalar field."""
+    u1 = seeded_scalar(geom, seed, mean_zero=True)
+    u2 = seeded_scalar(geom, seed + 1009, mean_zero=True)
 
     def fn(batch, order):
         return u1(batch, order) + u2(batch, order) * 1j
 
-    return Field(fn, name="seeded-complex")
+    return Field(fn)
 
 
 def seeded_vector(geom, seed) -> Field:
@@ -66,13 +67,13 @@ def seeded_vector(geom, seed) -> Field:
             J = geom.J(batch, order)
             return g1 + jet_einsum("pij,pj->pi", J, g2)
 
-        return Field(fn, shape=(fx.dim,), name="seeded-vector")
+        return Field(fn)
     comps = [seeded_scalar(geom, seed + 13 * i) for i in range(fx.dim)]
 
     def fn(batch, order):
         return jet_stack([c(batch, order) for c in comps], axis=2)
 
-    return Field(fn, shape=(fx.dim,), name="seeded-vector")
+    return Field(fn)
 
 
 def seeded_oneform(geom, seed) -> Field:
@@ -81,7 +82,7 @@ def seeded_oneform(geom, seed) -> Field:
     def fn(batch, order):
         return tc.flat_vector(geom, batch, vec(batch, order))
 
-    return Field(fn, shape=(geom.dim,), name="seeded-oneform")
+    return Field(fn)
 
 
 def seeded_sym2(geom, seed, trace_part: float = 1.0) -> Field:
@@ -95,7 +96,7 @@ def seeded_sym2(geom, seed, trace_part: float = 1.0) -> Field:
             hz = tc.hessian_scalar(geom, batch, u(batch, order + 2)).truncate(order)
             return jet_einsum("p,pij->pij", s(batch, order), g) * trace_part + hz
 
-        return Field(fn, shape=(2, 2), name="seeded-sym2")
+        return Field(fn)
     n = fx.dim
     comps = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -109,7 +110,7 @@ def seeded_sym2(geom, seed, trace_part: float = 1.0) -> Field:
                 for i in range(n)]
         return jet_stack(rows, axis=2)
 
-    return Field(fn, shape=(n, n), name="seeded-sym2")
+    return Field(fn)
 
 
 def seeded_sym_endo(geom, seed) -> Field:
@@ -118,7 +119,7 @@ def seeded_sym_endo(geom, seed) -> Field:
     def fn(batch, order):
         return tc.sharp_sym2(geom, batch, v(batch, order))
 
-    return Field(fn, shape=(geom.dim,) * 2, name="seeded-sym-endo")
+    return Field(fn)
 
 
 def seeded_antilinear(geom, seed) -> Field:
@@ -130,4 +131,4 @@ def seeded_antilinear(geom, seed) -> Field:
         J = geom.J(batch, order)
         return (S + jet_einsum("pik,pkj->pij", J, jet_einsum("pik,pkj->pij", S, J))) * 0.5
 
-    return Field(fn, shape=(geom.dim,) * 2, name="seeded-antilinear")
+    return Field(fn)

@@ -197,16 +197,9 @@ def cayley_half(geom, batch, mu: Jet) -> Jet:
     return (mu + jet_einsum("pik,pkj->pij", J, mu) * (-1j)) * 0.5
 
 
-def _cd_complex_endo(geom, batch, theta: Jet):
-    cdt = tc.cd_endo(geom, batch, theta)
-    J = geom.J(batch, cdt.order)
-    rot = jet_einsum("pba,pbij->paij", J, cdt)
-    return cdt, rot
-
-
 def mc_complex_residual(geom, batch, theta: Jet) -> Jet:
     """del-bar(theta) + theta hook del^w(theta) for T^{1,0}-valued theta."""
-    cdt, rot = _cd_complex_endo(geom, batch, theta)
+    cdt, rot, _ = _rotated_cd_endo(geom, batch, theta)
     n01 = (cdt + rot * 1j) * 0.5
     n10 = (cdt - rot * 1j) * 0.5
     dbar = jet_map("paij->piaj", n01)

@@ -104,7 +104,7 @@ def divergence_kernel_function(geom, xi_field: Field) -> Field:
         divJ = tc.div_omega_vector(geom, batch, Jxi)
         return div * (-0.5) + divJ * (-0.5j)
 
-    return Field(fn, name="kernel-function-div-route")
+    return Field(fn)
 
 
 def _closed_form_kernel_functions(backend) -> list[Field]:
@@ -117,7 +117,7 @@ def _closed_form_kernel_functions(backend) -> list[Field]:
             X, Y, Z = bk.ambient_coordinates(batch.chart, xs)
             return combine(X, Y, Z)
 
-        return Field(fn, name="kernel-function")
+        return Field(fn)
 
     return [
         make(lambda X, Y, Z: X + Y * 1j),
@@ -162,19 +162,18 @@ def lambda_basis(geom: GeometryState) -> LambdaBasis:
 # the induced bilinear form and the kernel projection
 
 
-def g_metric(geom, basis_or_none, phi: Field, psi: Field, enforce_mean_zero: bool = True) -> float:
+def g_metric(geom, phi: Field, psi: Field) -> float:
     """Re integral (P phi) conj(psi) + (1/2) integral Im(P phi) Im(P psi),
-    P the shifted complex Laplacian."""
+    P the shifted complex Laplacian, for mean-zero phi and psi."""
     nodes = geom.fixture.quad_nodes()
 
     def P(f, b):
         return (kh.complex_laplacian(geom, b, f(b, 2)) - f(b, 0) * 2.0).value
 
-    if enforce_mean_zero:
-        for f in (phi, psi):
-            m = geom.integrate([f(b, 0).value for b in nodes], nodes)
-            if abs(m) > 1e-8:
-                raise BadInputError("arguments must have vanishing mean")
+    for f in (phi, psi):
+        m = geom.integrate([f(b, 0).value for b in nodes], nodes)
+        if abs(m) > 1e-8:
+            raise BadInputError("arguments must have vanishing mean")
     term1 = geom.integrate(
         [np.real(P(phi, b) * np.conj(psi(b, 0).value)) for b in nodes], nodes
     )
@@ -275,6 +274,19 @@ def bochner_chain_residuals(geom, batch, A: Jet):
     return r1 - r2, LA - r1
 
 
+def drift_terms(geom, batch, A: Jet) -> tuple[Jet, Jet, Jet]:
+    """The two weight terms of the obstruction for anti-linear A: the pairing
+    <Hess f, A^2>, the hook (J grad f) hook cd A, and J at the hook's order."""
+    A2 = tc.endo_mul(A, A)
+    hessA2 = tc.pair_2tensors(
+        geom, batch, geom.hessf(batch, A2.order), tc.flat_endo(geom, batch, A2)
+    )
+    cdA = tc.cd_endo(geom, batch, A)
+    J = geom.J(batch, cdA.order)
+    Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(batch, cdA.order))
+    return hessA2, jet_einsum("pa,paij->pij", Jgf, cdA), J
+
+
 def stability_identity_residual(geom, batch, A: Jet) -> Jet:
     """Pointwise defect-corrected stability identity.
 
@@ -283,14 +295,7 @@ def stability_identity_residual(geom, batch, A: Jet) -> Jet:
     """
     LA = lichnerowicz_endo(geom, batch, A)
     lhs = tc.pair_endos(geom, batch, LA, A.truncate(LA.order))
-    A2 = tc.endo_mul(A, A)
-    hessA2 = tc.pair_2tensors(
-        geom, batch, geom.hessf(batch, A2.order), tc.flat_endo(geom, batch, A2)
-    )
-    cdA = tc.cd_endo(geom, batch, A)
-    J = geom.J(batch, cdA.order)
-    Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(batch, cdA.order))
-    hook = jet_einsum("pa,paij->pij", Jgf, cdA)
+    hessA2, hook, J = drift_terms(geom, batch, A)
     JA = tc.endo_mul(J, A.truncate(J.order))
     cross = tc.pair_endos(geom, batch, hook, JA.truncate(hook.order))
     HW = kh.hodge_witten(geom, batch, A, 1)
@@ -310,22 +315,15 @@ def phi_functional(geom, A_field: Field, u_field: Field) -> float:
     vals = []
     for b in nodes:
         A = A_field(b, 1)
-        _assert_antilinear(geom, b, A)
+        kh._check_antilinear(geom, b, A)
         u = u_field(b, 0).value
         u1, u2 = np.real(u), np.imag(u)
-        A2 = tc.endo_mul(A, A)
-        t1 = tc.pair_2tensors(
-            geom, b, geom.hessf(b, A2.order), tc.flat_endo(geom, b, A2)
-        ).value * (2.0 * u1)
-        cdA = tc.cd_endo(geom, b, A)
-        J = geom.J(b, cdA.order)
-        Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, cdA.order))
-        hook = jet_einsum("pa,paij->pij", Jgf, cdA)
+        hessA2, hook, J = drift_terms(geom, b, A)
         JA = tc.endo_mul(J, A.truncate(J.order))
         # i conj(u) x_J A = u2 A + u1 J A under the frozen complex action
         xa = tc.pair_endos(geom, b, hook, A.truncate(hook.order)).value * u2
         xb = tc.pair_endos(geom, b, hook, JA.truncate(hook.order)).value * u1
-        vals.append(t1 - xa - xb)
+        vals.append(hessA2.value * (2.0 * u1) - xa - xb)
     return geom.integrate(vals, nodes)
 
 
@@ -337,19 +335,12 @@ def phi_functional_bridge(geom, A_field: Field, u_field: Field) -> float:
     for b in nodes:
         A = A_field(b, 2)
         u1 = np.real(u_field(b, 0).value)
-        A2 = tc.endo_mul(A, A)
-        t1 = tc.pair_2tensors(
-            geom, b, geom.hessf(b, min(A2.order, 2)), tc.flat_endo(geom, b, A2.truncate(2))
-        ).value * 4.0
-        cdA = tc.cd_endo(geom, b, A)
-        J = geom.J(b, cdA.order)
-        Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, cdA.order))
-        hook = jet_einsum("pa,paij->pij", Jgf, cdA)
+        hessA2, hook, J = drift_terms(geom, b, A)
         JA = tc.endo_mul(J, A.truncate(J.order))
         t2 = tc.pair_endos(geom, b, hook, JA.truncate(hook.order)).value * 2.0
         norm2 = tc.pair_endos(geom, b, A, A)
         lapN = tc.laplacian_scalar(geom, b, norm2) - norm2.truncate(norm2.order - 2) * 2.0
-        vals.append(0.5 * u1 * (t1 - t2 - lapN.value))
+        vals.append(0.5 * u1 * (hessA2.value * 4.0 - t2 - lapN.value))
     return geom.integrate(vals, nodes)
 
 
@@ -362,17 +353,10 @@ def integral_identity_sides(geom, pdata: PerelmanData, A_field: Field):
         A = A_field(b, 1)
         norm2 = tc.pair_endos(geom, b, A, A).value
         lhs_vals.append(norm2 * pdata.F(b, 0).value)
-        A2 = tc.endo_mul(A, A)
-        t1 = tc.pair_2tensors(
-            geom, b, geom.hessf(b, A2.order), tc.flat_endo(geom, b, A2)
-        ).value * 2.0
-        cdA = tc.cd_endo(geom, b, A)
-        J = geom.J(b, cdA.order)
-        Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, cdA.order))
-        hook = jet_einsum("pa,paij->pij", Jgf, cdA)
+        hessA2, hook, J = drift_terms(geom, b, A)
         JA = tc.endo_mul(J, A.truncate(J.order))
         t2 = tc.pair_endos(geom, b, hook, JA.truncate(hook.order)).value
-        rhs_vals.append(-(t1 - t2))
+        rhs_vals.append(-(hessA2.value * 2.0 - t2))
     # a sup estimate of the harmonicity defect on the sample nodes suffices
     for b in geom.fixture.check_nodes(1, 120):
         hw = kh.hodge_witten(geom, b, A_field(b, 2), 1)
@@ -383,14 +367,6 @@ def integral_identity_sides(geom, pdata: PerelmanData, A_field: Field):
         geom.integrate(rhs_vals, nodes),
         defect,
     )
-
-
-def _assert_antilinear(geom, batch, A: Jet, tol: float = 1e-8):
-    J = geom.J(batch, 0).value
-    a = A.value
-    anti = np.einsum("pik,pkj->pij", a, J) + np.einsum("pik,pkj->pij", J, a)
-    if np.max(np.abs(anti)) > tol * max(1.0, np.max(np.abs(a))):
-        raise BadInputError("endomorphism argument must be J-anti-linear")
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +415,7 @@ def eta_direction_fields(geom, psi_field: Field):
         lam = kh.complex_laplacian(geom, batch, psi) - psi.truncate(order) * 2.0
         return Jet(lam.dim, lam.order, np.real(lam.coeffs)) * 0.5
 
-    return Field(v_fn, shape=(geom.dim,) * 2), Field(Vstar_fn)
+    return Field(v_fn), Field(Vstar_fn)
 
 
 def tangent_cone_residuals(geom, v_field: Field, Vstar_field: Field, seed: int = 0):

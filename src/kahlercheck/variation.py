@@ -196,12 +196,10 @@ class LinearCurve:
 
     kind = "linear_metric"
 
-    def __init__(self, fixture: Fixture, v_field: Field, Vstar_field: Field | None,
-                 keep_J: bool = False):
+    def __init__(self, fixture: Fixture, v_field: Field, Vstar_field: Field | None):
         self.base = fixture
         self.v = v_field
         self.Vstar = Vstar_field
-        self.keep_J = keep_J
         self.t_max = self._spd_window()
 
     def _spd_window(self) -> float:
@@ -229,9 +227,8 @@ class LinearCurve:
                 return rho
             return rho + jet_einsum("p,p->p", rho, self.Vstar(batch, order)) * t
 
-        J = base.J if self.keep_J else None
-        return Fixture(f"{base.name}+t*dir", base.backend, Field(g_fn, base.g.shape),
-                       Field(rho_fn), J, base.tags, base.descriptor)
+        return Fixture(f"{base.name}+t*dir", base.backend, Field(g_fn),
+                       Field(rho_fn), None, base.tags, base.descriptor)
 
 
 class HamiltonianFlowCurve:
@@ -255,7 +252,7 @@ class HamiltonianFlowCurve:
             om_inv, _ = inverse_and_logdet(om)
             return jet_einsum("pij,pj->pi", om_inv, du) * (-0.5)
 
-        self.xi = Field(xi_fn, shape=(fixture.backend.dim,))
+        self.xi = Field(xi_fn)
 
     def flow_jets(self, batch: NodeBatch, t: float, order: int) -> list[Jet]:
         """The flow to t of the batch's points, as position jets of ``order``.
@@ -364,8 +361,8 @@ class HamiltonianFlowCurve:
             return jet_einsum("pia,paj->pij",
                               dpsi_inv, jet_einsum("pik,pkj->pij", JY, dpsi))
 
-        return Fixture(f"{base.name}@flow", base.backend, Field(g_fn, base.g.shape),
-                       Field(rho_fn), Field(J_fn, base.g.shape), base.tags,
+        return Fixture(f"{base.name}@flow", base.backend, Field(g_fn),
+                       Field(rho_fn), Field(J_fn), base.tags,
                        base.descriptor)
 
     def pullback_scalar_values(self, field: Field, batch: NodeBatch, t: float):
@@ -408,7 +405,7 @@ class StructureConjugationCurve:
             Einv = self._expm(S, -t)
             return jet_einsum("pik,pkj->pij", E, jet_einsum("pik,pkj->pij", J0, Einv))
 
-        return Field(fn, shape=(geom.dim,) * 2)
+        return Field(fn)
 
     def fixture_at(self, t: float) -> Fixture:
         base = self.base
@@ -420,5 +417,5 @@ class StructureConjugationCurve:
             Jt = Jf(batch, order)
             return jet_einsum("pai,paj->pij", Jt, om) * (-1.0)
 
-        return Fixture(f"{base.name}@conj", base.backend, Field(g_fn, base.g.shape),
+        return Fixture(f"{base.name}@conj", base.backend, Field(g_fn),
                        base.omega_density, Jf, base.tags, base.descriptor)

@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kahlercheck import backends as bk
 from kahlercheck import catalog as cat
 from kahlercheck import checks as ck
 from kahlercheck import report
 from kahlercheck.catalog import RunOptions
 from kahlercheck.cli import main
 from kahlercheck.conventions import MANIFEST, manifest_hash
+from kahlercheck.geometry import GeometryState
 
 
 def test_registry_shape():
@@ -51,6 +53,17 @@ def test_outcome_l2_is_the_rms_and_defaults_to_sup():
     assert out.sup == 4.0
     assert out.l2 == pytest.approx(2.5)
     assert out.order is None and out.details == {}
+
+
+def test_fixture_details_cover_every_check_batch():
+    # FS has one check batch per chart; the smallest metric eigenvalue is
+    # taken over both, not read off the last one
+    fx = bk.make_fixture("FS")
+    geom = GeometryState(fx)
+    eigs = [float(np.min(np.linalg.eigvalsh(geom.g(b, 0).value)))
+            for b in fx.check_nodes(0, RunOptions().node_count)]
+    assert len(eigs) == 2 and eigs[0] < eigs[1]
+    assert ck.run_check("ID-FIXTURE", "FS", 0).details["min_metric_eig"] == min(eigs)
 
 
 def test_integral_identity_off_the_shrinker_is_a_skip_with_its_gap():

@@ -150,7 +150,7 @@ def test_g_metric_properties(fs):
     geom, _, basis = fs
     # kernel degeneracy
     u = basis.functions[0]
-    assert abs(so.g_metric(geom, basis, u, u)) < 1e-8
+    assert abs(so.g_metric(geom, u, u)) < 1e-8
     # positivity off the kernel: seeded mean-zero function projected off
     proj = so.KernelProjector(geom, basis)
     nodes = geom.fixture.quad_nodes()
@@ -161,17 +161,17 @@ def test_g_metric_properties(fs):
 
     phi = fl.seeded_complex_scalar(geom, 6)
     psi = fl.seeded_complex_scalar(geom, 7)
-    a = so.g_metric(geom, basis, phi, psi)
-    b = so.g_metric(geom, basis, psi, phi)
+    a = so.g_metric(geom, phi, psi)
+    b = so.g_metric(geom, psi, phi)
     assert abs(a - b) < 1e-10 * max(1.0, abs(a))
-    assert so.g_metric(geom, basis, phi, phi) > 0
+    assert so.g_metric(geom, phi, phi) > 0
 
     # bilinearity over the reals
     def comb(f1, f2, c):
         return Field(lambda bt, k: f1(bt, k) + f2(bt, k) * c)
 
-    lhs = so.g_metric(geom, basis, comb(phi, psi, 2.0), psi)
-    rhs = so.g_metric(geom, basis, phi, psi) + 2.0 * so.g_metric(geom, basis, psi, psi)
+    lhs = so.g_metric(geom, comb(phi, psi, 2.0), psi)
+    rhs = so.g_metric(geom, phi, psi) + 2.0 * so.g_metric(geom, psi, psi)
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
@@ -261,6 +261,6 @@ def test_tangent_cone_membership_of_eta_directions(fs):
     assert r_D < 1e-8
     assert r_T < 1e-8
     # negative control: v = g is J-invariant and must be rejected
-    gf = Field(lambda b, k: geom.g(b, k), shape=(2, 2))
+    gf = Field(lambda b, k: geom.g(b, k))
     r_D2, _ = so.tangent_cone_residuals(geom, gf, Vs_f, seed=24)
     assert r_D2 > 1e-2
