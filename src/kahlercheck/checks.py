@@ -22,15 +22,14 @@ from . import jets as jmath
 from . import kahler as kh
 from . import soliton as so
 from . import tensorcalc as tc
-from .backends import Field, NodeBatch
+from .backends import FIXTURE_KINDS, Field, NodeBatch
 from .catalog import Outcome, RunOptions, _first_order, _geom_cache, _outcome, _sup
 from .conventions import manifest_hash
 from .errors import KahlercheckError
 from .geometry import GeometryState
 from .jets import Jet, jet_einsum, jet_map
-from .variation import HamiltonianFlowCurve, LinearCurve, fd_derivative
+from .variation import HamiltonianFlowCurve, LinearCurve, compose_field, fd_derivative
 
-ALL_FIXTURES = ("FLAT2", "PERT2", "RIEM4", "KAH4", "FS")
 TORI = ("FLAT2", "PERT2", "RIEM4", "KAH4")
 KAHLER_FIXTURES = ("FLAT2", "PERT2", "KAH4", "FS")
 
@@ -770,7 +769,7 @@ def run_stability(fixture, seed, opts) -> Outcome:
     sups = []
     for b in fixture.check_nodes(seed, opts.node_count):
         Aj = A(b, 2)
-        sups.append(_sup(so.stability_identity_residual(geom, b, Aj).value))
+        sups.append(_sup(so.stability_identity_residual(geom, b, Aj)))
         hw = kh.hodge_witten(geom, b, Aj, 1)
         hw_norm = max(hw_norm, _sup(hw.value))
     return Outcome(max(sups), details={"harmonicity_defect": hw_norm,
@@ -785,10 +784,10 @@ def run_phi(fixture, seed, opts) -> Outcome:
         vals, bridges = [], []
         for k in range(10):
             A = fl.seeded_antilinear(geom, seed + 3 * k)
-            for u in basis.functions:
-                val = so.phi_functional(geom, A, u)
-                vals.append(abs(val))
-                bridges.append(abs(val - so.phi_functional_bridge(geom, A, u)))
+            direct = so.phi_functional(geom, A, basis.functions)
+            bridge = so.phi_functional_bridge(geom, A, basis.functions)
+            vals += [abs(v) for v in direct]
+            bridges += [abs(v - b) for v, b in zip(direct, bridge)]
         details["max_value"] = max(vals)
         details["two_route_gap"] = max(bridges)
         mech = 0.0
@@ -802,9 +801,9 @@ def run_phi(fixture, seed, opts) -> Outcome:
     u = fl.seeded_complex_scalar(geom, seed + 41)
     w = fl.seeded_complex_scalar(geom, seed + 43)
     comb = Field(lambda bt, k: u(bt, k) * 2.0 + w(bt, k) * (-3.0))
-    lin = so.phi_functional(geom, A, comb) - 2.0 * so.phi_functional(geom, A, u) \
-        + 3.0 * so.phi_functional(geom, A, w)
-    scale = max(1.0, abs(so.phi_functional(geom, A, u)))
+    p_comb, p_u, p_w = so.phi_functional(geom, A, [comb, u, w])
+    lin = p_comb - 2.0 * p_u + 3.0 * p_w
+    scale = max(1.0, abs(p_u))
     details["linearity"] = abs(lin) / scale
     return Outcome(details["linearity"], details=details)
 
@@ -929,10 +928,8 @@ def run_gauge(fixture, seed, opts) -> Outcome:
     h_sups = []
     for b in fixture.check_nodes(seed, 40):
         pos = curve.flow_jets(b, t, 1)
-        import kahlercheck.variation as va
-
-        h0Y = va.compose_field(Field(lambda bb, kk: so.h_tensor(geom, bb, kk)),
-                               b.chart, [p.truncate(0) for p in pos], 0)
+        h0Y = compose_field(Field(lambda bb, kk: so.h_tensor(geom, bb, kk)),
+                            b.chart, [p.truncate(0) for p in pos], 0)
         dpsi = curve._jacobian(pos).value
         transported = np.einsum("pia,pij,pjb->pab", dpsi, h0Y.value, dpsi)
         ht = so.h_tensor(gt, b, 0).value
@@ -947,41 +944,41 @@ def run_gauge(fixture, seed, opts) -> Outcome:
 REGISTRY: dict = {d.id: d for d in [
     CheckDef("ID-FIXTURE", "identity", "fixture invariants: unit mass, SPD, J algebra, "
              "integrability, closedness, parallel J", "fixture-plumbing",
-             ALL_FIXTURES, 1e-8, run_fixture_invariants, flat_tolerance=1e-12),
+             FIXTURE_KINDS, 1e-8, run_fixture_invariants, flat_tolerance=1e-12),
     CheckDef("ID-QUAD", "identity", "quadrature exactness and normalization",
-             "Glb-Rm-m", ALL_FIXTURES, 1e-8, run_quadrature, flat_tolerance=1e-12),
+             "Glb-Rm-m", FIXTURE_KINDS, 1e-8, run_quadrature, flat_tolerance=1e-12),
     CheckDef("ID-COMPAT", "identity", "cd(g) = 0", "levi-civita",
-             ALL_FIXTURES, 1e-8, run_metric_compat, flat_tolerance=1e-13),
+             FIXTURE_KINDS, 1e-8, run_metric_compat, flat_tolerance=1e-13),
     CheckDef("ID-DIVLAP", "identity", "div_w(grad u) = -lap_w(u)", "divlap",
-             ALL_FIXTURES, 1e-8, run_div_lap, flat_tolerance=1e-12),
+             FIXTURE_KINDS, 1e-8, run_div_lap, flat_tolerance=1e-12),
     CheckDef("ID-DIVINT", "identity", "integral of div_w(xi) vanishes", "no-boundary",
-             ALL_FIXTURES, 1e-8, run_div_integral, flat_tolerance=1e-12),
+             FIXTURE_KINDS, 1e-8, run_div_integral, flat_tolerance=1e-12),
     CheckDef("ID-DIV-UA", "identity", "adj(u A) = -A grad u + u adj(A)", "div-scalar-endo",
-             ALL_FIXTURES, 1e-8, run_div_ua, flat_tolerance=1e-12),
+             FIXTURE_KINDS, 1e-8, run_div_ua, flat_tolerance=1e-12),
     CheckDef("ID-DIV-UXI", "identity", "div_w(u xi) = <grad u, xi> + u div_w(xi)",
-             "div-scalar-vf", ALL_FIXTURES, 1e-8, run_div_uxi, flat_tolerance=1e-12),
+             "div-scalar-vf", FIXTURE_KINDS, 1e-8, run_div_uxi, flat_tolerance=1e-12),
     CheckDef("ID-DIV-A2", "identity", "adj(A^2) = -Tr_g(cd A . A) + A adj(A)",
-             "div-square", ALL_FIXTURES, 1e-8, run_div_a2, flat_tolerance=1e-12),
+             "div-square", FIXTURE_KINDS, 1e-8, run_div_a2, flat_tolerance=1e-12),
     CheckDef("ID-DIV-EV", "identity", "div_w(A xi) = -<adj A, xi> + <A, cd xi>",
-             "div-Ev", ALL_FIXTURES, 1e-8, run_div_ev, flat_tolerance=1e-12),
+             "div-Ev", FIXTURE_KINDS, 1e-8, run_div_ev, flat_tolerance=1e-12),
     CheckDef("ID-DIV-TR", "identity", "div_w Tr_g(cd A . A) = -<adj(hat cd A), A> + "
-             "<hat cd A, cd A>", "div-Tr", ALL_FIXTURES, 1e-8, run_div_tr, flat_tolerance=1e-12),
+             "<hat cd A, cd A>", "div-Tr", FIXTURE_KINDS, 1e-8, run_div_tr, flat_tolerance=1e-12),
     CheckDef("ID-MG", "identity", "M(v,v) = 2 v adj(v*) - 2 g adj(v*^2) + d|v|^2 / 2",
-             "m-form", ALL_FIXTURES, 1e-8, run_m_identity, flat_tolerance=1e-12),
+             "m-form", FIXTURE_KINDS, 1e-8, run_m_identity, flat_tolerance=1e-12),
     CheckDef("ID-FRAME", "identity", "frame independence of the frame-summed 1-form",
-             "frame-sums", ALL_FIXTURES, 1e-8, run_frame_independence, flat_tolerance=1e-12),
+             "frame-sums", FIXTURE_KINDS, 1e-8, run_frame_independence, flat_tolerance=1e-12),
     CheckDef("ID-ADJ-SYM2", "identity", "duality of adj on symmetric 2-tensors",
-             "weighted-adjoint", ALL_FIXTURES, 1e-9, run_adj_sym2_duality, flat_tolerance=1e-12),
+             "weighted-adjoint", FIXTURE_KINDS, 1e-9, run_adj_sym2_duality, flat_tolerance=1e-12),
     CheckDef("ID-ADJ-ENDO", "identity", "duality of adj on endomorphisms",
-             "weighted-adjoint", ALL_FIXTURES, 1e-9, run_adj_endo_duality, flat_tolerance=1e-12),
+             "weighted-adjoint", FIXTURE_KINDS, 1e-9, run_adj_endo_duality, flat_tolerance=1e-12),
     CheckDef("ID-LAP-SYM", "identity", "symmetry of lap_w", "weighted-laplacian",
-             ALL_FIXTURES, 1e-9, run_lap_symmetry, flat_tolerance=1e-12),
+             FIXTURE_KINDS, 1e-9, run_lap_symmetry, flat_tolerance=1e-12),
     CheckDef("ID-LAP-POS", "identity", "Dirichlet identity and positivity of lap_w",
-             "weighted-laplacian", ALL_FIXTURES, 1e-9, run_lap_positivity, flat_tolerance=1e-12),
+             "weighted-laplacian", FIXTURE_KINDS, 1e-9, run_lap_positivity, flat_tolerance=1e-12),
     CheckDef("ID-SHARP", "identity", "g(v* x, y) = v(x, y)", "sharp",
-             ALL_FIXTURES, 1e-11, run_sharp, flat_tolerance=1e-12),
+             FIXTURE_KINDS, 1e-11, run_sharp, flat_tolerance=1e-12),
     CheckDef("ID-CONTR", "identity", "contraction algebra: fixed points and linearity",
-             "alt-contraction", ALL_FIXTURES, 1e-12, run_contraction_algebra),
+             "alt-contraction", FIXTURE_KINDS, 1e-12, run_contraction_algebra),
     CheckDef("ID-CHART", "identity", "chart transition round trip and overlap agreement",
              "stereographic", ("FS",), 1e-10, run_chart_transition),
     # complex-structure layer
@@ -1059,7 +1056,7 @@ REGISTRY: dict = {d.id: d for d in [
              "fund-cx-def-sm", ("FS",), 1e-6, vcat.run_v_fundcx,
              notes="conditional: needs a nontrivial harmonic variation"),
     CheckDef("S-PERELMAN", "soliton", "normalizations of the weight and potential",
-             "fundamental-objects", ALL_FIXTURES, 1e-10, run_perelman, flat_tolerance=1e-12),
+             "fundamental-objects", FIXTURE_KINDS, 1e-10, run_perelman, flat_tolerance=1e-12),
     CheckDef("S-SOLITON", "soliton", "shrinker residuals and the form identities",
              "soliton-point", ("FS",), 1e-9, run_soliton_residuals),
     CheckDef("S-CHAR", "soliton", "2 Hbar = -(lap_c - 2) F on the compatible family",

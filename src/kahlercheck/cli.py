@@ -15,12 +15,13 @@ import sys
 from pathlib import Path
 
 from . import checks as ck
+from .backends import FIXTURE_KINDS
 from .catalog import RunOptions
 from .conventions import manifest_hash, manifest_json
 from .errors import ConfigError
 from .report import format_table, write_csv, write_json
 
-DEFAULT_FIXTURES = ("FLAT2", "PERT2", "RIEM4", "KAH4", "FS")
+DEFAULT_FIXTURES = FIXTURE_KINDS     # perfbench/probe.py reads this name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +56,6 @@ def load_config(args) -> dict:
         "seed": 0,
         "jobs": 1,
         "tolerance_scale": 1.0,
-        "tolerances": {},
         "fd": {"base_step": 1e-2, "richardson_levels": 2},
         "node_count": 120,
         "out": "reports",
@@ -123,13 +123,6 @@ def _validate(cfg):
             raise ConfigError(f"{key} must be an integer >= 1, not {cfg[key]!r}")
     if not _is_number(cfg["tolerance_scale"]) or cfg["tolerance_scale"] <= 0:
         raise ConfigError("tolerance scale must be positive")
-    if not isinstance(cfg["tolerances"], dict):
-        raise ConfigError("tolerances must map suites to scales")
-    for suite, scale in cfg["tolerances"].items():
-        if suite not in ck.SUITES:
-            raise ConfigError(f"tolerances key {suite!r} is not a suite")
-        if not _is_number(scale) or scale <= 0:
-            raise ConfigError(f"tolerance scale for {suite!r} must be positive")
     fd = cfg["fd"]
     if not isinstance(fd, dict) or set(fd) != {"base_step", "richardson_levels"}:
         raise ConfigError("fd must give exactly base_step and richardson_levels")
@@ -149,13 +142,8 @@ def _task_list(cfg):
                     pairs.append((cid, fx))
     else:
         pairs = ck.checks_for(cfg["suites"], cfg["fixtures"])
-    tasks = []
-    for cid, fx in pairs:
-        suite = ck.REGISTRY[cid].suite
-        scale = cfg["tolerance_scale"] * cfg["tolerances"].get(suite, 1.0)
-        tasks.append((cid, fx, cfg["seed"], scale, cfg["fd"]["base_step"],
-                      cfg["fd"]["richardson_levels"], cfg["node_count"]))
-    return tasks
+    return [(cid, fx, cfg["seed"], cfg["tolerance_scale"], cfg["fd"]["base_step"],
+             cfg["fd"]["richardson_levels"], cfg["node_count"]) for cid, fx in pairs]
 
 
 def _run_task(task) -> dict:

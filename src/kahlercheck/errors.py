@@ -73,13 +73,5 @@ class FlowDivergedError(KahlercheckError):
     slug = "flow-diverged"
 
 
-class NotFoundError(KahlercheckError):
-    slug = "not-found"
-
-
 class ConfigError(KahlercheckError):
     slug = "config-error"
-
-
-class IOErrorReport(KahlercheckError):
-    slug = "io-error"

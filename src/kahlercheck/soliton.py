@@ -6,6 +6,7 @@ chains, the stability identity and the obstruction functional.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ class PerelmanData:
     def __init__(self, geom: GeometryState):
         self.geom = geom
         nodes = geom.fixture.quad_nodes()
-        self.f_mean = geom.integrate([geom.f(b, 0).value for b in nodes], nodes)
+        # H first: on a flowed fixture its order-2 read of f integrates the
+        # flow at order 3, which the later order-0 read of f truncates
         self.H_mean = geom.integrate([H_scalar(geom, b, 0).value for b in nodes], nodes)
+        self.f_mean = geom.integrate([geom.f(b, 0).value for b in nodes], nodes)
 
     def F(self, batch, order: int) -> Jet:
         return self.geom.f(batch, order) - self.f_mean
@@ -274,20 +277,21 @@ def bochner_chain_residuals(geom, batch, A: Jet):
     return r1 - r2, LA - r1
 
 
-def drift_terms(geom, batch, A: Jet) -> tuple[Jet, Jet, Jet]:
-    """The two weight terms of the obstruction for anti-linear A: the pairing
-    <Hess f, A^2>, the hook (J grad f) hook cd A, and J at the hook's order."""
-    A2 = tc.endo_mul(A, A)
-    hessA2 = tc.pair_2tensors(
-        geom, batch, geom.hessf(batch, A2.order), tc.flat_endo(geom, batch, A2)
-    )
-    cdA = tc.cd_endo(geom, batch, A)
-    J = geom.J(batch, cdA.order)
-    Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(batch, cdA.order))
-    return hessA2, jet_einsum("pa,paij->pij", Jgf, cdA), J
+def drift_terms(geom, batch, A: Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The obstruction's weight terms for anti-linear A (jet order >= 1) as
+    pointwise values: <Hess f, A^2>, <(J grad f) hook cd A, A> and
+    <(J grad f) hook cd A, J A>; Hess f, grad f and J are read at order 0."""
+    A0 = A.truncate(0)
+    hessA2 = tc.pair_2tensors(geom, batch, geom.hessf(batch, 0),
+                              tc.flat_endo(geom, batch, tc.endo_mul(A0, A0)))
+    J = geom.J(batch, 0)
+    Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(batch, 0))
+    hook = jet_einsum("pa,paij->pij", Jgf, tc.cd_endo(geom, batch, A.truncate(1)))
+    return (hessA2.value, tc.pair_endos(geom, batch, hook, A0).value,
+            tc.pair_endos(geom, batch, hook, tc.endo_mul(J, A0)).value)
 
 
-def stability_identity_residual(geom, batch, A: Jet) -> Jet:
+def stability_identity_residual(geom, batch, A: Jet) -> np.ndarray:
     """Pointwise defect-corrected stability identity.
 
     <L_w A, A> + 2 <Hess f, A^2> - <(J grad f) hook cd A, J A>
@@ -295,53 +299,48 @@ def stability_identity_residual(geom, batch, A: Jet) -> Jet:
     """
     LA = lichnerowicz_endo(geom, batch, A)
     lhs = tc.pair_endos(geom, batch, LA, A.truncate(LA.order))
-    hessA2, hook, J = drift_terms(geom, batch, A)
-    JA = tc.endo_mul(J, A.truncate(J.order))
-    cross = tc.pair_endos(geom, batch, hook, JA.truncate(hook.order))
+    hessA2, _, cross = drift_terms(geom, batch, A)
     HW = kh.hodge_witten(geom, batch, A, 1)
     defect = tc.pair_endos(geom, batch, HW, A.truncate(HW.order))
-    k = min(lhs.order, hessA2.order, cross.order, defect.order)
-    return lhs.truncate(k) + hessA2.truncate(k) * 2.0 - cross.truncate(k) \
-        - defect.truncate(k) * 2.0
+    return lhs.value + hessA2 * 2.0 - cross - defect.value * 2.0
 
 
 # ---------------------------------------------------------------------------
 # the obstruction functional
 
 
-def phi_functional(geom, A_field: Field, u_field: Field) -> float:
-    """Integral of 2 Re(u) <Hess f, A^2> - <(J grad f) hook cd A, i conj(u) x_J A>."""
+def phi_functional(geom, A_field: Field, u_fields: Sequence[Field]) -> list[float]:
+    """Integral of 2 Re(u) <Hess f, A^2> - <(J grad f) hook cd A, i conj(u) x_J A>,
+    one value per u in ``u_fields``."""
     nodes = geom.fixture.quad_nodes()
-    vals = []
+    vals = [[] for _ in u_fields]
     for b in nodes:
         A = A_field(b, 1)
         kh._check_antilinear(geom, b, A)
-        u = u_field(b, 0).value
-        u1, u2 = np.real(u), np.imag(u)
-        hessA2, hook, J = drift_terms(geom, b, A)
-        JA = tc.endo_mul(J, A.truncate(J.order))
-        # i conj(u) x_J A = u2 A + u1 J A under the frozen complex action
-        xa = tc.pair_endos(geom, b, hook, A.truncate(hook.order)).value * u2
-        xb = tc.pair_endos(geom, b, hook, JA.truncate(hook.order)).value * u1
-        vals.append(hessA2.value * (2.0 * u1) - xa - xb)
-    return geom.integrate(vals, nodes)
+        hessA2, hookA, hookJA = drift_terms(geom, b, A)
+        for out, u_field in zip(vals, u_fields):
+            u = u_field(b, 0).value
+            u1, u2 = np.real(u), np.imag(u)
+            # i conj(u) x_J A = u2 A + u1 J A under the frozen complex action
+            out.append(hessA2 * (2.0 * u1) - hookA * u2 - hookJA * u1)
+    return [geom.integrate(v, nodes) for v in vals]
 
 
-def phi_functional_bridge(geom, A_field: Field, u_field: Field) -> float:
+def phi_functional_bridge(geom, A_field: Field, u_fields: Sequence[Field]) -> list[float]:
     """Second route: (1/2) integral u1 [4 <Hess f, A^2> - 2 <hook, JA>
-    - (lap_w - 2)|A|^2]; equals the direct route for kernel arguments."""
+    - (lap_w - 2)|A|^2], one value per u; equals the direct route for kernel
+    arguments."""
     nodes = geom.fixture.quad_nodes()
-    vals = []
+    vals = [[] for _ in u_fields]
     for b in nodes:
         A = A_field(b, 2)
-        u1 = np.real(u_field(b, 0).value)
-        hessA2, hook, J = drift_terms(geom, b, A)
-        JA = tc.endo_mul(J, A.truncate(J.order))
-        t2 = tc.pair_endos(geom, b, hook, JA.truncate(hook.order)).value * 2.0
+        hessA2, _, hookJA = drift_terms(geom, b, A)
         norm2 = tc.pair_endos(geom, b, A, A)
         lapN = tc.laplacian_scalar(geom, b, norm2) - norm2.truncate(norm2.order - 2) * 2.0
-        vals.append(0.5 * u1 * (hessA2.value * 4.0 - t2 - lapN.value))
-    return geom.integrate(vals, nodes)
+        weight = hessA2 * 4.0 - hookJA * 2.0 - lapN.value
+        for out, u_field in zip(vals, u_fields):
+            out.append(0.5 * np.real(u_field(b, 0).value) * weight)
+    return [geom.integrate(v, nodes) for v in vals]
 
 
 def integral_identity_sides(geom, pdata: PerelmanData, A_field: Field):
@@ -353,10 +352,8 @@ def integral_identity_sides(geom, pdata: PerelmanData, A_field: Field):
         A = A_field(b, 1)
         norm2 = tc.pair_endos(geom, b, A, A).value
         lhs_vals.append(norm2 * pdata.F(b, 0).value)
-        hessA2, hook, J = drift_terms(geom, b, A)
-        JA = tc.endo_mul(J, A.truncate(J.order))
-        t2 = tc.pair_endos(geom, b, hook, JA.truncate(hook.order)).value
-        rhs_vals.append(-(hessA2.value * 2.0 - t2))
+        hessA2, _, hookJA = drift_terms(geom, b, A)
+        rhs_vals.append(-(hessA2 * 2.0 - hookJA))
     # a sup estimate of the harmonicity defect on the sample nodes suffices
     for b in geom.fixture.check_nodes(1, 120):
         hw = kh.hodge_witten(geom, b, A_field(b, 2), 1)

@@ -218,7 +218,9 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
     ({"fd": {"base_step": 0.01, "richardson_levels": -1}}, []),
     ({"node_count": 0}, []),
     ({}, ["--jobs", "0"]),
-], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero"])
+    ({"tolerances": {"soliton": 2.0}}, []),
+], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero",
+        "tolerances-key"])
 def test_cli_config_contract(tmp_path, capsys, config, argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"checks": ["ID-SHARP"], "fixtures": ["FLAT2"],

@@ -10,6 +10,7 @@ from kahlercheck import soliton as so
 from kahlercheck import tensorcalc as tc
 from kahlercheck.backends import Field
 from kahlercheck.geometry import GeometryState
+from kahlercheck.jets import jet_einsum
 
 
 def geom_for(kind):
@@ -191,16 +192,17 @@ def test_stability_identity_defect_corrected():
         batch = geom.fixture.check_nodes(10, 40)[0]
         A = fl.seeded_antilinear(geom, 11)(batch, 2)
         r = so.stability_identity_residual(geom, batch, A)
-        assert sup(r.value) < tol, kind
+        assert sup(r) < tol, kind
 
 
 def test_phi_functional_on_fs(fs):
     geom, pdata, basis = fs
     A = fl.seeded_antilinear(geom, 12)
-    for i, u in enumerate(basis.functions):
-        val = so.phi_functional(geom, A, u)
+    vals = so.phi_functional(geom, A, basis.functions)
+    bridges = so.phi_functional_bridge(geom, A, basis.functions)
+    assert len(vals) == len(bridges) == len(basis.functions)
+    for i, (val, bridge) in enumerate(zip(vals, bridges)):
         assert abs(val) < 1e-9, i
-        bridge = so.phi_functional_bridge(geom, A, u)
         assert abs(val - bridge) < 1e-8
     # the vanishing mechanism is pointwise: grad f itself vanishes
     for b in geom.fixture.check_nodes(13, 40):
@@ -217,9 +219,38 @@ def test_phi_linearity_plumbing_mode():
     def comb(c1, c2):
         return Field(lambda b, k: u(b, k) * c1 + w(b, k) * c2)
 
-    lhs = so.phi_functional(geom, A, comb(2.0, -3.0))
-    rhs = 2.0 * so.phi_functional(geom, A, u) - 3.0 * so.phi_functional(geom, A, w)
+    lhs, pu, pw = so.phi_functional(geom, A, [comb(2.0, -3.0), u, w])
+    rhs = 2.0 * pu - 3.0 * pw
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
+
+
+def test_phi_sequence_and_drift_terms_are_bit_identical():
+    geom = geom_for("PERT2")
+    A = fl.seeded_antilinear(geom, 14)
+    u = fl.seeded_complex_scalar(geom, 15)
+    w = fl.seeded_complex_scalar(geom, 16)
+    for route in (so.phi_functional, so.phi_functional_bridge):
+        both = route(geom, A, [u, w])
+        assert both == route(geom, A, [u]) + route(geom, A, [w]), route.__name__
+        assert both[0] != 0.0 and both[1] != 0.0
+    # the weight terms read order-0 data only: A at order 2 gives the same
+    # bits, and so do Hess f, grad f and J read at the order of A
+    for kind in ("FS", "PERT2", "KAH4"):
+        geom = geom_for(kind)
+        A = fl.seeded_antilinear(geom, 9)
+        for b in geom.fixture.check_nodes(8, 40):
+            A2 = A(b, 2)
+            terms = so.drift_terms(geom, b, A2)
+            for t1, t2 in zip(so.drift_terms(geom, b, A(b, 1)), terms):
+                assert np.array_equal(t1, t2), kind
+            hess = tc.pair_2tensors(geom, b, geom.hessf(b, 2),
+                                    tc.flat_endo(geom, b, tc.endo_mul(A2, A2)))
+            J = geom.J(b, 1)
+            Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, 1))
+            hook = jet_einsum("pa,paij->pij", Jgf, tc.cd_endo(geom, b, A2))
+            cross = tc.pair_endos(geom, b, hook, tc.endo_mul(J, A2.truncate(1)))
+            assert np.array_equal(hess.value, terms[0]), kind
+            assert np.array_equal(cross.value, terms[2]), kind
 
 
 def test_integral_identity_on_fs(fs):
