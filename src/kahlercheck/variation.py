@@ -10,6 +10,7 @@ extrapolation, and each result carries an observed convergence order.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from . import jets as jmath
 from .backends import Field, Fixture, NodeBatch
 from .errors import FlowDivergedError, NanInFieldError
-from .geometry import GeometryState, inverse_and_logdet, symplectic_form
+from .geometry import inverse_and_logdet, symplectic_form
 from .jets import Jet, jet_einsum
 
 # ---------------------------------------------------------------------------
@@ -114,9 +115,20 @@ _SCHEMES = {
 }
 
 
-# Every t at which the running fd_derivative evaluates its map, and its
-# centre: a flow curve integrates the ones it has not cached yet in one pass.
+# Every t at which the running computation evaluates its map: a flow curve
+# integrates the ones it has not cached yet in one pass.
 _STENCIL: contextvars.ContextVar[tuple] = contextvars.ContextVar("stencil", default=())
+
+
+@contextlib.contextmanager
+def stencil_scope(ts):
+    """Publish the t-set ``ts`` for the body: a flow curve asked for one of
+    them integrates every one it has not cached yet in the same RK4 pass."""
+    token = _STENCIL.set(tuple(ts))
+    try:
+        yield
+    finally:
+        _STENCIL.reset(token)
 
 
 def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "central-4",
@@ -157,13 +169,10 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
         return acc
 
     # the centre too: off-centre callers ask for the geometry there next
-    scope = _STENCIL.set((t0,) + tuple(t0 + off * (h / 2**k)
-                                       for k in range(nlevels) for off in stencil))
-    try:
+    with stencil_scope((t0,) + tuple(t0 + off * (h / 2**k)
+                                     for k in range(nlevels) for off in stencil)):
         proto = ev(t0 + h)
         levels = [stencil_eval(h / 2**k) for k in range(nlevels)]
-    finally:
-        _STENCIL.reset(scope)
     d0 = np.max(np.abs(levels[0] - levels[1]))
     d1 = np.max(np.abs(levels[1] - levels[2]))
     scale = np.max(np.abs(levels[-1])) + 1e-300
@@ -191,6 +200,20 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
 # deformation curves
 
 
+def _term(terms: dict, name: str, field, batch: NodeBatch, order: int) -> Jet:
+    """The jet of a t-independent term of a curve, kept in the curve's
+    ``terms`` under (name, batch token, order), so every stencil point shares
+    one evaluation.  Its coefficients are read-only: a write into them would
+    reach every other t."""
+    key = (name, batch.token, order)
+    jet = terms.get(key)
+    if jet is None:
+        jet = field(batch, order)
+        jet.coeffs.flags.writeable = False
+        terms[key] = jet
+    return jet
+
+
 class LinearCurve:
     """g_t = g + t v and density rate rho_t = rho (1 + t V*)."""
 
@@ -200,18 +223,19 @@ class LinearCurve:
         self.base = fixture
         self.v = v_field
         self.Vstar = Vstar_field
+        # base g, base rho, v and V*, the same at every t
+        self._terms: dict = {}
         self.t_max = self._spd_window()
 
     def _spd_window(self) -> float:
-        geom = GeometryState(self.base)
         batch = self.base.check_nodes(987, 80)[0]
-        g = geom.g(batch, 0).value
-        v = self.v(batch, 0).value
+        g = _term(self._terms, "g", self.base.g, batch, 0).value
+        v = _term(self._terms, "v", self.v, batch, 0).value
         lam = np.linalg.eigvals(np.linalg.solve(g, v))
         lim_g = 0.45 / max(np.max(np.abs(lam)), 1e-9)
         lim_r = np.inf
         if self.Vstar is not None:
-            vs = np.max(np.abs(self.Vstar(batch, 0).value))
+            vs = np.max(np.abs(_term(self._terms, "Vstar", self.Vstar, batch, 0).value))
             lim_r = 0.45 / max(vs, 1e-9)
         return float(min(lim_g, lim_r, 0.5))
 
@@ -219,13 +243,15 @@ class LinearCurve:
         base = self.base
 
         def g_fn(batch, order):
-            return base.g(batch, order) + self.v(batch, order) * t
+            return _term(self._terms, "g", base.g, batch, order) + \
+                _term(self._terms, "v", self.v, batch, order) * t
 
         def rho_fn(batch, order):
-            rho = base.omega_density(batch, order)
+            rho = _term(self._terms, "rho", base.omega_density, batch, order)
             if self.Vstar is None:
                 return rho
-            return rho + jet_einsum("p,p->p", rho, self.Vstar(batch, order)) * t
+            Vs = _term(self._terms, "Vstar", self.Vstar, batch, order)
+            return rho + jet_einsum("p,p->p", rho, Vs) * t
 
         return Fixture(f"{base.name}+t*dir", base.backend, Field(g_fn),
                        Field(rho_fn), None, base.tags, base.descriptor)
@@ -378,9 +404,19 @@ class StructureConjugationCurve:
 
     def __init__(self, fixture: Fixture, A_field: Field, t_max: float = 0.25):
         self.base = fixture
-        self.geom = GeometryState(fixture)
         self.A = A_field
         self.t_max = t_max
+        # J, S and the symplectic form, the same at every t
+        self._terms: dict = {}
+
+    def _J0(self, batch: NodeBatch, order: int) -> Jet:
+        return _term(self._terms, "J0", self.base.J, batch, order)
+
+    def _generator(self, batch: NodeBatch, order: int) -> Jet:
+        return jet_einsum("pik,pkj->pij", self._J0(batch, order), self.A(batch, order)) * 0.5
+
+    def _omega(self, batch: NodeBatch, order: int) -> Jet:
+        return symplectic_form(self._J0(batch, order), self.base.g(batch, order))
 
     def _expm(self, S: Jet, t: float) -> Jet:
         n = S.batch_shape[-1]
@@ -395,12 +431,9 @@ class StructureConjugationCurve:
         return out
 
     def J_field_at(self, t: float) -> Field:
-        geom = self.geom
-        A = self.A
-
         def fn(batch, order):
-            J0 = geom.J(batch, order)
-            S = jet_einsum("pik,pkj->pij", J0, A(batch, order)) * 0.5
+            J0 = self._J0(batch, order)
+            S = _term(self._terms, "S", self._generator, batch, order)
             E = self._expm(S, t)
             Einv = self._expm(S, -t)
             return jet_einsum("pik,pkj->pij", E, jet_einsum("pik,pkj->pij", J0, Einv))
@@ -409,11 +442,10 @@ class StructureConjugationCurve:
 
     def fixture_at(self, t: float) -> Fixture:
         base = self.base
-        geom = self.geom
         Jf = self.J_field_at(t)
 
         def g_fn(batch, order):
-            om = geom.omega(batch, order)
+            om = _term(self._terms, "omega", self._omega, batch, order)
             Jt = Jf(batch, order)
             return jet_einsum("pai,paj->pij", Jt, om) * (-1.0)
 

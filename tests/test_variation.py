@@ -1,5 +1,7 @@
 import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from kahlercheck import backends as bk
 from kahlercheck import catalog as cat
 from kahlercheck import checks as ck
 from kahlercheck import fields as fl
+from kahlercheck import soliton as so
 from kahlercheck import variation as va
 from kahlercheck.catalog import RunOptions
 from kahlercheck.geometry import GeometryState
-from kahlercheck.jets import Jet
+from kahlercheck.jets import Jet, jet_einsum
 
 OPTS = RunOptions(node_count=25)
 
@@ -137,6 +140,110 @@ def test_conjugation_curve_structure():
     assert np.max(np.abs(Jdot.value - A(batch, 0).value)) < 1e-11
 
 
+def _counting(field, counts, name):
+    def fn(batch, order):
+        counts[(name, batch.token, order)] += 1
+        return field(batch, order)
+
+    return bk.Field(fn)
+
+
+def _linear_setup(Vstar=True):
+    fx = bk.make_fixture("KAH4")
+    geom = GeometryState(fx)
+    v = fl.seeded_sym2(geom, 4)
+    Vs = fl.seeded_scalar(geom, 5, mean_zero=True) if Vstar else None
+    return fx, v, Vs, fx.check_nodes(1, 12)[0]
+
+
+def test_linear_curve_evaluates_its_direction_once_per_batch_and_order():
+    fx, v, Vs, batch = _linear_setup()
+    counts = Counter()
+    curve = va.LinearCurve(fx, _counting(v, counts, "v"), _counting(Vs, counts, "Vs"))
+    ts = []
+
+    def f_map(t):
+        ts.append(t)
+        return so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 0)
+
+    va.fd_derivative(f_map, 0.0, order=1, scheme="central-4", richardson_levels=1)
+    assert len(ts) == 8
+    orders = {(n, k) for n, tok, k in counts if tok == batch.token}
+    assert {n for n, _ in orders} == {"v", "Vs"} and len(orders) > 2
+    assert set(counts.values()) == {1}
+
+
+def test_conjugation_curve_evaluates_its_direction_once_per_batch_and_order():
+    fx = bk.make_fixture("KAH4")
+    counts = Counter()
+    A = _counting(fl.seeded_antilinear(GeometryState(fx), 7), counts, "A")
+    curve = va.StructureConjugationCurve(fx, A)
+    batch = fx.check_nodes(4, 12)[0]
+    va.fd_derivative(lambda t: so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 0),
+                     0.0, order=1, scheme="central-4", richardson_levels=1)
+    assert len({k for _, _, k in counts}) > 1
+    assert set(counts.values()) == {1}
+
+
+def test_s_dh_evaluates_each_direction_once_per_batch_and_order(monkeypatch):
+    counts = Counter()
+    made = []
+    eta = so.eta_direction_fields
+
+    def counted(geom, psi_field):
+        made.append(len(made))
+        v, Vs = eta(geom, psi_field)
+        return (_counting(v, counts, ("v", made[-1])),
+                _counting(Vs, counts, ("Vs", made[-1])))
+
+    monkeypatch.setattr(so, "eta_direction_fields", counted)
+    rec = ck.run_check("S-DH", "FS", 0, RunOptions())
+    assert rec.status == "pass"
+    assert len(made) == 2 and {n for n, _, _ in counts} == \
+        {(w, i) for w in ("v", "Vs") for i in (0, 1)}
+    assert set(counts.values()) == {1}
+
+
+def test_linear_curve_matches_the_uncached_formula_bit_for_bit():
+    fx, v, Vs, batch = _linear_setup()
+    curve = va.LinearCurve(fx, v, Vs)
+    for t in (0.01, -0.005, 0.02):
+        fxt = curve.fixture_at(t)
+        for order in (0, 2):
+            g_ref = fx.g(batch, order) + v(batch, order) * t
+            rho = fx.omega_density(batch, order)
+            rho_ref = rho + jet_einsum("p,p->p", rho, Vs(batch, order)) * t
+            assert fxt.g(batch, order).coeffs.tobytes() == g_ref.coeffs.tobytes()
+            assert fxt.omega_density(batch, order).coeffs.tobytes() == \
+                rho_ref.coeffs.tobytes()
+
+
+def test_cached_curve_terms_are_read_only():
+    fx, v, _, batch = _linear_setup(Vstar=False)
+    line = va.LinearCurve(fx, v, None)
+    rho = line.fixture_at(0.01).omega_density(batch, 1)   # the cached base term
+    with pytest.raises(ValueError):
+        rho.coeffs[0] += 1.0
+    with pytest.raises(ValueError):
+        rho.truncate(0).coeffs[0] = 0.0
+    conj = va.StructureConjugationCurve(fx, fl.seeded_antilinear(GeometryState(fx), 7))
+    conj.fixture_at(0.01).g(batch, 1)
+    for curve in (line, conj):
+        assert curve._terms
+        assert not any(j.coeffs.flags.writeable for j in curve._terms.values())
+
+
+def test_curve_terms_do_not_outlive_the_curve():
+    fx, v, Vs, batch = _linear_setup()
+    curve = va.LinearCurve(fx, v, Vs)
+    va.fd_derivative(lambda t: curve.fixture_at(t).g(batch, 1), 0.0,
+                     order=1, scheme="central-4", richardson_levels=1)
+    ref = weakref.ref(curve)
+    del curve
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("cid,fixture", [
     ("V-F", "PERT2"),
     ("V-ADJ", "RIEM4"),
@@ -257,13 +364,10 @@ def test_zero_t_is_never_stacked(monkeypatch):
     fx, ham, batch = _flow_setup()
     curve = va.HamiltonianFlowCurve(fx, ham)
     sizes = _count_compose(monkeypatch)
-    scope = va._STENCIL.set((0.0, 0.01, -0.01))
-    try:
+    with va.stencil_scope((0.0, 0.01, -0.01)):
         pos0 = curve.flow_jets(batch, 0.0, 2)
         assert len(curve._flows) == 1 and sizes == []
         curve.flow_jets(batch, -0.01, 2)
-    finally:
-        va._STENCIL.reset(scope)
     assert set(sizes) == {2 * batch.size}
     assert len(curve._flows) == 3
     assert pos0[1].coeffs.tobytes() == \
@@ -319,6 +423,23 @@ def test_a_record_does_not_depend_on_the_checks_run_before_it(monkeypatch):
     cat._FAMILIES.clear()
     record("V-NJ")
     assert record("V-KURSYM") == alone
+
+
+def test_a_published_scope_integrates_every_t_in_one_pass(monkeypatch):
+    # S-GAUGE's three orbit points, outside any fd_derivative
+    fx, ham, batch = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    sizes = _count_compose(monkeypatch)
+    with va.stencil_scope((0.05, -0.05, 0.1)):
+        curve.flow_jets(batch, 0.05, 1)
+        assert va._STENCIL.get() == (0.05, -0.05, 0.1)
+    assert va._STENCIL.get() == ()
+    assert {t for _, t, _ in curve._flows} == {0.05, -0.05, 0.1}
+    assert len(sizes) == 4 * curve._steps(0.1)
+    for t in (-0.05, 0.1):
+        got = curve.flow_jets(batch, t, 1)
+        ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, t, 1)
+        assert all(g.coeffs.tobytes() == r.coeffs.tobytes() for g, r in zip(got, ref))
 
 
 def test_stencil_scope_is_reset_when_the_map_raises():
