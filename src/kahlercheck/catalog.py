@@ -92,11 +92,16 @@ def _linear_family(fixture: Fixture, seed: int):
     return geom, v, Vs, _geom_cache(LinearCurve(fixture, v, Vs))
 
 
-def _fd(map_fn, opts: RunOptions, order=1, t_max=None):
-    scheme = "central-4" if order == 1 else "central-2"
-    return fd_derivative(map_fn, 0.0, order=order, scheme=scheme,
+def _fd(at, map_fn, opts: RunOptions, order=1, t0=0.0, levels=None):
+    """The ``order``-th t-derivative at ``t0`` of ``map_fn(geometry at t)``
+    along the curve of ``at``, inside its window: central-4 for the first
+    derivative, central-2 for the second, with ``levels`` Richardson steps
+    (``opts.richardson`` by default)."""
+    return fd_derivative(lambda t: map_fn(at(t)), t0, order=order,
+                         scheme="central-4" if order == 1 else "central-2",
                          base_step=opts.base_step,
-                         richardson_levels=opts.richardson, t_max=t_max)
+                         richardson_levels=opts.richardson if levels is None else levels,
+                         t_max=at.curve.t_max)
 
 
 def _first_order(orders):
@@ -104,34 +109,37 @@ def _first_order(orders):
     return float(np.median(vals)) if vals else None
 
 
-def _orders_ok(orders) -> bool:
-    return not any(abs(o.observed_order - o.nominal_order) > 0.5
-                   for o in orders if o.observed_order is not None)
-
-
 def _outcome(residuals, orders, **details) -> Outcome:
     """Sup and RMS of the concatenated residuals, the median observed stencil
     order, and ``order_ok`` whenever stencils ran."""
     res = np.concatenate(residuals)
     if orders:
-        details["order_ok"] = _orders_ok(orders)
+        details["order_ok"] = not any(abs(o.observed_order - o.nominal_order) > 0.5
+                                      for o in orders if o.observed_order is not None)
     return Outcome(_sup(res), _l2(res), _first_order(orders), details=details)
+
+
+def _stencils(at, seed, opts, lhs, order=1, inputs=lambda batch: ()):
+    """Yield ``(batch, x, derivative, info)`` for every check batch: ``x`` is
+    the tuple ``inputs(batch)``, evaluated once, and the centred stencil is
+    taken of ``lhs(geometry at t, batch, *x)`` at t = 0."""
+    for batch in at.curve.base.check_nodes(seed, opts.node_count):
+        x = inputs(batch)
+        der, info = _fd(at, lambda gt: lhs(gt, batch, *x), opts, order=order)
+        yield batch, x, der, info
 
 
 def _fd_check(at, seed, opts, lhs, rhs, factor=1.0, inputs=lambda batch: ()) -> Outcome:
     """The residual ``factor * d/dt lhs - rhs`` on every check batch.
 
-    Per batch, ``inputs(batch)`` is evaluated once; its tuple is passed on to
-    ``lhs(geometry at t, batch, *inputs)``, the map the stencil differentiates,
-    and then to ``rhs(batch, *inputs)``, the closed form at t = 0, which may
-    run stencils of its own.  The order of these calls is fixed because a flow
-    curve serves lower jet orders from the flows it has cached.
+    ``lhs`` and ``inputs`` are as in ``_stencils``; ``rhs(batch, *x)`` is the
+    closed form at t = 0 and may run stencils of its own, after the batch's
+    left-hand one.  A flow curve serves a lower jet order by truncating a
+    flow it has cached, which is byte-equal to a direct flow, so the order of
+    these requests decides only how many RK4 passes run.
     """
-    curve = at.curve
     res, orders = [], []
-    for batch in curve.base.check_nodes(seed, opts.node_count):
-        x = inputs(batch)
-        der, info = _fd(lambda t: lhs(at(t), batch, *x), opts, t_max=curve.t_max)
+    for batch, x, der, info in _stencils(at, seed, opts, lhs, inputs=inputs):
         res.append((der.value * factor - rhs(batch, *x).value).ravel())
         orders.append(info)
     return _outcome(res, orders)
@@ -323,19 +331,18 @@ def _hess_rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa):
         r5.truncate(k) + r6.truncate(k) + r7.truncate(k)
 
 
-def _hess_assemble(fixture, seed, opts, v: Field, Vs: Field, kappa: float,
-                   rhs=_hess_rhs):
-    """Shared assembly for the second-variation checks: the second t-derivative
-    of H less the first-variation correction, against ``rhs`` (the assembled
-    right-hand side by default).  Returns the residual array, the observed
-    orders, and the sup of the direction-constraint vector adj(v*) + grad V*."""
-    geom = GeometryState(fixture)
-    curve = LinearCurve(fixture, v, Vs)
-    at = _geom_cache(curve)
-    sups, orders, precond = [], [], 0.0
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        d2, info = _fd(lambda t: so.H_scalar(at(t), batch, 0), opts, order=2,
-                       t_max=curve.t_max)
+def _hess_assemble(geom, seed, opts, v: Field, Vs: Field, cases):
+    """Shared assembly for the second-variation checks on the base geometry
+    ``geom``: for each ``(kappa, rhs)`` case, the second t-derivative of H
+    less the first-variation correction, against ``rhs``.  H is differentiated
+    once per batch for all cases.  Returns one residual array per case, the
+    observed orders, and the sup of the direction-constraint vector
+    adj(v*) + grad V*."""
+    at = _geom_cache(LinearCurve(geom.fixture, v, Vs))
+    res, orders, precond = [[] for _ in cases], [], 0.0
+    for batch, _, d2, info in _stencils(at, seed, opts,
+                                        lambda gt, batch: so.H_scalar(gt, batch, 0),
+                                        order=2):
         vj = v(batch, 3)
         Vsj = Vs(batch, 3)
         vstar = tc.sharp_sym2(geom, batch, vj)
@@ -343,27 +350,24 @@ def _hess_assemble(fixture, seed, opts, v: Field, Vs: Field, kappa: float,
             jet_einsum("pba,pbc->pac", vstar, vj)
         norm2 = tc.pair_2tensors(geom, batch, vj, vj)
         Vs2 = jet_einsum("p,p->p", Vsj, Vsj)
-        theta_star = (norm2 - Vs2 * 2.0 + (-kappa)) * 0.25
-        dh_theta = _dh_formula(geom, batch, theta, theta_star) * 0.5
-        lhs = d2.value * 2.0 - 2.0 * dh_theta.value
-
         w = _gauge_vector(geom, batch, v, Vs, order=1)
         precond = max(precond, _sup(w.value))
-        r = rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa)
-        sups.append(lhs - r.value)
+        for out, (kappa, rhs) in zip(res, cases):
+            theta_star = (norm2 - Vs2 * 2.0 + (-kappa)) * 0.25
+            dh_theta = _dh_formula(geom, batch, theta, theta_star) * 0.5
+            lhs = d2.value * 2.0 - 2.0 * dh_theta.value
+            out.append(lhs - rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa).value)
         orders.append(info)
-    return np.concatenate(sups), orders, precond
+    return [np.concatenate(r) for r in res], orders, precond
 
 
 def run_v_hess(fixture, seed, opts) -> Outcome:
-    v, Vs = _directions(GeometryState(fixture), seed)
-    residues = {}
-    for kappa in (0.0, 1.0, 10.0):
-        residues[kappa], orders, _ = _hess_assemble(fixture, seed, opts, v, Vs, kappa)
-    kap_spread = max(
-        _sup(residues[a] - residues[b]) for a in residues for b in residues
-    )
-    return _outcome([residues[0.0]], orders, kappa_independence=kap_spread)
+    geom = GeometryState(fixture)
+    v, Vs = _directions(geom, seed)
+    res, orders, _ = _hess_assemble(geom, seed, opts, v, Vs,
+                                    [(kappa, _hess_rhs) for kappa in (0.0, 1.0, 10.0)])
+    kap_spread = max(_sup(a - b) for a in res for b in res)
+    return _outcome(res[:1], orders, kappa_independence=kap_spread)
 
 
 def run_v_hess_f(fixture, seed, opts) -> Outcome:
@@ -392,16 +396,12 @@ def run_v_hess_f(fixture, seed, opts) -> Outcome:
     def Vs_fn(batch, order):
         return (jmath.exp(geom.f(batch, order)) - mean) * scale
 
-    v = Field(v_fn)
-    Vs = Field(Vs_fn)
-    residues = {}
-    for kappa in (0.0, 1.0):
-        residues[kappa], orders, precond = _hess_assemble(fixture, seed, opts, v, Vs, kappa)
-    # the constrained statement replaces the assembled right-hand side; check
-    # it directly at kappa = 0 against the dedicated formula
-    res, _, _ = _hess_assemble(fixture, seed, opts, v, Vs, 0.0, rhs=_hess_f_rhs)
-    return _outcome([res], orders,
-                    kappa_independence=_sup(residues[0.0] - residues[1.0]),
+    # the constrained statement replaces the assembled right-hand side; it is
+    # checked at kappa = 0 against the dedicated formula
+    (r0, r1, res), orders, precond = _hess_assemble(
+        geom, seed, opts, Field(v_fn), Field(Vs_fn),
+        [(0.0, _hess_rhs), (1.0, _hess_rhs), (0.0, _hess_f_rhs)])
+    return _outcome([res], orders, kappa_independence=_sup(r0 - r1),
                     direction_constraint=precond)
 
 
@@ -460,20 +460,18 @@ def make_kahler_family(fixture: Fixture, seed: int):
 
 
 def run_v_gdot(fixture, seed, opts) -> Outcome:
-    curve = make_structure_curve(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_structure_curve(fixture, seed))
     geom = at(0.0)
     sups, sups2, orders = [], [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        gdot, info = _fd(lambda t: at(t).g(batch, 0), opts, t_max=curve.t_max)
-        Jdot, _ = _fd(lambda t: at(t).J(batch, 0), opts, t_max=curve.t_max)
+    for batch, _, gdot, info in _stencils(at, seed, opts, lambda gt, batch: gt.g(batch, 0)):
+        Jdot, _ = _fd(at, lambda gt: gt.J(batch, 0), opts)
         gi = geom.ginv(batch, 0)
         gds = jet_einsum("pik,pkj->pij", gi, gdot)
         J0 = geom.J(batch, 0)
         rhs = jet_einsum("pik,pkj->pij", J0, Jdot) * (-1.0)
         sups.append((gds - rhs).value.ravel())
         orders.append(info)
-        gddot, _ = _fd(lambda t: at(t).g(batch, 0), opts, order=2, t_max=curve.t_max)
+        gddot, _ = _fd(at, lambda gt: gt.g(batch, 0), opts, order=2)
         gdds = jet_einsum("pik,pkj->pij", gi, gddot)
         JgJ = jet_einsum("pik,pkj->pij", J0,
                          jet_einsum("pik,pkj->pij", gdds, J0))
@@ -483,13 +481,12 @@ def run_v_gdot(fixture, seed, opts) -> Outcome:
 
 
 def run_v_nj(fixture, seed, opts) -> Outcome:
-    curve = make_structure_curve(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_structure_curve(fixture, seed))
     geom = at(0.0)
     consequence = [0.0]
 
     def rhs(batch):
-        Jdot, _ = _fd(lambda t: at(t).J(batch, 2), opts, t_max=curve.t_max)
+        Jdot, _ = _fd(at, lambda gt: gt.J(batch, 2), opts)
         db = kh.dbar_endo(geom, batch, Jdot)
         J0 = geom.J(batch, db.order)
         dbar_term = jet_einsum("pik,pkab->piab", J0, db) * NIJ_SCALE
@@ -500,12 +497,9 @@ def run_v_nj(fixture, seed, opts) -> Outcome:
         # variation stays del-bar closed whenever the structures remain
         # integrable
         if fixture.backend.kind == "CP1" or fixture.backend.dim == 2:
-            for tt in (0.0, 0.5 * curve.t_max * 0.4, -0.5 * curve.t_max * 0.4):
+            for tt in (0.0, 0.5 * at.curve.t_max * 0.4, -0.5 * at.curve.t_max * 0.4):
                 gt = at(tt)
-                Jd_t, _ = fd_derivative(lambda s: at(s).J(batch, 2), tt,
-                                        order=1, scheme="central-4",
-                                        base_step=opts.base_step,
-                                        richardson_levels=1, t_max=curve.t_max)
+                Jd_t, _ = _fd(at, lambda gs: gs.J(batch, 2), opts, t0=tt, levels=1)
                 consequence.append(_sup(kh.dbar_endo(gt, batch, Jd_t).value))
         return dbar_term + hook - comp
 
@@ -516,12 +510,11 @@ def run_v_nj(fixture, seed, opts) -> Outcome:
 
 
 def run_v_dbarvar(fixture, seed, opts) -> Outcome:
-    curve = make_kahler_family(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
 
     def gstar0(batch):
-        gdot, _ = _fd(lambda t: at(t).g(batch, 2), opts, t_max=curve.t_max)
+        gdot, _ = _fd(at, lambda gt: gt.g(batch, 2), opts)
         return (jet_einsum("pik,pkj->pij", geom.ginv(batch, 2), gdot),)
 
     def rhs(batch, gs):
@@ -532,13 +525,11 @@ def run_v_dbarvar(fixture, seed, opts) -> Outcome:
 
 
 def run_v_secord(fixture, seed, opts) -> Outcome:
-    curve = make_kahler_family(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
     sups, orders = [], []
-    for batch in fixture.check_nodes(seed, opts.node_count):
-        gdot, info = _fd(lambda t: at(t).g(batch, 2), opts, t_max=curve.t_max)
-        gddot, _ = _fd(lambda t: at(t).g(batch, 2), opts, order=2, t_max=curve.t_max)
+    for batch, _, gdot, info in _stencils(at, seed, opts, lambda gt, batch: gt.g(batch, 2)):
+        gddot, _ = _fd(at, lambda gt: gt.g(batch, 2), opts, order=2)
         gi = geom.ginv(batch, 2)
         gds = jet_einsum("pik,pkj->pij", gi, gdot)
         gdds = jet_einsum("pik,pkj->pij", gi, gddot)
@@ -552,13 +543,12 @@ def run_v_secord(fixture, seed, opts) -> Outcome:
 
 
 def run_v_dbarvf(fixture, seed, opts) -> Outcome:
-    curve = make_kahler_family(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
     xi_field = fl.seeded_vector(geom, seed + 3)
 
     def rhs(batch, xij):
-        gdot, _ = _fd(lambda t: at(t).g(batch, 1), opts, t_max=curve.t_max)
+        gdot, _ = _fd(at, lambda gt: gt.g(batch, 1), opts)
         gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 1), gdot)
         cd_gds = tc.cd_endo(geom, batch, gds)
         t1 = jet_einsum("pa,paij->pij", xij.truncate(cd_gds.order), cd_gds)
@@ -574,13 +564,12 @@ def run_v_dbarvf(fixture, seed, opts) -> Outcome:
 
 
 def run_v_trans(fixture, seed, opts) -> Outcome:
-    curve = make_structure_curve(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_structure_curve(fixture, seed))
     geom = at(0.0)
     A_field = fl.seeded_sym_endo(geom, seed + 5)
 
     def rhs(batch, Aj):
-        gdot, _ = _fd(lambda t: at(t).g(batch, 0), opts, t_max=curve.t_max)
+        gdot, _ = _fd(at, lambda gt: gt.g(batch, 0), opts)
         gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 0), gdot)
         At = tc.transpose_endo(geom, batch, Aj)
         return tc.commutator(At.truncate(gds.order), gds)
@@ -590,15 +579,13 @@ def run_v_trans(fixture, seed, opts) -> Outcome:
 
 
 def run_v_kursym(fixture, seed, opts) -> Outcome:
-    curve = make_kahler_family(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_kahler_family(fixture, seed))
     sups = []
+    # the one off-centre stencil loop: the symmetry is checked along the curve
     for batch in fixture.check_nodes(seed, opts.node_count):
         for tt in (0.0, 0.05, 0.1):
             gt = at(tt)
-            gdot, _ = fd_derivative(lambda s: at(s).g(batch, 2), tt, order=1,
-                                    scheme="central-4", base_step=opts.base_step,
-                                    richardson_levels=1, t_max=curve.t_max)
+            gdot, _ = _fd(at, lambda gs: gs.g(batch, 2), opts, t0=tt, levels=1)
             gds = jet_einsum("pik,pkj->pij", gt.ginv(batch, 2), gdot)
             W = tc.adjoint_endo(gt, batch, gds)
             E = kh.dbar_vector(gt, batch, W)
@@ -608,12 +595,11 @@ def run_v_kursym(fixture, seed, opts) -> Outcome:
 
 
 def run_v_kur1(fixture, seed, opts) -> Outcome:
-    curve = make_kahler_family(fixture, seed)
-    at = _geom_cache(curve)
+    at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
     batch = fixture.check_nodes(seed, opts.node_count)[0]
-    gdot, _ = _fd(lambda t: at(t).g(batch, 1), opts, t_max=curve.t_max)
-    rho_dot, _ = _fd(lambda t: at(t).rho(batch, 2), opts, t_max=curve.t_max)
+    gdot, _ = _fd(at, lambda gt: gt.g(batch, 1), opts)
+    rho_dot, _ = _fd(at, lambda gt: gt.rho(batch, 2), opts)
     Vstar = jet_einsum("p,p->p", rho_dot, jmath.reciprocal(geom.rho(batch, 2)))
     gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 1), gdot)
     w = tc.adjoint_endo(geom, batch, gds) + tc.grad_scalar(geom, batch, Vstar)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import jets
 from .backends import NodeBatch
-from .errors import OrderExhaustedError
+from .errors import OrderExhaustedError, UnsupportedGeometryError
 from .jets import Jet, jet_einsum, jet_linear, jet_map
 
 MAX_FIELD_ORDER = 4
@@ -100,7 +100,12 @@ class GeometryState:
         return self._get("rho", batch, order, lambda: self.fixture.omega_density(batch, order))
 
     def J(self, batch: NodeBatch, order: int) -> Jet:
-        return self._get("J", batch, order, lambda: self.fixture.J(batch, order))
+        def build():
+            if not self.is_kahler:
+                raise UnsupportedGeometryError(f"{self.fixture.name} has no complex structure")
+            return self.fixture.J(batch, order)
+
+        return self._get("J", batch, order, build)
 
     # -- metric-derived -------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensorcalc as tc
-from .errors import BadInputError, UnsupportedDegreeError, UnsupportedGeometryError
+from .errors import BadInputError, UnsupportedDegreeError
 from .jets import Jet, jet_einsum, jet_map
 
 # ---------------------------------------------------------------------------
@@ -71,18 +71,6 @@ def dbar_endo(geom, batch, A: Jet) -> Jet:
     n01 = nabla01_endo(geom, batch, A)
     vf = jet_map("paib->piab", n01)
     return vf - jet_map("piab->piba", vf)
-
-
-def dbar_T(geom, batch, field: Jet) -> Jet:
-    """del-bar on vector fields or endomorphisms (Kahler fixtures only)."""
-    if not geom.is_kahler:
-        raise UnsupportedGeometryError("del-bar needs a complex structure")
-    nb = len(field.batch_shape)
-    if nb == 2:
-        return dbar_vector(geom, batch, field)
-    if nb == 3:
-        return dbar_endo(geom, batch, field)
-    raise UnsupportedDegreeError("del-bar implemented on degrees 0 and 1 only")
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backends import NodeBatch
 from .errors import BadDegreeError, BadValenceError
-from .geometry import GeometryState
 from .jets import Jet, jet_einsum, jet_map
 
 # ---------------------------------------------------------------------------
 # covariant derivatives (direction slot first in the output)
-
-
-def cd_scalar(geom: GeometryState, batch: NodeBatch, u: Jet) -> Jet:
-    return u.gradient()  # (m, a): the differential du
 
 
 def cd_vector(geom, batch, X: Jet) -> Jet:

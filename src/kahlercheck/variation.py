@@ -107,11 +107,6 @@ _SCHEMES = {
     ("central-2", 1): (2, {1.0: 0.5, -1.0: -0.5}, 1),
     ("central-4", 1): (4, {2.0: -1 / 12, 1.0: 8 / 12, -1.0: -8 / 12, -2.0: 1 / 12}, 1),
     ("central-2", 2): (2, {1.0: 1.0, 0.0: -2.0, -1.0: 1.0}, 2),
-    ("central-4", 2): (
-        4,
-        {2.0: -1 / 12, 1.0: 16 / 12, 0.0: -30 / 12, -1.0: 16 / 12, -2.0: -1 / 12},
-        2,
-    ),
 }
 
 

@@ -93,6 +93,26 @@ def test_convergence_table_script_writes_the_study(tmp_path):
     assert all(float(r["residual_sup"]) < 1e-6 for r in rows)
 
 
+@pytest.mark.parametrize("field, code", [(None, 0), ("residual_sup", 1), ("runtime_ms", 0)],
+                         ids=["equal", "residual-changed", "runtime-only"])
+def test_compare_reports_script(tmp_path, field, code):
+    assert main(["run", "--check", "ID-DIV-TR", "--fixture", "PERT2",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    a = tmp_path / "report.json"
+    rep = json.loads(a.read_text())
+    if field:
+        rep["results"][-1][field] *= 2.0
+    b = tmp_path / "changed.json"
+    b.write_text(json.dumps(rep))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    out = subprocess.run([sys.executable, str(script), str(a), str(b)],
+                         capture_output=True, text=True)
+    assert out.returncode == code, out.stdout + out.stderr
+    if code:
+        last = rep["results"][-1]
+        assert f"({last['check_id']}, PERT2, residual_sup)" in out.stdout
+
+
 def test_skipped_checks_carry_reasons():
     r = ck.run_check("V-KUR1", "FS", 0, RunOptions(node_count=20))
     assert r.status == "skipped-with-reason"

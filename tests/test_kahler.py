@@ -56,7 +56,7 @@ def test_dbar_guard_non_kahler():
     xi = fl.seeded_vector(geom, 6)(batch, 2)
     from kahlercheck.errors import UnsupportedGeometryError
     with pytest.raises(UnsupportedGeometryError):
-        kh.dbar_T(geom, batch, xi)
+        kh.dbar_vector(geom, batch, xi)
 
 
 def test_hodge_witten_relation():

@@ -34,14 +34,6 @@ def test_kahler_parallel_J():
         assert sup(cdJ.value) < tol, kind
 
 
-def test_flat2_covariant_derivative_is_coordinate_derivative():
-    geom = geom_for("FLAT2")
-    batch = geom.fixture.check_nodes(2, 30)[0]
-    u = fl.seeded_scalar(geom, 3)(batch, 2)
-    du = tc.cd_scalar(geom, batch, u)
-    assert np.allclose(du.value, u.gradient().value)
-
-
 def test_div_grad_is_minus_laplacian():
     geom = geom_for("PERT2")
     batch = geom.fixture.check_nodes(3, 60)[0]

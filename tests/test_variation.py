@@ -204,6 +204,22 @@ def test_s_dh_evaluates_each_direction_once_per_batch_and_order(monkeypatch):
     assert set(counts.values()) == {1}
 
 
+@pytest.mark.parametrize("check_id", ["V-HESS", "V-HESS-F"])
+def test_second_variation_takes_one_stencil_per_batch(monkeypatch, check_id):
+    # every kappa and right-hand side shares the batch's one stencil of H
+    orders = []
+    fd = cat.fd_derivative
+
+    def counted(map_fn, t0=0.0, order=1, **kw):
+        orders.append(order)
+        return fd(map_fn, t0, order=order, **kw)
+
+    monkeypatch.setattr(cat, "fd_derivative", counted)
+    rec = ck.run_check(check_id, "PERT2", 0, OPTS)
+    assert rec.status == "pass"
+    assert orders == [2] * len(bk.make_fixture("PERT2").check_nodes(0, OPTS.node_count))
+
+
 def test_linear_curve_matches_the_uncached_formula_bit_for_bit():
     fx, v, Vs, batch = _linear_setup()
     curve = va.LinearCurve(fx, v, Vs)
