@@ -295,41 +295,53 @@ class Fixture:
 # -- torus helper fields ----------------------------------------------------
 
 
-def trig_scalar(backend, rng, band=1, nmodes=3, amp=1.0, mean_zero=False):
-    """Seeded band-limited trig polynomial on a torus."""
-    dim = backend.dim
-    ks, phases, amps = [], [], []
-    while len(ks) < nmodes:
+def trig_field(modes, amps, const) -> Field:
+    """Torus trig polynomial const + sum_m amps[m] sin(2 pi k_m . x + phase_m).
+
+    ``modes`` lists (k, phase); ``amps`` has shape (len(modes), *shape) and
+    ``const`` broadcasts to ``shape``, the tensor shape of the field.  The
+    Taylor coefficients are closed form (Griewank & Walther, *Evaluating
+    Derivatives*, ch. 13): with theta_m = 2 pi k_m . x + phase_m, coefficient
+    alpha is sum_m amps[m] sin^(|alpha|)(theta_m) (2 pi k_m)^alpha / alpha!,
+    and sin^(d) cycles through (sin, cos, -sin, -cos).
+    """
+    ks = TWO_PI * np.array([k for k, _ in modes], dtype=float)
+    phases = np.array([ph for _, ph in modes], dtype=float)
+    amps = np.asarray(amps, dtype=float)
+    shape = amps.shape[1:]
+    flat = amps.reshape(len(modes), -1)
+    const = np.broadcast_to(np.asarray(const, dtype=float), shape).ravel()
+
+    def fn(batch, order):
+        tb = jets.table(ks.shape[1], order)
+        theta = batch.pts @ ks.T + phases                              # (points, modes)
+        s, c = np.sin(theta), np.cos(theta)
+        cycle = (s, c, -s, -c)
+        mono = np.prod(ks[None] ** tb.alphas[:, None], axis=2) / tb.factorials[:, None]
+        weighted = mono[:, :, None] * flat[None]                       # (ncoeff, modes, entries)
+        # coefficients are sorted by degree, so each degree is one slice
+        ends = np.searchsorted(tb.alphas.sum(axis=1), np.arange(order + 2))
+        out = np.empty((tb.ncoeff, batch.size, flat.shape[1]))
+        for d in range(order + 1):
+            sel = slice(ends[d], ends[d + 1])
+            np.matmul(cycle[d % 4], weighted[sel], out=out[sel])
+        out[0] += const
+        return Jet(tb.dim, order, out.reshape((tb.ncoeff, batch.size) + shape))
+
+    return Field(fn)
+
+
+def trig_modes(rng, dim, band, nmodes, amp):
+    """Seeded modes (k, phase) with nonzero k in [-band, band]^dim and their
+    amplitudes N(0, 1) amp / nmodes, drawn in the order k, phase, amplitude."""
+    modes, amps = [], []
+    while len(modes) < nmodes:
         k = rng.integers(-band, band + 1, size=dim)
         if not np.any(k):
             continue
-        ks.append(k.astype(float))
-        phases.append(rng.uniform(0, TWO_PI))
+        modes.append((k.astype(float), rng.uniform(0, TWO_PI)))
         amps.append(rng.normal() * amp / nmodes)
-    const = 0.0 if mean_zero else rng.normal() * amp / 3.0
-
-    def expr(*xs):
-        acc = Jet.const(const, dim, xs[0].order, xs[0].batch_shape)
-        for k, ph, a in zip(ks, phases, amps):
-            arg = Jet.const(ph, dim, xs[0].order, xs[0].batch_shape)
-            for i in range(dim):
-                arg = arg + (TWO_PI * float(k[i])) * xs[i]
-            acc = acc + a * jets.sin(arg)
-        return acc
-
-    return chart_expr_field(backend, expr)
-
-
-def stack_matrix_field(entries):
-    """Assemble a matrix Field from a dim x dim nested list of scalar Fields."""
-
-    def fn(batch, order):
-        rows = []
-        for row in entries:
-            rows.append(jet_stack([f(batch, order) for f in row], axis=2))
-        return jet_stack(rows, axis=2)
-
-    return Field(fn)
+    return modes, np.array(amps)
 
 
 def standard_J(dim: int) -> np.ndarray:
@@ -341,43 +353,19 @@ def standard_J(dim: int) -> np.ndarray:
     return J
 
 
-def _kahler_metric_from_modes(backend, modes, J0: np.ndarray):
-    """Metric of omega0 + d d^c(phi) for phi = sum_m amp sin(2 pi k.x + phase).
+def _kahler_metric_from_modes(modes, amps, J0: np.ndarray) -> Field:
+    """Metric of omega0 + d d^c(phi) for phi = sum_m amps[m] sin(2 pi k_m.x + phase_m).
 
-    The potential Hessian is closed-form trig, so the metric evaluates at any
-    jet order without spending derivative budget:
-    (d d^c phi)_ij = -1/2 (H J - (H J)^T)_ij and g = -J0^T omega.
+    Each mode's potential Hessian is the amplitude -a (2 pi)^2 k k^T times its
+    sine, and (d d^c phi)_ij = -1/2 (H J0 - (H J0)^T)_ij and g = -J0^T omega
+    are linear, so the metric is one trig field with omega0 = J0^T.
     """
-    dim = backend.dim
-    omega0 = J0.T.copy()
-
-    def fn(batch, order):
-        xs = Jet.coordinates(batch.pts, dim, order)
-        H = Jet.const(0.0, dim, order, (batch.size, dim, dim))
-        for k, ph, a in modes:
-            arg = Jet.const(ph, dim, order, (batch.size,))
-            for i in range(dim):
-                arg = arg + (TWO_PI * float(k[i])) * xs[i]
-            s = jets.sin(arg)
-            kk = -a * TWO_PI**2 * np.outer(k, k)
-            H = H + jets.jet_linear("ij,p->pij", kk, s)
-        HJ = jets.jet_linear("kj,pik->pij", J0, H)
-        ddc = (HJ + (-1.0) * jets.jet_map("pij->pji", HJ)) * (-0.5)
-        om = ddc + omega0[None, :, :]
-        g = jets.jet_linear("ki,pkj->pij", -J0, om)
-        return g
-
-    return Field(fn)
-
-
-def _seeded_potential_modes(rng, dim, band, nmodes, amp):
-    modes = []
-    while len(modes) < nmodes:
-        k = rng.integers(-band, band + 1, size=dim)
-        if not np.any(k):
-            continue
-        modes.append((k.astype(float), rng.uniform(0, TWO_PI), rng.normal() * amp / nmodes))
-    return modes
+    omega0 = J0.T
+    g_amps = []
+    for (k, _), a in zip(modes, amps):
+        HJ = (-a * TWO_PI**2 * np.outer(k, k)) @ J0
+        g_amps.append(-J0.T @ (-0.5 * (HJ - HJ.T)))
+    return trig_field(modes, np.array(g_amps), -J0.T @ omega0)
 
 
 def _normalized_density(backend, raw: Field, name: str) -> Field:
@@ -431,11 +419,8 @@ def _pert2(desc):
     # potential eps' sin(2 pi x) cos(2 pi y), scaled so the induced metric
     # perturbation has size ~eps; written in the sum-angle mode basis
     amp = eps / TWO_PI**2
-    modes = [
-        (np.array([1.0, 1.0]), 0.0, amp / 2.0),
-        (np.array([1.0, -1.0]), 0.0, amp / 2.0),
-    ]
-    g = _kahler_metric_from_modes(backend, modes, J0)
+    modes = [(np.array([1.0, 1.0]), 0.0), (np.array([1.0, -1.0]), 0.0)]
+    g = _kahler_metric_from_modes(modes, [amp / 2.0, amp / 2.0], J0)
     raw = chart_expr_field(backend, lambda x, y: jets.exp(jets.sin(TWO_PI * y)))
     rho = _normalized_density(backend, raw, "PERT2-density")
     J = const_matrix_field(backend, J0)
@@ -450,20 +435,16 @@ def _riem4(desc):
     seed = desc.get("seed", 7)
     eps = desc.get("epsilon", 0.05)
     rng = np.random.default_rng(seed)
-    entries = [[None] * 4 for _ in range(4)]
+    modes, amps = [], []
     for i in range(4):
         for j in range(i, 4):
-            f = trig_scalar(backend, rng, band=1, nmodes=2, amp=eps, mean_zero=True)
-            if i == j:
-                one = lambda *xs: Jet.const(1.0, 4, xs[0].order, xs[0].batch_shape)
-                base = chart_expr_field(backend, one)
-                entries[i][j] = _field_sum(base, f)
-            else:
-                entries[i][j] = f
-                entries[j][i] = f
-    g = stack_matrix_field(entries)
-    raw_pert = trig_scalar(backend, rng, band=1, nmodes=2, amp=0.3, mean_zero=True)
-    raw = _field_shift(raw_pert, 1.0)
+            unit = np.zeros((4, 4))
+            unit[i, j] = unit[j, i] = 1.0
+            ms, a = trig_modes(rng, 4, band=1, nmodes=2, amp=eps)
+            modes += ms
+            amps += [am * unit for am in a]
+    g = trig_field(modes, amps, np.eye(4))
+    raw = trig_field(*trig_modes(rng, 4, band=1, nmodes=2, amp=0.3), 1.0)
     rho = _normalized_density(backend, raw, "RIEM4-density")
     fx = Fixture("RIEM4", backend, g, rho, None, frozenset({"riemannian"}), desc)
     _check_spd(fx)
@@ -477,10 +458,9 @@ def _kah4(desc):
     eps = desc.get("epsilon", 0.04)
     rng = np.random.default_rng(seed)
     J0 = standard_J(4)
-    modes = _seeded_potential_modes(rng, 4, band=1, nmodes=4, amp=eps / TWO_PI**2)
-    g = _kahler_metric_from_modes(backend, modes, J0)
-    raw_pert = trig_scalar(backend, rng, band=1, nmodes=2, amp=0.25, mean_zero=True)
-    raw = _field_shift(raw_pert, 1.0)
+    modes, amps = trig_modes(rng, 4, band=1, nmodes=4, amp=eps / TWO_PI**2)
+    g = _kahler_metric_from_modes(modes, amps, J0)
+    raw = trig_field(*trig_modes(rng, 4, band=1, nmodes=2, amp=0.25), 1.0)
     rho = _normalized_density(backend, raw, "KAH4-density")
     J = const_matrix_field(backend, J0)
     fx = Fixture("KAH4", backend, g, rho, J, frozenset({"riemannian", "kahler"}), desc)
@@ -511,14 +491,6 @@ def _fs(desc):
     _check_spd(fx)
     _check_unit_mass(fx)
     return fx
-
-
-def _field_sum(f1: Field, f2: Field) -> Field:
-    return Field(lambda b, k: f1(b, k) + f2(b, k))
-
-
-def _field_shift(f: Field, c: float) -> Field:
-    return Field(lambda b, k: f(b, k) + c)
 
 
 _MAKERS = {"FLAT2": _flat2, "PERT2": _pert2, "RIEM4": _riem4, "KAH4": _kah4, "FS": _fs}

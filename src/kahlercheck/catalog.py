@@ -36,7 +36,6 @@ class RunOptions:
     base_step: float = 1e-2
     richardson: int = 2
     node_count: int = 120
-    tolerance_scale: float = 1.0
 
 
 @dataclass

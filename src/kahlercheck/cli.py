@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="base seed")
     run.add_argument("--out", type=Path, help="output directory")
     run.add_argument("--jobs", type=int, help="parallel worker processes")
-    run.add_argument("--tolerance-scale", type=float, dest="tolerance_scale")
     run.add_argument("--quiet", action="store_true")
 
     exp = sub.add_parser("explain", help="describe a check")
@@ -55,7 +54,6 @@ def load_config(args) -> dict:
         "checks": None,
         "seed": 0,
         "jobs": 1,
-        "tolerance_scale": 1.0,
         "fd": {"base_step": 1e-2, "richardson_levels": 2},
         "node_count": 120,
         "out": "reports",
@@ -67,6 +65,8 @@ def load_config(args) -> dict:
             raise ConfigError(f"config file not found: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(user) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -77,7 +77,7 @@ def load_config(args) -> dict:
         cfg["fixtures"] = args.fixture.split(",")
     if getattr(args, "check", None):
         cfg["checks"] = args.check.split(",")
-    for key in ("seed", "jobs", "tolerance_scale"):
+    for key in ("seed", "jobs"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -116,13 +116,11 @@ def _validate(cfg):
         for c in cfg["checks"]:
             if c not in ck.REGISTRY:
                 raise ConfigError(f"unknown check id {c!r}")
-    if not _is_int(cfg["seed"]):
-        raise ConfigError(f"seed must be an integer, not {cfg['seed']!r}")
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+        raise ConfigError(f"seed must be an integer >= 0, not {cfg['seed']!r}")
     for key in ("jobs", "node_count"):
         if not _is_int(cfg[key]) or cfg[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, not {cfg[key]!r}")
-    if not _is_number(cfg["tolerance_scale"]) or cfg["tolerance_scale"] <= 0:
-        raise ConfigError("tolerance scale must be positive")
     fd = cfg["fd"]
     if not isinstance(fd, dict) or set(fd) != {"base_step", "richardson_levels"}:
         raise ConfigError("fd must give exactly base_step and richardson_levels")
@@ -142,14 +140,13 @@ def _task_list(cfg):
                     pairs.append((cid, fx))
     else:
         pairs = ck.checks_for(cfg["suites"], cfg["fixtures"])
-    return [(cid, fx, cfg["seed"], cfg["tolerance_scale"], cfg["fd"]["base_step"],
+    return [(cid, fx, cfg["seed"], cfg["fd"]["base_step"],
              cfg["fd"]["richardson_levels"], cfg["node_count"]) for cid, fx in pairs]
 
 
 def _run_task(task) -> dict:
-    cid, fx, seed, tol_scale, base_step, rich, node_count = task
-    opts = RunOptions(base_step=base_step, richardson=rich,
-                      node_count=node_count, tolerance_scale=tol_scale)
+    cid, fx, seed, base_step, rich, node_count = task
+    opts = RunOptions(base_step=base_step, richardson=rich, node_count=node_count)
     return ck.run_check(cid, fx, seed, opts).to_record()
 
 

@@ -16,7 +16,7 @@ from . import backends as bk
 from . import tensorcalc as tc
 from .backends import Field
 from .geometry import GeometryState
-from .jets import jet_einsum, jet_stack
+from .jets import jet_einsum
 
 
 def _rng(seed, *salt) -> np.random.Generator:
@@ -25,15 +25,34 @@ def _rng(seed, *salt) -> np.random.Generator:
     return np.random.default_rng(tags + [seed])
 
 
+def _torus_field(fx, shape, slots, amp: float = 1.0) -> Field:
+    """One trig field whose entries are seeded torus scalars.
+
+    ``slots`` lists (seed, indices): the scalar drawn from
+    ``_rng(seed, "scalar")`` (4 modes, then its constant) fills every index
+    in ``indices`` of the tensor ``shape``.
+    """
+    band = 2 if fx.dim == 2 else 1
+    modes, amps, const = [], [], np.zeros(shape)
+    for seed, indices in slots:
+        unit = np.zeros(shape)
+        for ix in indices:
+            unit[ix] = 1.0
+        rng = _rng(seed, "scalar")
+        ms, a = bk.trig_modes(rng, fx.dim, band, 4, amp)
+        modes += ms
+        amps += [am * unit for am in a]
+        const += rng.normal() * amp / 3.0 * unit
+    return bk.trig_field(modes, amps, const)
+
+
 def seeded_scalar(geom: GeometryState, seed: int, mean_zero: bool = False,
                   amp: float = 1.0) -> Field:
     fx = geom.fixture
     if fx.backend.kind == "CP1":
         raw = bk.ambient_poly_scalar(fx.backend, _rng(seed, "scalar"), degree=2, amp=amp)
     else:
-        band = 2 if fx.backend.dim == 2 else 1
-        raw = bk.trig_scalar(fx.backend, _rng(seed, "scalar"), band=band, nmodes=4,
-                             amp=amp, mean_zero=False)
+        raw = _torus_field(fx, (), [(seed, [()])], amp)
     if not mean_zero:
         return raw
     mean = fx.integrate_field(raw)
@@ -68,12 +87,7 @@ def seeded_vector(geom, seed) -> Field:
             return g1 + jet_einsum("pij,pj->pi", J, g2)
 
         return Field(fn)
-    comps = [seeded_scalar(geom, seed + 13 * i) for i in range(fx.dim)]
-
-    def fn(batch, order):
-        return jet_stack([c(batch, order) for c in comps], axis=2)
-
-    return Field(fn)
+    return _torus_field(fx, (fx.dim,), [(seed + 13 * i, [i]) for i in range(fx.dim)])
 
 
 def seeded_oneform(geom, seed) -> Field:
@@ -98,19 +112,8 @@ def seeded_sym2(geom, seed, trace_part: float = 1.0) -> Field:
 
         return Field(fn)
     n = fx.dim
-    comps = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            f = seeded_scalar(geom, seed + 101 * i + 7 * j)
-            comps[i][j] = f
-            comps[j][i] = f
-
-    def fn(batch, order):
-        rows = [jet_stack([comps[i][j](batch, order) for j in range(n)], axis=2)
-                for i in range(n)]
-        return jet_stack(rows, axis=2)
-
-    return Field(fn)
+    return _torus_field(fx, (n, n), [(seed + 101 * i + 7 * j, [(i, j), (j, i)])
+                                     for i in range(n) for j in range(i, n)])
 
 
 def seeded_sym_endo(geom, seed) -> Field:

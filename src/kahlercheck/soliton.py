@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends as bk
+from . import jets
 from . import kahler as kh
 from . import tensorcalc as tc
 from .backends import Field, NodeBatch
@@ -63,10 +64,7 @@ class PerelmanData:
 
 def chern_ricci(geom, batch, order: int) -> Jet:
     """-(d d^c) log rho in the chart; equals the curvature form of the density."""
-    logrho = None
-    from . import jets as J
-
-    logrho = J.log(geom.rho(batch, order + 2))
+    logrho = jets.log(geom.rho(batch, order + 2))
     return ddc_scalar(geom, batch, logrho) * (-1.0)
 
 

@@ -206,3 +206,55 @@ def test_integrate_rejects_nan():
     bad = np.full(batch.size, np.nan)
     with pytest.raises(err.NanInFieldError):
         t.integrate_chart([bad], t.quad_nodes())
+
+
+def _composed_trig(modes, amps, const, pts, order):
+    """Reference: const + sum_m amps[m] sin(2 pi k_m . x + phase_m) composed in
+    jet arithmetic, one ``jets.sin`` per mode."""
+    from kahlercheck import jets
+
+    dim = pts.shape[1]
+    amps = np.asarray(amps, dtype=float)
+    shape = amps.shape[1:]
+    xs = Jet.coordinates(pts, dim, order)
+    acc = Jet.const(0.0, dim, order, (pts.shape[0],) + shape) + np.asarray(const)
+    for (k, ph), a in zip(modes, amps):
+        arg = Jet.const(ph, dim, order, (pts.shape[0],))
+        for i in range(dim):
+            arg = arg + (bk.TWO_PI * float(k[i])) * xs[i]
+        s = jets.sin(arg)
+        acc = acc + Jet(dim, order, s.coeffs.reshape(s.coeffs.shape + (1,) * len(shape)) * a)
+    return acc
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("shape", [(), (4,), (4, 4)])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_trig_field_matches_composed_sin_jets(dim, shape, order):
+    rng = np.random.default_rng(100 * dim + 10 * len(shape) + order)
+    modes, scal = bk.trig_modes(rng, dim, band=2, nmodes=5, amp=3.0)
+    amps = scal.reshape((-1,) + (1,) * len(shape)) * rng.normal(size=(len(modes),) + shape)
+    const = rng.normal(size=shape)
+    pts = rng.uniform(0.0, 1.0, size=(30, dim))
+    got = bk.trig_field(modes, amps, const)(bk.NodeBatch(0, pts), order)
+    ref = _composed_trig(modes, amps, const, pts, order)
+    assert got.order == order and got.coeffs.shape == ref.coeffs.shape
+    scale = np.max(np.abs(ref.coeffs))
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-12 * scale
+
+
+def test_kah4_seeded_sym2_is_symmetric_and_entrywise_seeded():
+    from kahlercheck import fields as fl
+
+    fx = bk.make_fixture("KAH4")
+    geom = GeometryState(fx)
+    (batch,) = fx.check_nodes(0, 25)
+    seed = 5
+    v = fl.seeded_sym2(geom, seed)(batch, 2).coeffs
+    assert np.array_equal(v, np.swapaxes(v, 2, 3))
+    for i in range(4):
+        for j in range(i, 4):
+            rng = fl._rng(seed + 101 * i + 7 * j, "scalar")
+            modes, amps = bk.trig_modes(rng, 4, 1, 4, 1.0)
+            u = bk.trig_field(modes, amps, rng.normal() / 3.0)(batch, 2).coeffs
+            assert np.allclose(v[:, :, i, j], u, rtol=1e-13, atol=1e-13)

@@ -28,14 +28,22 @@ def test_registry_shape():
         assert d.fixtures
 
 
-def test_run_check_pass_and_fail_gating():
+def _tighten(monkeypatch, check_id, factor=1e-12):
+    d = ck.REGISTRY[check_id]
+    monkeypatch.setitem(ck.REGISTRY, check_id,
+                        dataclasses.replace(d, tolerance=d.tolerance * factor))
+
+
+def test_run_check_pass_and_fail_gating(monkeypatch):
     r = ck.run_check("ID-SHARP", "FLAT2", 0)
     assert r.status == "pass"
     assert r.residual_sup <= r.tolerance
     assert r.manifest_hash == manifest_hash()
-    tight = ck.run_check("ID-DIV-TR", "PERT2", 0,
-                         RunOptions(tolerance_scale=1e-12, node_count=40))
+    _tighten(monkeypatch, "ID-DIV-TR")
+    tight = ck.run_check("ID-DIV-TR", "PERT2", 0, RunOptions(node_count=40))
     assert tight.status == "fail"
+    assert tight.reason.startswith("residual_sup ")
+    assert "exceeds tolerance" in tight.reason
 
 
 def test_registry_holds_every_variation_check():
@@ -151,9 +159,10 @@ def test_cli_run_deterministic(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_cli_tolerance_scale_forces_failures(tmp_path):
+def test_cli_tight_tolerance_forces_failures(monkeypatch, tmp_path):
+    _tighten(monkeypatch, "ID-DIV-TR")
     code = main(["run", "--check", "ID-DIV-TR", "--fixture", "PERT2",
-                 "--tolerance-scale", "1e-12", "--out", str(tmp_path), "--quiet"])
+                 "--out", str(tmp_path), "--quiet"])
     assert code == 1
     recs = json.loads((tmp_path / "report.json").read_text())["results"]
     fails = [r for r in recs if r["status"] == "fail"]
@@ -239,14 +248,31 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
     ({"node_count": 0}, []),
     ({}, ["--jobs", "0"]),
     ({"tolerances": {"soliton": 2.0}}, []),
+    ({"tolerance_scale": 2.0}, []),
+    ({}, ["--seed", "-1"]),
+    ({"seed": -1}, []),
+    (5, []),
+    (None, []),
+    ([[1]], []),
+    ([1], []),
+    ("abc", []),
 ], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero",
-        "tolerances-key"])
+        "tolerances-key", "tolerance-scale-key", "negative-seed-flag", "negative-seed-key",
+        "top-level-number", "top-level-null", "top-level-nested-list", "top-level-list",
+        "top-level-string"])
 def test_cli_config_contract(tmp_path, capsys, config, argv):
+    # a dict is merged into a valid base config; anything else is the whole file
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"checks": ["ID-SHARP"], "fixtures": ["FLAT2"],
-                               "out": str(tmp_path / "r"), **config}))
-    assert main(["run", "--config", str(cfg), "--quiet", *argv]) == 2
-    assert capsys.readouterr().err.startswith("config-error: ")
+    if isinstance(config, dict):
+        config = {"checks": ["ID-SHARP"], "fixtures": ["FLAT2"],
+                  "out": str(tmp_path / "r"), **config}
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                 "--quiet", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error: ")
+    if not isinstance(config, dict):
+        assert "config must be a JSON object" in err
     assert not (tmp_path / "r").exists()
 
 
