@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -54,7 +53,6 @@ def load_config(args) -> dict:
         "checks": None,
         "seed": 0,
         "jobs": 1,
-        "fd": {"base_step": 1e-2, "richardson_levels": 2},
         "node_count": 120,
         "out": "reports",
     }
@@ -91,10 +89,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _validate(cfg):
     for key in ("suites", "fixtures", "checks"):
         val = cfg[key]
@@ -121,13 +115,6 @@ def _validate(cfg):
     for key in ("jobs", "node_count"):
         if not _is_int(cfg[key]) or cfg[key] < 1:
             raise ConfigError(f"{key} must be an integer >= 1, not {cfg[key]!r}")
-    fd = cfg["fd"]
-    if not isinstance(fd, dict) or set(fd) != {"base_step", "richardson_levels"}:
-        raise ConfigError("fd must give exactly base_step and richardson_levels")
-    if not _is_number(fd["base_step"]) or fd["base_step"] <= 0:
-        raise ConfigError("finite-difference base step must be positive")
-    if not _is_int(fd["richardson_levels"]) or fd["richardson_levels"] < 0:
-        raise ConfigError("richardson_levels must be an integer >= 0")
 
 
 def _task_list(cfg):
@@ -140,14 +127,12 @@ def _task_list(cfg):
                     pairs.append((cid, fx))
     else:
         pairs = ck.checks_for(cfg["suites"], cfg["fixtures"])
-    return [(cid, fx, cfg["seed"], cfg["fd"]["base_step"],
-             cfg["fd"]["richardson_levels"], cfg["node_count"]) for cid, fx in pairs]
+    return [(cid, fx, cfg["seed"], cfg["node_count"]) for cid, fx in pairs]
 
 
 def _run_task(task) -> dict:
-    cid, fx, seed, base_step, rich, node_count = task
-    opts = RunOptions(base_step=base_step, richardson=rich, node_count=node_count)
-    return ck.run_check(cid, fx, seed, opts).to_record()
+    cid, fx, seed, node_count = task
+    return ck.run_check(cid, fx, seed, RunOptions(node_count=node_count)).to_record()
 
 
 def cmd_run(args) -> int:

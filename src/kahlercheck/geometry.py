@@ -24,7 +24,8 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
     """Jet inverse and log-determinant of an SPD jet matrix.
 
     Uses the Neumann series around the pointwise value, which terminates
-    exactly at the jet order because the remainder has no constant term.
+    exactly at the jet order (plus the t-degree of a series) because the
+    remainder has no constant term.
     That constant term is set to its exact zero rather than left as the
     rounding noise of ``I - G0^{-1} G0``, so the result truncated to a lower
     order is bit-identical to the inverse computed at that order.
@@ -38,7 +39,7 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
     acc.coeffs[0] += np.eye(n)
     logdet_corr = jet_map("pii->p", E) * (-1.0)
     P = E
-    for k in range(2, G.order + 1):
+    for k in range(2, G.order + G.q + 1):
         P = jet_einsum("pij,pjk->pik", P, E)
         acc = acc + P
         logdet_corr = logdet_corr + jet_map("pii->p", P) * (-1.0 / k)

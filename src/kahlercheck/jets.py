@@ -1,9 +1,17 @@
-"""Dense truncated-Taylor (jet) arithmetic in 2 or 4 variables, order <= 4.
+"""Dense truncated-Taylor (jet) arithmetic in 1 to 4 variables, order <= 6.
 
 A :class:`Jet` stores the Taylor coefficients c_alpha = (d^alpha f)(p) / alpha!
 of a function at a point, for every multi-index |alpha| <= order.  Arithmetic
 on jets reproduces the exact partial derivatives of the composite expression,
 so spatial differentiation downstream carries no discretization error.
+
+A jet may also be a series in one more variable t, of degree q <= 6: the
+product table holds every (alpha, j) with |alpha| <= order and j <= q,
+spatial-major, so each spatial coefficient is followed by its q + 1
+t-coefficients.  Arithmetic is the same truncated convolution, so the
+t-coefficients are the exact t-derivatives (over j!) of the composite.  The
+t-degree is read off the length of the coefficient axis; a jet of t-degree
+0 is constant in t and meets a series as one.
 
 Coefficients are ndarrays of shape ``(ncoeff, *batch)`` where the batch axes
 typically hold evaluation points and tensor component indices.  All
@@ -27,7 +35,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 
-MAX_ORDER = 4
+MAX_ORDER = 6
 
 
 def _multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
@@ -50,11 +58,20 @@ def _multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _product_indices(dim: int, order: int, q: int) -> list[tuple[int, ...]]:
+    """Spatial multi-indices, each followed by its t-degrees 0..q (for q > 0
+    the t-degree is a last entry), so truncating the spatial order keeps a
+    prefix of the table."""
+    spatial = _multi_indices(dim, order)
+    return spatial if q == 0 else [a + (j,) for a in spatial for j in range(q + 1)]
+
+
 @dataclass(frozen=True)
 class JetTable:
     dim: int
     order: int
-    alphas: np.ndarray            # (ncoeff, dim) int
+    q: int                        # degree in t; 0 for a jet constant in t
+    alphas: np.ndarray            # (ncoeff, dim), (ncoeff, dim + 1) for q > 0
     index: dict
     mul_i: np.ndarray             # triples with alpha_i + alpha_j = alpha_k
     mul_j: np.ndarray
@@ -69,12 +86,15 @@ class JetTable:
 
 
 @lru_cache(maxsize=None)
-def table(dim: int, order: int) -> JetTable:
+def table(dim: int, order: int, q: int = 0) -> JetTable:
+    """The jet table of spatial order ``order`` times t-degree ``q``."""
     if order > MAX_ORDER or order < 0:
         raise UnsupportedOrderError(f"jet order {order} outside 0..{MAX_ORDER}")
+    if q > MAX_ORDER or q < 0:
+        raise UnsupportedOrderError(f"t-degree {q} outside 0..{MAX_ORDER}")
     if dim not in (1, 2, 3, 4):
         raise BadAxisError(f"unsupported chart dimension {dim}")
-    alphas = _multi_indices(dim, order)
+    alphas = _product_indices(dim, order, q)
     index = {a: i for i, a in enumerate(alphas)}
     tri = []
     for i, a in enumerate(alphas):
@@ -84,7 +104,7 @@ def table(dim: int, order: int) -> JetTable:
             if k is not None:
                 tri.append((i, j, k))
     tri_arr = np.array(tri, dtype=np.intp)
-    low = _multi_indices(dim, order - 1) if order > 0 else []
+    low = _product_indices(dim, order - 1, q) if order > 0 else []
     dsrc = np.zeros((dim, len(low)), dtype=np.intp)
     dfac = np.zeros((dim, len(low)))
     for a in range(dim):
@@ -99,6 +119,7 @@ def table(dim: int, order: int) -> JetTable:
     return JetTable(
         dim=dim,
         order=order,
+        q=q,
         alphas=np.array(alphas, dtype=np.intp),
         index=index,
         mul_i=tri_arr[:, 0].copy() if len(tri) else np.zeros(0, dtype=np.intp),
@@ -159,9 +180,15 @@ class Jet:
     def batch_shape(self) -> tuple:
         return self.coeffs.shape[1:]
 
+    @property
+    def q(self) -> int:
+        """Degree in t: the t-coefficients per spatial coefficient, less one."""
+        return len(self.coeffs) // math.comb(self.dim + self.order, self.dim) - 1
+
     def partial(self, alpha: tuple) -> np.ndarray:
-        """True partial derivative d^alpha at the base point."""
-        tb = table(self.dim, self.order)
+        """True partial derivative d^alpha at the base point (a series takes
+        the t-degree as a last entry of ``alpha``)."""
+        tb = table(self.dim, self.order, self.q)
         i = tb.index.get(tuple(alpha))
         if i is None:
             raise UnsupportedOrderError(f"multi-index {alpha} beyond order {self.order}")
@@ -170,7 +197,7 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        tb = table(self.dim, order)
+        tb = table(self.dim, order, self.q)
         return Jet(self.dim, order, self.coeffs[: tb.ncoeff])
 
     def copy(self) -> "Jet":
@@ -180,9 +207,8 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            k = min(self.order, other.order)
-            a, b = self.truncate(k), other.truncate(k)
-            return Jet(self.dim, k, a.coeffs + b.coeffs)
+            a, b = _pair(self, other)
+            return Jet(self.dim, a.order, a.coeffs + b.coeffs)
         arr = np.asarray(other)
         out = self.coeffs.astype(np.result_type(self.coeffs.dtype, arr.dtype), copy=True)
         out[0] = out[0] + arr
@@ -220,10 +246,10 @@ class Jet:
     # -- differentiation ----------------------------------------------------
 
     def derivative(self, axis: int) -> "Jet":
-        """Jet of d/dx_axis, one order lower."""
+        """Jet of d/dx_axis, one order lower (spatial axes only)."""
         if self.order == 0:
             raise UnsupportedOrderError("cannot differentiate an order-0 jet")
-        tb = table(self.dim, self.order)
+        tb = table(self.dim, self.order, self.q)
         src = tb.deriv_src[axis]
         fac = tb.deriv_fac[axis].reshape((-1,) + (1,) * len(self.batch_shape))
         return Jet(self.dim, self.order - 1, self.coeffs[src] * fac)
@@ -237,13 +263,79 @@ class Jet:
         """
         if self.order == 0:
             raise UnsupportedOrderError("cannot differentiate an order-0 jet")
-        tb = table(self.dim, self.order)
+        tb = table(self.dim, self.order, self.q)
         parts = []
         for a in range(self.dim):
             src = tb.deriv_src[a]
             fac = tb.deriv_fac[a].reshape((-1,) + (1,) * len(self.batch_shape))
             parts.append(self.coeffs[src] * fac)
         return Jet(self.dim, self.order - 1, np.stack(parts, axis=-1))
+
+
+def _common(*js: Jet) -> list[Jet]:
+    """The jets at their lowest spatial order and a common t-degree: a jet
+    constant in t takes the series' degree, series meet at the lowest."""
+    k = min(j.order for j in js)
+    js = [j.truncate(k) for j in js]
+    if any(len(j.coeffs) != len(js[0].coeffs) for j in js):
+        q = min(j.q for j in js if j.q)
+        js = [with_tdegree(j, q) for j in js]
+    return js
+
+
+def _pair(a: Jet, b: Jet) -> tuple[Jet, Jet]:
+    """``_common`` of two jets."""
+    if a.order != b.order:
+        k = min(a.order, b.order)
+        a, b = a.truncate(k), b.truncate(k)
+    if len(a.coeffs) != len(b.coeffs):
+        a, b = _common(a, b)
+    return a, b
+
+
+def _by_tdegree(a: Jet) -> np.ndarray:
+    """The coefficients as (spatial, t-degree, *batch)."""
+    return a.coeffs.reshape((-1, a.q + 1) + a.batch_shape)
+
+
+def with_tdegree(a: Jet, q: int) -> Jet:
+    """``a`` as a series of t-degree ``q``: higher t-coefficients dropped,
+    missing ones zero."""
+    qa = a.q
+    if qa == q:
+        return a
+    c = _by_tdegree(a)
+    if q < qa:
+        c = c[:, :q + 1]
+    else:
+        c = np.concatenate([c, np.zeros((len(c), q - qa) + a.batch_shape, c.dtype)], axis=1)
+    return Jet(a.dim, a.order, c.reshape((-1,) + a.batch_shape))
+
+
+def series(parts: list[Jet]) -> Jet:
+    """sum_j parts[j] t^j, a series of t-degree len(parts) - 1 from jets
+    constant in t."""
+    if len(parts) == 1:
+        return parts[0]
+    parts = _common(*parts)
+    c = np.stack([p.coeffs for p in parts], axis=1)
+    return Jet(parts[0].dim, parts[0].order, c.reshape((-1,) + c.shape[2:]))
+
+
+def tcoeff(a: Jet, j: int) -> Jet:
+    """The coefficient of t^j of a series, a jet constant in t."""
+    if j > a.q:
+        return Jet(a.dim, a.order, np.zeros((len(a.coeffs) // (a.q + 1),) + a.batch_shape,
+                                            a.coeffs.dtype))
+    return Jet(a.dim, a.order, np.ascontiguousarray(_by_tdegree(a)[:, j]))
+
+
+def tintegral(a: Jet) -> Jet:
+    """The integral of ``a`` from t = 0, a series of one t-degree more."""
+    c = _by_tdegree(a)
+    out = np.zeros((len(c), a.q + 2) + a.batch_shape, c.dtype)
+    out[:, 1:] = c / np.arange(1.0, a.q + 2).reshape((1, -1) + (1,) * len(a.batch_shape))
+    return Jet(a.dim, a.order, out.reshape((-1,) + a.batch_shape))
 
 
 # -- truncated-Taylor convolution ------------------------------------------
@@ -270,8 +362,8 @@ class _RankPlan(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _rank_plan(dim: int, order: int) -> _RankPlan:
-    tb = table(dim, order)
+def _rank_plan(dim: int, order: int, q: int) -> _RankPlan:
+    tb = table(dim, order, q)
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(tb.ncoeff)]
     for i, j, k in zip(tb.mul_i.tolist(), tb.mul_j.tolist(), tb.mul_k.tolist()):
         pairs[k].append((i, j))
@@ -302,7 +394,7 @@ def _rank_groups(widths: tuple, step: int) -> tuple:
     return tuple(groups)
 
 
-def _convolve(dim: int, order: int, a: np.ndarray, b: np.ndarray, contract,
+def _convolve(dim: int, order: int, q: int, a: np.ndarray, b: np.ndarray, contract,
               per_coeff: int) -> np.ndarray:
     """Rank-ordered convolution of coefficient arrays ``a`` and ``b``.
 
@@ -311,7 +403,7 @@ def _convolve(dim: int, order: int, a: np.ndarray, b: np.ndarray, contract,
     the elements of one coefficient of any operand or of the result.  The
     result is in rank order; see :func:`_table_order`.
     """
-    plan = _rank_plan(dim, order)
+    plan = _rank_plan(dim, order, q)
     acc = None
     lo = 0
     for group in _rank_groups(plan.widths, max(1, _GATHER_BUDGET // max(per_coeff, 1))):
@@ -330,9 +422,9 @@ def _convolve(dim: int, order: int, a: np.ndarray, b: np.ndarray, contract,
     return acc
 
 
-def _table_order(dim: int, order: int, acc: np.ndarray) -> np.ndarray:
+def _table_order(dim: int, order: int, q: int, acc: np.ndarray) -> np.ndarray:
     """A C-contiguous copy of rank-ordered coefficients in table order."""
-    return acc.take(_rank_plan(dim, order).restore, 0)
+    return acc.take(_rank_plan(dim, order, q).restore, 0)
 
 
 def _multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -343,11 +435,11 @@ def _multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Product of two jets with identical batch shapes (Leibniz-exact)."""
-    k = min(a.order, b.order)
-    a, b = a.truncate(k), b.truncate(k)
+    a, b = _pair(a, b)
+    k, q = a.order, a.q
     per_coeff = max(a.coeffs[0].size, b.coeffs[0].size)
-    acc = _convolve(a.dim, k, a.coeffs, b.coeffs, _multiply, per_coeff)
-    return Jet(a.dim, k, _table_order(a.dim, k, acc))
+    acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs, _multiply, per_coeff)
+    return Jet(a.dim, k, _table_order(a.dim, k, q, acc))
 
 
 class _Contraction(NamedTuple):
@@ -431,24 +523,24 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     ``spec`` addresses only the batch/tensor axes, e.g. ``'pij,pjk->pik'``;
     the coefficient axis is handled internally.
     """
-    k = min(a.order, b.order)
-    a, b = a.truncate(k), b.truncate(k)
+    a, b = _pair(a, b)
+    k, q = a.order, a.q
     c = _contraction(spec, a.coeffs.shape[1:], b.coeffs.shape[1:])
     if c is None:
         lhs, rhs = spec.split("->")
         s1, s2 = lhs.split(",")
         stacked = f"Y{s1},Y{s2}->Y{rhs}"
-        acc = _convolve(a.dim, k, a.coeffs, b.coeffs,
+        acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs,
                         lambda x, y: np.einsum(stacked, x, y),
                         max(a.coeffs[0].size, b.coeffs[0].size))
-        return Jet(a.dim, k, _table_order(a.dim, k, acc))
+        return Jet(a.dim, k, _table_order(a.dim, k, q, acc))
     x = _arrange(a.coeffs, c.perm_a, c.shape_a)
     y = _arrange(b.coeffs, c.perm_b, c.shape_b)
-    acc = _convolve(a.dim, k, x, y, c.kernel, c.per_coeff)
+    acc = _convolve(a.dim, k, q, x, y, c.kernel, c.per_coeff)
     acc = acc.reshape(acc.shape[:1] + c.natural)
     if c.to_out is not None:
         acc = acc.transpose(c.to_out)
-    return Jet(a.dim, k, _table_order(a.dim, k, acc))
+    return Jet(a.dim, k, _table_order(a.dim, k, q, acc))
 
 
 @lru_cache(maxsize=None)
@@ -497,25 +589,29 @@ def jet_map(spec: str, a: Jet) -> Jet:
 
 def jet_stack(jets: list[Jet], axis: int = 1) -> Jet:
     """Stack jets along a new batch axis (axis counted with the coeff axis)."""
-    k = min(j.order for j in jets)
-    arrs = [j.truncate(k).coeffs for j in jets]
-    return Jet(jets[0].dim, k, np.stack(arrs, axis=axis))
+    jets = _common(*jets)
+    return Jet(jets[0].dim, jets[0].order, np.stack([j.coeffs for j in jets], axis=axis))
 
 
 # -- univariate composition ----------------------------------------------
 
 
+def _depth(a: Jet) -> int:
+    """The power at which the increment a - a.value vanishes, less one."""
+    return a.order + a.q
+
+
 def _compose(a: Jet, outer: np.ndarray) -> Jet:
     """Evaluate sum_k outer[k] * (a - a.value)^k in jet arithmetic.
 
-    ``outer`` has shape (order+1, *batch) holding g^(k)(a0)/k!.  Exact to the
+    ``outer`` has shape (depth+1, *batch) holding g^(k)(a0)/k!.  Exact to the
     truncation order because the inner increment has no constant term.
     """
-    k = a.order
+    k = len(outer) - 1
     w = a.copy()
     w.coeffs = w.coeffs.astype(np.result_type(w.coeffs.dtype, outer.dtype), copy=True)
     w.coeffs[0] = 0.0
-    acc = Jet.const(0.0, a.dim, k, a.batch_shape) + outer[k]
+    acc = Jet.const(0.0, a.dim, a.order, a.batch_shape) + outer[k]
     for j in range(k - 1, -1, -1):
         acc = jet_mul(acc, w)
         acc.coeffs[0] = acc.coeffs[0] + outer[j]
@@ -523,14 +619,14 @@ def _compose(a: Jet, outer: np.ndarray) -> Jet:
 
 
 def _outer_table(a: Jet, derivs) -> np.ndarray:
-    """Stack g^(k)(a0)/k! for k = 0..order."""
-    rows = [np.asarray(derivs[k]) / math.factorial(k) for k in range(a.order + 1)]
+    """Stack g^(k)(a0)/k! for k = 0..depth."""
+    rows = [np.asarray(derivs[k]) / math.factorial(k) for k in range(_depth(a) + 1)]
     return np.stack([np.broadcast_to(r, a.batch_shape).copy() for r in rows])
 
 
 def exp(a: Jet) -> Jet:
     e = np.exp(a.value)
-    return _compose(a, _outer_table(a, [e] * (a.order + 1)))
+    return _compose(a, _outer_table(a, [e] * (_depth(a) + 1)))
 
 
 def log(a: Jet) -> Jet:
@@ -538,7 +634,7 @@ def log(a: Jet) -> Jet:
     if np.any(np.real(v) <= 0):
         raise DomainError("log of non-positive jet value")
     derivs = [np.log(v)]
-    for k in range(1, a.order + 1):
+    for k in range(1, _depth(a) + 1):
         derivs.append(((-1.0) ** (k + 1)) * math.factorial(k - 1) / v**k)
     return _compose(a, _outer_table(a, derivs))
 
@@ -548,7 +644,7 @@ def sqrt(a: Jet) -> Jet:
     if np.any(np.real(v) <= 0):
         raise DomainError("sqrt of non-positive jet value")
     derivs, c = [np.sqrt(v)], 0.5
-    for k in range(1, a.order + 1):
+    for k in range(1, _depth(a) + 1):
         derivs.append(c * v ** (0.5 - k))
         c *= 0.5 - k
     return _compose(a, _outer_table(a, derivs))
@@ -556,14 +652,14 @@ def sqrt(a: Jet) -> Jet:
 
 def sin(a: Jet) -> Jet:
     s, c = np.sin(a.value), np.cos(a.value)
-    cycle = [s, c, -s, -c, s]
-    return _compose(a, _outer_table(a, cycle[: a.order + 1]))
+    cycle = [s, c, -s, -c]
+    return _compose(a, _outer_table(a, [cycle[k % 4] for k in range(_depth(a) + 1)]))
 
 
 def cos(a: Jet) -> Jet:
     s, c = np.sin(a.value), np.cos(a.value)
-    cycle = [c, -s, -c, s, c]
-    return _compose(a, _outer_table(a, cycle[: a.order + 1]))
+    cycle = [c, -s, -c, s]
+    return _compose(a, _outer_table(a, [cycle[k % 4] for k in range(_depth(a) + 1)]))
 
 
 def reciprocal(a: Jet) -> Jet:
@@ -571,7 +667,7 @@ def reciprocal(a: Jet) -> Jet:
     if np.any(np.abs(v) < 1e-300):
         raise SingularJetError("division by a jet with vanishing value")
     derivs = [1.0 / v]
-    for k in range(1, a.order + 1):
+    for k in range(1, _depth(a) + 1):
         derivs.append(((-1.0) ** k) * math.factorial(k) / v ** (k + 1))
     return _compose(a, _outer_table(a, derivs))
 
@@ -590,7 +686,7 @@ def power(a: Jet, p) -> Jet:
     if np.any(np.real(v) <= 0):
         raise DomainError("fractional power of non-positive jet value")
     derivs, c = [v**p], float(p)
-    for k in range(1, a.order + 1):
+    for k in range(1, _depth(a) + 1):
         derivs.append(c * v ** (p - k))
         c *= p - k
     return _compose(a, _outer_table(a, derivs))

@@ -53,16 +53,14 @@ def write_csv(records: list[dict], path: Path):
 
 def format_table(records: list[dict]) -> str:
     out = io.StringIO()
-    hdr = f"{'check':14s} {'fixture':7s} {'status':19s} {'residual':>11s} {'tol':>8s} {'order':>6s}"
+    hdr = f"{'check':14s} {'fixture':7s} {'status':19s} {'residual':>11s} {'tol':>8s}"
     out.write(hdr + "\n" + "-" * len(hdr) + "\n")
     for rec in sorted(records, key=sort_key):
-        order = rec.get("convergence_order")
-        order_s = f"{order:.2f}" if isinstance(order, float) else "-"
         res = rec["residual_sup"]
         res_s = f"{res:.3e}" if res == res else "nan"
         out.write(
             f"{rec['check_id']:14s} {rec['fixture']:7s} {rec['status']:19s} "
-            f"{res_s:>11s} {rec['tolerance']:>8.0e} {order_s:>6s}\n"
+            f"{res_s:>11s} {rec['tolerance']:>8.0e}\n"
         )
         if rec["status"] == "skipped-with-reason":
             out.write(f"    reason: {rec['reason']}\n")

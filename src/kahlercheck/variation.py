@@ -1,11 +1,18 @@
-"""One-parameter families of geometries and finite-difference t-derivatives.
+"""One-parameter families of geometries, as fixtures at a given t and as
+t-series around a centre t0.
 
 Spatial data stays jet-exact along every curve: linear curves evaluate their
 direction fields as jets, pullback curves integrate the flow in jet
 arithmetic (so the transported frame is the first-order block of the flow
 jets), and structure-conjugation curves exponentiate pointwise in jets.
-Only the t-derivative is discretized, with central stencils and Richardson
-extrapolation, and each result carries an observed convergence order.
+``series_at(t0, q)`` builds the same fixture with every field a jet series
+of degree q in t - t0 (see :mod:`jets`), so t-derivatives are exact too:
+g + t v is its own series, exp(tS) has a closed one, and a flow's series is
+the Picard iteration of its generating field (the Taylor method for an ODE).
+
+``fd_derivative`` (Richardson-extrapolated central differences) remains as
+an independent reference for these series, and a flow at a finite t is
+integrated with RK4.
 """
 
 from __future__ import annotations
@@ -47,13 +54,19 @@ def compose_field(field: Field, chart: int, pos: list[Jet], order: int) -> Jet:
 
     The field is expanded at the position values and recomposed with the
     zero-constant part of the position jets, which terminates exactly at the
-    jet order.
+    jet order plus the t-degree of the positions.
     """
     yvals = np.stack([np.real(p.value) for p in pos], axis=-1)
-    nb = NodeBatch(chart, yvals)
-    F = field(nb, order)
+    F = field(NodeBatch(chart, yvals), order + pos[0].q)
+    return _recompose(F, pos, order)
+
+
+def _recompose(F: Jet, pos: list[Jet], order: int) -> Jet:
+    """sum_alpha F_alpha (pos - pos.value)^alpha at spatial order ``order``:
+    the Taylor coefficients ``F`` of a field at the position values, of at
+    least that order plus the t-degree of the positions, composed with them."""
     dim = pos[0].dim
-    parents = _monomial_parents(dim, order)
+    parents = _monomial_parents(dim, order + pos[0].q)
     w = []
     for p in pos:
         q = p.truncate(order).copy()
@@ -86,12 +99,13 @@ def compose_field(field: Field, chart: int, pos: list[Jet], order: int) -> Jet:
         )
         out = term if out is None else out + term
     if out is None:
-        out = Jet.const(0.0, dim, order, (yvals.shape[0],) + F.coeffs.shape[2:])
+        out = Jet.const(0.0, dim, order, F.coeffs.shape[1:])
     return out
 
 
 # ---------------------------------------------------------------------------
-# finite differences with Richardson extrapolation
+# finite differences with Richardson extrapolation, the tests' reference for
+# the t-series, and the scope that stacks finite-t flows
 
 
 @dataclass
@@ -197,9 +211,9 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
 
 def _term(terms: dict, name: str, field, batch: NodeBatch, order: int) -> Jet:
     """The jet of a t-independent term of a curve, kept in the curve's
-    ``terms`` under (name, batch token, order), so every stencil point shares
-    one evaluation.  Its coefficients are read-only: a write into them would
-    reach every other t."""
+    ``terms`` under (name, batch token, order), so every t and every series
+    shares one evaluation.  Its coefficients are read-only: a write into them
+    would reach every other t."""
     key = (name, batch.token, order)
     jet = terms.get(key)
     if jet is None:
@@ -235,18 +249,26 @@ class LinearCurve:
         return float(min(lim_g, lim_r, 0.5))
 
     def fixture_at(self, t: float) -> Fixture:
+        return self.series_at(t, 0)
+
+    def series_at(self, t0: float, q: int) -> Fixture:
+        """The curve at t0 + s, every field a series of degree q in s: the
+        line c0 + t c1 is c0 + t0 c1 + s c1."""
         base = self.base
 
+        def line(c0, c1):
+            return jmath.series(([c0 + c1 * t0, c1] + [c1 * 0.0] * (q - 1))[:q + 1])
+
         def g_fn(batch, order):
-            return _term(self._terms, "g", base.g, batch, order) + \
-                _term(self._terms, "v", self.v, batch, order) * t
+            return line(_term(self._terms, "g", base.g, batch, order),
+                        _term(self._terms, "v", self.v, batch, order))
 
         def rho_fn(batch, order):
             rho = _term(self._terms, "rho", base.omega_density, batch, order)
             if self.Vstar is None:
                 return rho
             Vs = _term(self._terms, "Vstar", self.Vstar, batch, order)
-            return rho + jet_einsum("p,p->p", rho, Vs) * t
+            return line(rho, jet_einsum("p,p->p", rho, Vs))
 
         return Fixture(f"{base.name}+t*dir", base.backend, Field(g_fn),
                        Field(rho_fn), None, base.tags, base.descriptor)
@@ -264,6 +286,7 @@ class HamiltonianFlowCurve:
         self.t_max = t_max
         self.step = step
         self._flows: dict = {}
+        self._series: dict = {}
 
         def xi_fn(batch, order):
             # every RK4 stage evaluates xi on a fresh batch: caching the
@@ -301,7 +324,7 @@ class HamiltonianFlowCurve:
         return max(4, int(math.ceil(abs(t) / self.step)))
 
     def _integrate(self, batch: NodeBatch, t: float, order: int) -> None:
-        """Flow to t, stacked with every other t of the running stencil that
+        """Flow to t, stacked with every other t of the published scope that
         has no flow yet, in one RK4 pass of as many steps as the longest.
 
         The stack is sorted by step count, largest first; after step i the
@@ -351,34 +374,60 @@ class HamiltonianFlowCurve:
             for p, a, b, c, d in zip(pos, k1, k2, k3, k4)
         ]
 
+    def flow_series(self, batch: NodeBatch, t0: float, order: int, q: int) -> list[Jet]:
+        """The flow to t0 + s of the batch's points, as position jets of
+        ``order`` that are series of degree ``q`` in s.
+
+        Picard iteration around the flow to t0 (t0 = 0 is the identity, any
+        other t0 the RK4 flow): psi_t0 plus the integral of xi(psi) is exact
+        to s^(n+1) when psi is exact to s^n.  xi is expanded once, at the
+        points psi_t0, and recomposed with each iterate.  Cached under
+        (batch token, t0 rounded to 12 digits, order, q)."""
+        key = (batch.token, round(t0, 12), order, q)
+        pos = self._series.get(key)
+        if pos is None:
+            base = pos = self.flow_jets(batch, t0, order)
+            if q:
+                pts = np.stack([p.value for p in base], axis=-1)
+                F = self.xi(NodeBatch(batch.chart, pts), order + q - 1)
+                for _ in range(q):
+                    xi = _recompose(F, pos, order)
+                    pos = [p + jmath.tintegral(Jet(xi.dim, xi.order, xi.coeffs[..., i]))
+                           for i, p in enumerate(base)]
+            self._series[key] = pos
+        return pos
+
     def _jacobian(self, pos: list[Jet]) -> Jet:
         rows = [p.gradient() for p in pos]      # each (m, a): d_a Psi^i
         return jmath.jet_stack(rows, axis=2)    # (m, i, a)
 
     def fixture_at(self, t: float) -> Fixture:
+        return self.series_at(t, 0)
+
+    def series_at(self, t0: float, q: int) -> Fixture:
+        """The pullback along the flow to t0 + s, every field a series of
+        degree q in s."""
         base = self.base
         curve = self
 
+        def pullback(field, batch, order):
+            pos = curve.flow_series(batch, t0, order + 1, q)
+            Y = compose_field(field, batch.chart, [p.truncate(order) for p in pos], order)
+            return curve._jacobian(pos), Y
+
         def g_fn(batch, order):
-            pos = curve.flow_jets(batch, t, order + 1)
-            dpsi = curve._jacobian(pos)
-            gY = compose_field(base.g, batch.chart, [p.truncate(order) for p in pos], order)
+            dpsi, gY = pullback(base.g, batch, order)
             return jet_einsum("pia,pij->paj",
                               dpsi, jet_einsum("pij,pjb->pib", gY, dpsi))
 
         def rho_fn(batch, order):
-            pos = curve.flow_jets(batch, t, order + 1)
-            dpsi = curve._jacobian(pos)
+            dpsi, rhoY = pullback(base.omega_density, batch, order)
             _, logdet = inverse_and_logdet(dpsi)
-            rhoY = compose_field(base.omega_density, batch.chart,
-                                 [p.truncate(order) for p in pos], order)
             return jet_einsum("p,p->p", rhoY, jmath.exp(logdet))
 
         def J_fn(batch, order):
-            pos = curve.flow_jets(batch, t, order + 1)
-            dpsi = curve._jacobian(pos)
+            dpsi, JY = pullback(base.J, batch, order)
             dpsi_inv, _ = inverse_and_logdet(dpsi)
-            JY = compose_field(base.J, batch.chart, [p.truncate(order) for p in pos], order)
             return jet_einsum("pia,paj->pij",
                               dpsi_inv, jet_einsum("pik,pkj->pij", JY, dpsi))
 
@@ -425,24 +474,35 @@ class StructureConjugationCurve:
                 break
         return out
 
-    def J_field_at(self, t: float) -> Field:
-        def fn(batch, order):
-            J0 = self._J0(batch, order)
-            S = _term(self._terms, "S", self._generator, batch, order)
-            E = self._expm(S, t)
-            Einv = self._expm(S, -t)
-            return jet_einsum("pik,pkj->pij", E, jet_einsum("pik,pkj->pij", J0, Einv))
-
-        return Field(fn)
+    def _exp_series(self, S: Jet, t0: float, q: int, sign: float) -> Jet:
+        """exp(sign (t0 + s) S) as a series of degree q in s: the s^k
+        coefficient is exp(sign t0 S) (sign S)^k / k!."""
+        P = self._expm(S, sign * t0)
+        parts = [P]
+        for k in range(1, q + 1):
+            P = jet_einsum("pik,pkj->pij", P, S) * (sign / k)
+            parts.append(P)
+        return jmath.series(parts)
 
     def fixture_at(self, t: float) -> Fixture:
+        return self.series_at(t, 0)
+
+    def series_at(self, t0: float, q: int) -> Fixture:
+        """The conjugated structure at t0 + s, and the metric it induces,
+        as series of degree q in s."""
         base = self.base
-        Jf = self.J_field_at(t)
+
+        def J_fn(batch, order):
+            J0 = self._J0(batch, order)
+            S = _term(self._terms, "S", self._generator, batch, order)
+            E = self._exp_series(S, t0, q, 1.0)
+            Einv = self._exp_series(S, t0, q, -1.0)
+            return jet_einsum("pik,pkj->pij", E, jet_einsum("pik,pkj->pij", J0, Einv))
 
         def g_fn(batch, order):
             om = _term(self._terms, "omega", self._omega, batch, order)
-            Jt = Jf(batch, order)
+            Jt = J_fn(batch, order)
             return jet_einsum("pai,paj->pij", Jt, om) * (-1.0)
 
         return Fixture(f"{base.name}@conj", base.backend, Field(g_fn),
-                       base.omega_density, Jf, base.tags, base.descriptor)
+                       base.omega_density, Field(J_fn), base.tags, base.descriptor)

@@ -1,6 +1,4 @@
-import csv
 import dataclasses
-import importlib.util
 import json
 import subprocess
 import sys
@@ -57,10 +55,10 @@ def test_registry_holds_every_variation_check():
 
 def test_outcome_l2_is_the_rms_and_defaults_to_sup():
     assert ck.Outcome(2).l2 == 2.0
-    out = cat._outcome([np.array([3.0, -4.0]), np.array([0.0, 0.0])], [])
+    out = cat._outcome([np.array([3.0, -4.0]), np.array([0.0, 0.0])])
     assert out.sup == 4.0
     assert out.l2 == pytest.approx(2.5)
-    assert out.order is None and out.details == {}
+    assert out.details == {}
 
 
 def test_fixture_details_cover_every_check_batch():
@@ -85,20 +83,6 @@ def test_integral_identity_off_the_shrinker_is_a_skip_with_its_gap():
     assert d["harmonicity_defect"] > 1e-3
     assert r.residual_sup >= abs(d["cone_integral"] - d["drift_side"])
     assert r.residual_sup > 0.1
-
-
-def test_convergence_table_script_writes_the_study(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_table.py"
-    spec = importlib.util.spec_from_file_location("convergence_table", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    out = tmp_path / "conv.csv"
-    mod.main(["--checks", "V-F", "--fixture", "FLAT2", "--out", str(out)])
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 12
-    assert {r["check_id"] for r in rows} == {"V-F"}
-    assert all(float(r["residual_sup"]) < 1e-6 for r in rows)
 
 
 @pytest.mark.parametrize("field, code", [(None, 0), ("residual_sup", 1), ("runtime_ms", 0)],
@@ -242,9 +226,8 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
 
 
 @pytest.mark.parametrize("config,argv", [
-    ({"fd": {"base_step": 0.01}}, []),
+    ({"fd": {"base_step": 0.01, "richardson_levels": 2}}, []),
     ({"seed": "x"}, []),
-    ({"fd": {"base_step": 0.01, "richardson_levels": -1}}, []),
     ({"node_count": 0}, []),
     ({}, ["--jobs", "0"]),
     ({"tolerances": {"soliton": 2.0}}, []),
@@ -256,7 +239,7 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
     ([[1]], []),
     ([1], []),
     ("abc", []),
-], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero",
+], ids=["fd-key", "seed-not-int", "node-count-zero", "jobs-zero",
         "tolerances-key", "tolerance-scale-key", "negative-seed-flag", "negative-seed-key",
         "top-level-number", "top-level-null", "top-level-nested-list", "top-level-list",
         "top-level-string"])

@@ -28,7 +28,7 @@ def test_const_jet():
 
 def test_const_order_guard():
     with pytest.raises(UnsupportedOrderError):
-        Jet.const(1.0, 2, 5)
+        Jet.const(1.0, 2, jets.MAX_ORDER + 1)
 
 
 def test_coordinate_jet():
@@ -373,3 +373,76 @@ def test_jet_linear_matches_einsum(spec, sm, sa, matmul):
         assert got.order == 3 and got.coeffs.shape == ref.shape
         assert got.coeffs.dtype == ref.dtype
         assert np.max(np.abs(got.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# -- sin/cos past order four, and series in t -------------------------------
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_sin_cos_past_order_four_match_exp_ix(order):
+    rng = np.random.default_rng(order)
+    x, y = Jet.coordinates(rng.uniform(-1, 1, size=(6, 2)), 2, order)
+    arg = x * 1.3 + y * y * 0.7
+    e = jets.exp(arg * 1j)
+    assert np.max(np.abs(jets.cos(arg).coeffs - e.coeffs.real)) < 1e-12
+    assert np.max(np.abs(jets.sin(arg).coeffs - e.coeffs.imag)) < 1e-12
+
+
+def _poly_series(rng, order, q, npts):
+    """Random coefficients c[i, j] of sum c x^i t^j, i <= order, j <= q, and
+    the same polynomial as a one-variable jet of t-degree q."""
+    c = rng.standard_normal((order + 1, q + 1, npts))
+    return c, Jet(1, order, c.reshape(-1, npts).copy())
+
+
+def _poly_product(a, b, order, q):
+    out = np.zeros_like(a)
+    for i in range(order + 1):
+        for j in range(q + 1):
+            for k in range(order + 1 - i):
+                for m in range(q + 1 - j):
+                    out[i + k, j + m] += a[i, j] * b[k, m]
+    return out
+
+
+@pytest.mark.parametrize("order,q", [(0, 2), (3, 1), (4, 2)])
+def test_product_table_matches_two_variable_polynomials(order, q):
+    rng = np.random.default_rng(10 * order + q)
+    (ca, a), (cb, b) = _poly_series(rng, order, q, 5), _poly_series(rng, order, q, 5)
+    assert a.q == q and jets.table(1, order, q).ncoeff == (order + 1) * (q + 1)
+    ref = _poly_product(ca, cb, order, q)
+    got = jets.jet_mul(a, b).coeffs.reshape(ref.shape)
+    assert np.max(np.abs(got - ref)) < 1e-13
+    # the same product through jet_einsum, with tensor axes on both factors
+    A = Jet(1, order, np.einsum("cp,ij->cpij", a.coeffs, np.arange(4.0).reshape(2, 2) + 1))
+    B = Jet(1, order, np.einsum("cp,j->cpj", b.coeffs, np.array([0.5, -2.0])))
+    prod = jets.jet_einsum("pij,pj->pi", A, B).coeffs
+    mats = np.arange(4.0).reshape(2, 2) + 1
+    assert np.max(np.abs(prod - np.einsum("cp,i->cpi", got.reshape(-1, 5),
+                                          mats @ np.array([0.5, -2.0])))) < 1e-12
+    # d/dx acts on x alone, and a jet constant in t takes the series' degree
+    if order:
+        d = a.derivative(0).coeffs.reshape(order, q + 1, 5)
+        assert np.max(np.abs(d - ca[1:] * np.arange(1, order + 1)[:, None, None])) == 0
+    const = Jet(1, order, ca[:, 0].copy())
+    lifted = jets.jet_mul(const, b).coeffs.reshape(ref.shape)
+    assert np.max(np.abs(lifted - _poly_product(
+        np.concatenate([ca[:, :1], np.zeros_like(ca[:, 1:])], axis=1), cb, order, q))) < 1e-13
+
+
+def test_series_helpers_split_and_integrate_in_t():
+    rng = np.random.default_rng(3)
+    c, a = _poly_series(rng, 2, 2, 4)
+    parts = [jets.tcoeff(a, j) for j in range(3)]
+    assert all(p.q == 0 and np.array_equal(p.coeffs, c[:, j]) for j, p in enumerate(parts))
+    assert np.array_equal(jets.series(parts).coeffs, a.coeffs)
+    assert np.all(jets.tcoeff(a, 3).coeffs == 0.0)
+    integral = jets.tintegral(a).coeffs.reshape(3, 4, 4)
+    assert np.all(integral[:, 0] == 0.0)
+    assert np.allclose(integral[:, 1:], c / np.array([1.0, 2.0, 3.0])[None, :, None])
+    assert jets.with_tdegree(a, 1).coeffs.reshape(3, 2, 4).tolist() == c[:, :2].tolist()
+    # exp along a series: d/dt exp(u(t)) = u'(t) exp(u(t)) at every x
+    e = jets.exp(a)
+    lhs = jets.tcoeff(e, 1).coeffs
+    rhs = jets.jet_mul(jets.tcoeff(a, 1), jets.tcoeff(e, 0)).coeffs
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
