@@ -226,8 +226,9 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
 
 
 @pytest.mark.parametrize("config,argv", [
-    ({"fd": {"base_step": 0.01, "richardson_levels": 2}}, []),
+    ({"fd": {"base_step": 0.01}}, []),
     ({"seed": "x"}, []),
+    ({"fd": {"base_step": 0.01, "richardson_levels": -1}}, []),
     ({"node_count": 0}, []),
     ({}, ["--jobs", "0"]),
     ({"tolerances": {"soliton": 2.0}}, []),
@@ -239,7 +240,7 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
     ([[1]], []),
     ([1], []),
     ("abc", []),
-], ids=["fd-key", "seed-not-int", "node-count-zero", "jobs-zero",
+], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero",
         "tolerances-key", "tolerance-scale-key", "negative-seed-flag", "negative-seed-key",
         "top-level-number", "top-level-null", "top-level-nested-list", "top-level-list",
         "top-level-string"])
