@@ -59,8 +59,10 @@ def load_config(args) -> dict:
     if args.config:
         try:
             user = json.loads(Path(args.config).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
         if not isinstance(user, dict):
@@ -69,11 +71,13 @@ def load_config(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(user)
-    if args.suite:
+    # an empty flag value is the one name '' and fails validation, as in
+    # "--check S-LAMBDA,"; it never falls back to the defaults
+    if args.suite is not None:
         cfg["suites"] = args.suite.split(",")
-    if args.fixture:
+    if args.fixture is not None:
         cfg["fixtures"] = args.fixture.split(",")
-    if getattr(args, "check", None):
+    if getattr(args, "check", None) is not None:
         cfg["checks"] = args.check.split(",")
     for key in ("seed", "jobs"):
         val = getattr(args, key, None)

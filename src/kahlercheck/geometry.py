@@ -6,6 +6,14 @@ curvature is R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma Gamma,
 Ricci is the (j, l) trace, which makes the round unit sphere satisfy
 Ric = g.  The weight function is f = 1/2 log det g - log(rho), rho the
 fixture density with respect to chart Lebesgue measure.
+
+Each quantity is built at the order its reader asks for, and no higher:
+Gamma Gamma products run at the curvature's order, and Ricci is contracted
+straight from Gamma and its first derivatives, so the 4-index tensor is
+built only for ``riemann`` itself (read by ``riemann_cov``).  A state keeps
+one build per quantity and node batch and answers any lower order from it
+by truncation, which is bit-identical to a build at that order because
+every jet table is a prefix of the higher-order ones.
 """
 
 from __future__ import annotations
@@ -49,6 +57,13 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
     return Ginv, logdet
 
 
+def _truncate(value, order: int):
+    """A cached jet, or a tuple of them, at ``order``."""
+    if isinstance(value, Jet):
+        return value.truncate(order)
+    return tuple(j.truncate(order) for j in value)
+
+
 def symplectic_form(J: Jet, g: Jet) -> Jet:
     """omega_{ij} = g(J e_i, e_j)."""
     return jet_einsum("pki,pkj->pij", J, g)
@@ -79,10 +94,16 @@ class GeometryState:
     # -- cache plumbing ------------------------------------------------------
 
     def _get(self, name: str, batch: NodeBatch, order: int, builder):
-        key = (name, batch.token, order)
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        """The quantity ``name`` on ``batch`` at ``order``: truncated from its
+        build at a higher order when there is one, else built.  The jet tables
+        are prefixes of each other, so the truncation is bit-identical to a
+        build at ``order``."""
+        built = self._cache.setdefault((name, batch.token), {})
+        if order not in built:
+            above = [k for k in built if k > order]
+            built[order] = (_truncate(built[min(above)], order) if above
+                            else builder())
+        return built[order]
 
     def _guard(self, order: int, depth: int, what: str):
         if order + depth > MAX_FIELD_ORDER:
@@ -110,17 +131,15 @@ class GeometryState:
 
     # -- metric-derived -------------------------------------------------------
 
-    def ginv(self, batch: NodeBatch, order: int) -> Jet:
-        def build():
-            inv, logdet = inverse_and_logdet(self.g(batch, order))
-            self._cache[("logdetg", batch.token, order)] = logdet
-            return inv
+    def _inverse(self, batch: NodeBatch, order: int) -> tuple[Jet, Jet]:
+        return self._get("inverse", batch, order,
+                         lambda: inverse_and_logdet(self.g(batch, order)))
 
-        return self._get("ginv", batch, order, build)
+    def ginv(self, batch: NodeBatch, order: int) -> Jet:
+        return self._inverse(batch, order)[0]
 
     def logdetg(self, batch: NodeBatch, order: int) -> Jet:
-        self.ginv(batch, order)
-        return self._cache[("logdetg", batch.token, order)]
+        return self._inverse(batch, order)[1]
 
     def gamma(self, batch: NodeBatch, order: int) -> Jet:
         """Christoffel jets Gamma[p, i, j, k] = Gamma^i_{jk}."""
@@ -135,13 +154,18 @@ class GeometryState:
 
         return self._get("gamma", batch, order, build)
 
+    def _connection_jets(self, batch: NodeBatch, order: int) -> tuple[Jet, Jet]:
+        """Gamma and dG[p, d, i, j, k] = d_d Gamma^i_{jk}, both at ``order``:
+        every coefficient of a Gamma Gamma product above it would be dropped."""
+        self._guard(order, 2, "curvature")
+        G = self.gamma(batch, order + 1)
+        return G.truncate(order), jet_map("pijkd->pdijk", G.gradient())
+
     def riemann(self, batch: NodeBatch, order: int) -> Jet:
         """R[p, i, j, k, l] = R^i_{jkl}."""
 
         def build():
-            self._guard(order, 2, "curvature")
-            G = self.gamma(batch, order + 1)
-            dG = jet_map("pijkd->pdijk", G.gradient())
+            G, dG = self._connection_jets(batch, order)
             T1 = jet_map("pkilj->pijkl", dG)
             T2 = jet_map("plikj->pijkl", dG)
             Q1 = jet_einsum("pikq,pqlj->pijkl", G, G)
@@ -157,8 +181,16 @@ class GeometryState:
         return self._get("riemann_cov", batch, order, build)
 
     def ric(self, batch: NodeBatch, order: int) -> Jet:
+        """Ric_{jl} = R^i_{jil}, contracted straight from Gamma:
+        d_i Gamma^i_{lj} - d_l Gamma^i_{ij} + Gamma^i_{iq} Gamma^q_{lj}
+        - Gamma^i_{lq} Gamma^q_{ij}, with no 4-index tensor built."""
+
         def build():
-            return jet_map("pijil->pjl", self.riemann(batch, order))
+            G, dG = self._connection_jets(batch, order)
+            trace = jet_map("piiq->pq", G)
+            return (jet_map("piilj->pjl", dG) - jet_map("pliij->pjl", dG)
+                    + jet_einsum("pq,pqlj->pjl", trace, G)
+                    - jet_einsum("pilq,pqij->pjl", G, G))
 
         return self._get("ric", batch, order, build)
 

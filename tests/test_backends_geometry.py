@@ -258,3 +258,114 @@ def test_kah4_seeded_sym2_is_symmetric_and_entrywise_seeded():
             modes, amps = bk.trig_modes(rng, 4, 1, 4, 1.0)
             u = bk.trig_field(modes, amps, rng.normal() / 3.0)(batch, 2).coeffs
             assert np.allclose(v[:, :, i, j], u, rtol=1e-13, atol=1e-13)
+
+
+def _accessors():
+    """Every public ``GeometryState`` accessor taking ``(batch, order)``."""
+    import inspect
+
+    return [name for name, fn in vars(GeometryState).items()
+            if inspect.isfunction(fn) and not name.startswith("_")
+            and list(inspect.signature(fn).parameters) == ["self", "batch", "order"]]
+
+
+def _geometries(flow: bool = True):
+    """A fresh-state factory and a small check batch per fixture, then the
+    t-series geometries (t-degree 2) of KAH4's linear metric curve and, with
+    ``flow``, of FS's Hamiltonian pullback (jet order 6 caps its orders)."""
+    from kahlercheck.catalog import _linear_family, make_kahler_family
+
+    fixtures = [bk.make_fixture(kind) for kind in ("FLAT2", "PERT2", "RIEM4", "KAH4", "FS")]
+    *_, at = _linear_family(bk.make_fixture("KAH4"), 3)
+    fixtures.append(at.series(0.0, 2).fixture)
+    if flow:
+        fixtures.append(make_kahler_family(bk.make_fixture("FS"), 3).series_at(0.0, 2))
+    return [(fx.name, lambda fx=fx: GeometryState(fx), fx.check_nodes(4, 6)[-1])
+            for fx in fixtures]
+
+
+@pytest.mark.parametrize("name", _accessors())
+def test_geometry_truncates_to_the_lower_order_build(name):
+    # one build serves every lower order, so the truncated jet must be the
+    # jet a fresh state builds at that order, to the last bit
+    from kahlercheck.errors import (OrderExhaustedError, UnsupportedGeometryError,
+                                    UnsupportedOrderError)
+
+    checked = 0
+    for kind, fresh, batch in _geometries():
+        if name in ("J", "omega") and not fresh().is_kahler:
+            with pytest.raises(UnsupportedGeometryError):
+                getattr(fresh(), name)(batch, 0)
+            continue
+        for top in range(4, 0, -1):
+            try:
+                high = getattr(fresh(), name)(batch, top)
+                break
+            except (OrderExhaustedError, UnsupportedOrderError):
+                continue
+        for k in range(top):
+            low = getattr(fresh(), name)(batch, k)
+            cut = high.truncate(k)
+            assert cut.coeffs.shape == low.coeffs.shape, (kind, k)
+            assert cut.coeffs.tobytes() == low.coeffs.tobytes(), (kind, k)
+            checked += 1
+    assert checked
+
+
+def test_geometry_serves_a_lower_order_from_its_cached_build(monkeypatch):
+    from kahlercheck import geometry
+
+    calls = []
+    inverse = geometry.inverse_and_logdet
+    monkeypatch.setattr(geometry, "inverse_and_logdet", lambda G: calls.append(G) or inverse(G))
+    fx = bk.make_fixture("RIEM4")
+    geom = GeometryState(fx)
+    batch = fx.check_nodes(4, 6)[0]
+    high = geom.ric(batch, 2)
+    assert np.shares_memory(geom.ric(batch, 0).coeffs, high.coeffs)
+    # the connection's one inverse, at order 3, serves ginv and logdetg at
+    # every order up to it
+    for k in (3, 2, 1, 0):
+        geom.logdetg(batch, k)
+        geom.ginv(batch, k)
+    assert [G.order for G in calls] == [3]
+
+
+def test_ricci_from_gamma_is_the_trace_of_riemann():
+    from kahlercheck.jets import jet_map
+
+    for kind, fresh, batch in _geometries(flow=False):
+        geom = fresh()
+        for k in range(3):
+            ric = geom.ric(batch, k).coeffs
+            trace = jet_map("pijil->pjl", geom.riemann(batch, k)).coeffs
+            assert ric.shape == trace.shape
+            assert np.max(np.abs(ric - trace)) <= 1e-13 * np.max(np.abs(ric)), (kind, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_curvature_products_run_at_the_curvature_order(monkeypatch, k):
+    # the connection is built first, so every convolution recorded below is
+    # a Gamma Gamma product of riemann or ric; none may run above order k,
+    # and ric never builds the 4-index tensor
+    from kahlercheck import jets
+
+    fx = bk.make_fixture("KAH4")
+    batch = fx.check_nodes(4, 6)[0]
+    orders = []
+    convolve = jets._convolve
+
+    def recording(dim, order, *args, **kwargs):
+        orders.append(order)
+        return convolve(dim, order, *args, **kwargs)
+
+    for name in ("riemann", "ric"):
+        geom = GeometryState(fx)
+        geom.gamma(batch, k + 1)
+        with monkeypatch.context() as m:
+            m.setattr(jets, "_convolve", recording)
+            if name == "ric":
+                m.setattr(GeometryState, "riemann", None)
+            getattr(geom, name)(batch, k)
+        assert orders and max(orders) == k, name
+        orders.clear()

@@ -260,6 +260,25 @@ def test_cli_config_contract(tmp_path, capsys, config, argv):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, kind):
+    cfg = tmp_path
+    if kind == "not-utf8":
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"seed": "\xe9"}')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config-error: ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag", ["--check", "--fixture", "--suite"])
+def test_cli_empty_selection_flag_is_a_config_error(tmp_path, capsys, flag):
+    # an empty value names '' and is rejected, never read as "use the defaults"
+    assert main(["run", flag, "", "--out", str(tmp_path / "r"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config-error: unknown ")
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_jobs_matches_serial(tmp_path):
     reports = []
     for jobs in ("1", "2"):

@@ -164,7 +164,10 @@ def test_linear_curve_evaluates_its_direction_once_per_batch_and_order():
     ts = []
 
     def f_map(t):
+        # a state serves lower orders by truncating its own builds, so it
+        # takes two states to ask the curve for its terms at two orders
         ts.append(t)
+        so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 1)
         return so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 0)
 
     va.fd_derivative(f_map, 0.0, order=1, scheme="central-4", richardson_levels=1)
@@ -180,8 +183,12 @@ def test_conjugation_curve_evaluates_its_direction_once_per_batch_and_order():
     A = _counting(fl.seeded_antilinear(GeometryState(fx), 7), counts, "A")
     curve = va.StructureConjugationCurve(fx, A)
     batch = fx.check_nodes(4, 12)[0]
-    va.fd_derivative(lambda t: so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 0),
-                     0.0, order=1, scheme="central-4", richardson_levels=1)
+    def f_map(t):
+        # two states, so the curve is asked for its direction at two orders
+        so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 1)
+        return so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 0)
+
+    va.fd_derivative(f_map, 0.0, order=1, scheme="central-4", richardson_levels=1)
     assert len({k for _, _, k in counts}) > 1
     assert set(counts.values()) == {1}
 
