@@ -92,7 +92,6 @@ class Backend:
     kind = "abstract"
     dim = 0
     n_charts = 1
-    is_fano = False
 
     def __init__(self):
         self._check_memo: dict = {}
@@ -156,7 +155,6 @@ class CP1(Backend):
     dim = 2
     kind = "CP1"
     n_charts = 2
-    is_fano = True
 
     def __init__(self, n_theta: int = 32, n_phi: int = 64):
         super().__init__()

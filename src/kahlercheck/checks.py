@@ -28,7 +28,7 @@ from .conventions import manifest_hash
 from .errors import KahlercheckError
 from .geometry import GeometryState
 from .jets import Jet, jet_einsum, jet_linear, jet_map
-from .variation import HamiltonianFlowCurve, LinearCurve, compose_field, stencil_scope
+from .variation import HamiltonianFlowCurve, LinearCurve, compose_field
 
 TORI = ("FLAT2", "PERT2", "RIEM4", "KAH4")
 KAHLER_FIXTURES = ("FLAT2", "PERT2", "KAH4", "FS")
@@ -877,14 +877,11 @@ def run_gauge(fixture, seed, opts) -> Outcome:
     details = {}
     sups = []
     if "fano_soliton" in fixture.tags:
-        orbit = (0.05, -0.05, 0.1)
-        # each batch's flows to all three t in one RK4 pass
-        with stencil_scope(orbit):
-            for t in orbit:
-                gt = GeometryState(curve.fixture_at(t))
-                pt = so.PerelmanData(gt)
-                r = max(_sup(pt.H_bar(b, 0).value) for b in fixture.check_nodes(seed, 60))
-                sups.append(r)
+        for t in (0.05, -0.05, 0.1):
+            gt = GeometryState(curve.fixture_at(t))
+            pt = so.PerelmanData(gt)
+            r = max(_sup(pt.H_bar(b, 0).value) for b in fixture.check_nodes(seed, 60))
+            sups.append(r)
         details["H_bar_along_orbit"] = max(sups)
         sym = 0.0
         for t in (0.05, 0.1):
@@ -1087,18 +1084,15 @@ REGISTRY: dict = {d.id: d for d in [
 SUITES = ("identity", "variation", "soliton", "obstruction")
 
 
-def checks_for(suites=None, fixtures=None):
-    suites = set(suites or SUITES)
-    out = []
-    for cid in sorted(REGISTRY):
-        d = REGISTRY[cid]
-        if d.suite not in suites:
-            continue
-        for fx in d.fixtures:
-            if fixtures and fx not in fixtures:
-                continue
-            out.append((cid, fx))
-    return out
+def checks_for(suites=None, fixtures=None, ids=None):
+    """The (check id, fixture) pairs to run: the ids in their given order, or
+    else every check of the suites in id order, each on its fixtures that
+    are selected.  None selects everything; an empty list selects nothing."""
+    if ids is None:
+        suites = SUITES if suites is None else suites
+        ids = [cid for cid in sorted(REGISTRY) if REGISTRY[cid].suite in suites]
+    return [(cid, fx) for cid in ids for fx in REGISTRY[cid].fixtures
+            if fixtures is None or fx in fixtures]
 
 
 def run_check(check_id: str, fixture_name: str, seed: int,

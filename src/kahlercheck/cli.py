@@ -99,6 +99,9 @@ def _validate(cfg):
         if not ((val is None and key == "checks") or (val == "all" and key == "suites")
                 or (isinstance(val, list) and all(isinstance(x, str) for x in val))):
             raise ConfigError(f"{key} must be a list of names, not {val!r}")
+        if val == []:
+            # never read as "everything": leave the key out for the default
+            raise ConfigError(f"{key} must name at least one, not []")
     if not isinstance(cfg["out"], str):
         raise ConfigError(f"out must be a path, not {cfg['out']!r}")
     suites = cfg["suites"]
@@ -110,10 +113,9 @@ def _validate(cfg):
     for f in cfg["fixtures"]:
         if f not in DEFAULT_FIXTURES:
             raise ConfigError(f"unknown fixture {f!r}")
-    if cfg["checks"]:
-        for c in cfg["checks"]:
-            if c not in ck.REGISTRY:
-                raise ConfigError(f"unknown check id {c!r}")
+    for c in cfg["checks"] or ():
+        if c not in ck.REGISTRY:
+            raise ConfigError(f"unknown check id {c!r}")
     if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be an integer >= 0, not {cfg['seed']!r}")
     for key in ("jobs", "node_count"):
@@ -122,15 +124,7 @@ def _validate(cfg):
 
 
 def _task_list(cfg):
-    if cfg["checks"]:
-        pairs = []
-        for cid in cfg["checks"]:
-            d = ck.REGISTRY[cid]
-            for fx in d.fixtures:
-                if fx in cfg["fixtures"]:
-                    pairs.append((cid, fx))
-    else:
-        pairs = ck.checks_for(cfg["suites"], cfg["fixtures"])
+    pairs = ck.checks_for(cfg["suites"], cfg["fixtures"], cfg["checks"])
     return [(cid, fx, cfg["seed"], cfg["node_count"]) for cid, fx in pairs]
 
 

@@ -10,15 +10,14 @@ of degree q in t - t0 (see :mod:`jets`), so t-derivatives are exact too:
 g + t v is its own series, exp(tS) has a closed one, and a flow's series is
 the Picard iteration of its generating field (the Taylor method for an ODE).
 
+A flow to a finite t is integrated on its own, in RK4 steps of at most
+``HamiltonianFlowCurve.step``; the series around t start from that flow.
 ``fd_derivative`` (Richardson-extrapolated central differences) remains as
-an independent reference for these series, and a flow at a finite t is
-integrated with RK4.
+an independent reference for these series.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -105,7 +104,7 @@ def _recompose(F: Jet, pos: list[Jet], order: int) -> Jet:
 
 # ---------------------------------------------------------------------------
 # finite differences with Richardson extrapolation, the tests' reference for
-# the t-series, and the scope that stacks finite-t flows
+# the t-series
 
 
 @dataclass
@@ -114,7 +113,6 @@ class FDInfo:
     nominal_order: int
     base_step: float
     shrunk: bool
-    note: str = ""
 
 
 _SCHEMES = {
@@ -122,22 +120,6 @@ _SCHEMES = {
     ("central-4", 1): (4, {2.0: -1 / 12, 1.0: 8 / 12, -1.0: -8 / 12, -2.0: 1 / 12}, 1),
     ("central-2", 2): (2, {1.0: 1.0, 0.0: -2.0, -1.0: 1.0}, 2),
 }
-
-
-# Every t at which the running computation evaluates its map: a flow curve
-# integrates the ones it has not cached yet in one pass.
-_STENCIL: contextvars.ContextVar[tuple] = contextvars.ContextVar("stencil", default=())
-
-
-@contextlib.contextmanager
-def stencil_scope(ts):
-    """Publish the t-set ``ts`` for the body: a flow curve asked for one of
-    them integrates every one it has not cached yet in the same RK4 pass."""
-    token = _STENCIL.set(tuple(ts))
-    try:
-        yield
-    finally:
-        _STENCIL.reset(token)
 
 
 def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "central-4",
@@ -177,11 +159,8 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
             acc = c if acc is None else acc + c
         return acc
 
-    # the centre too: off-centre callers ask for the geometry there next
-    with stencil_scope((t0,) + tuple(t0 + off * (h / 2**k)
-                                     for k in range(nlevels) for off in stencil)):
-        proto = ev(t0 + h)
-        levels = [stencil_eval(h / 2**k) for k in range(nlevels)]
+    proto = ev(t0 + h)
+    levels = [stencil_eval(h / 2**k) for k in range(nlevels)]
     d0 = np.max(np.abs(levels[0] - levels[1]))
     d1 = np.max(np.abs(levels[1] - levels[2]))
     scale = np.max(np.abs(levels[-1])) + 1e-300
@@ -225,8 +204,6 @@ def _term(terms: dict, name: str, field, batch: NodeBatch, order: int) -> Jet:
 
 class LinearCurve:
     """g_t = g + t v and density rate rho_t = rho (1 + t V*)."""
-
-    kind = "linear_metric"
 
     def __init__(self, fixture: Fixture, v_field: Field, Vstar_field: Field | None):
         self.base = fixture
@@ -277,14 +254,12 @@ class LinearCurve:
 class HamiltonianFlowCurve:
     """Pullback along the flow of -(1/2) omega^{-1} du, integrated in jets."""
 
-    kind = "pullback"
+    t_max = 0.2
+    step = 0.0125       # the longest RK4 step; a flow to t takes _steps(t)
 
-    def __init__(self, fixture: Fixture, u_field: Field, t_max: float = 0.2,
-                 step: float = 0.0125):
+    def __init__(self, fixture: Fixture, u_field: Field):
         self.base = fixture
         self.u = u_field
-        self.t_max = t_max
-        self.step = step
         self._flows: dict = {}
         self._series: dict = {}
 
@@ -324,41 +299,16 @@ class HamiltonianFlowCurve:
         return max(4, int(math.ceil(abs(t) / self.step)))
 
     def _integrate(self, batch: NodeBatch, t: float, order: int) -> None:
-        """Flow to t, stacked with every other t of the published scope that
-        has no flow yet, in one RK4 pass of as many steps as the longest.
-
-        The stack is sorted by step count, largest first; after step i the
-        t that take i steps leave it as finished, and the pass goes on with
-        the prefix that is left.  Each point takes its own t's step, so every
-        flow is bit-identical to integrating its t alone.  Caches the flow of
-        every t that stays finite; t = 0 is the identity and never stacked."""
-        dim = self.base.backend.dim
-        if t == 0.0:
-            self._flows[(batch.token, t, order)] = Jet.coordinates(batch.pts, dim, order)
-            return
-        todo = {t}
-        scope = {round(s, 12) for s in _STENCIL.get()}
-        if t in scope:
-            todo |= {s for s in scope if s != 0.0
-                     and self._cached((batch.token, s, order)) is None}
-        todo = sorted(todo, key=lambda s: (-self._steps(s), s))
-        counts = [self._steps(s) for s in todo]
-        m = batch.size
-        pos = Jet.coordinates(np.tile(batch.pts, (len(todo), 1)), dim, order)
-        h = np.repeat(np.array(todo) / counts, m)
-        live = len(todo)
-        for i in range(1, counts[0] + 1):
-            pos = self._rk4_step(batch.chart, pos, h, order)
-            while live and counts[live - 1] == i:
-                live -= 1
-                part = [Jet(p.dim, p.order, p.coeffs[:, live * m:(live + 1) * m].copy())
-                        for p in pos]
-                if all(np.all(np.isfinite(p.coeffs)) for p in part):
-                    self._flows[(batch.token, todo[live], order)] = part
-                elif todo[live] == t:
-                    raise FlowDivergedError("flow integration produced non-finite jets")
-            pos = [Jet(p.dim, p.order, p.coeffs[:, :live * m]) for p in pos]
-            h = h[:live * m]
+        """Flow to t in ``_steps(t)`` RK4 steps of t / n, cached under t;
+        t = 0 is the identity, the coordinate jets."""
+        pos = Jet.coordinates(batch.pts, self.base.backend.dim, order)
+        if t != 0.0:
+            n = self._steps(t)
+            for _ in range(n):
+                pos = self._rk4_step(batch.chart, pos, t / n, order)
+            if not all(np.all(np.isfinite(p.coeffs)) for p in pos):
+                raise FlowDivergedError("flow integration produced non-finite jets")
+        self._flows[(batch.token, t, order)] = pos
 
     def _rk4_step(self, chart, pos, h, order):
         def f(state):
@@ -444,12 +394,11 @@ class StructureConjugationCurve:
     """J_t = exp(t S) J exp(-t S) with S = (1/2) J A for anti-linear symmetric
     A; the induced metric is read off the fixed symplectic form."""
 
-    kind = "complex_curve"
+    t_max = 0.25
 
-    def __init__(self, fixture: Fixture, A_field: Field, t_max: float = 0.25):
+    def __init__(self, fixture: Fixture, A_field: Field):
         self.base = fixture
         self.A = A_field
-        self.t_max = t_max
         # J, S and the symplectic form, the same at every t
         self._terms: dict = {}
 

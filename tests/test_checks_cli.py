@@ -240,10 +240,13 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
     ([[1]], []),
     ([1], []),
     ("abc", []),
+    ({"checks": None, "suites": []}, []),
+    ({"checks": None, "suites": ["soliton"], "fixtures": []}, []),
+    ({"checks": []}, []),
 ], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero",
         "tolerances-key", "tolerance-scale-key", "negative-seed-flag", "negative-seed-key",
         "top-level-number", "top-level-null", "top-level-nested-list", "top-level-list",
-        "top-level-string"])
+        "top-level-string", "empty-suites", "empty-fixtures", "empty-checks"])
 def test_cli_config_contract(tmp_path, capsys, config, argv):
     # a dict is merged into a valid base config; anything else is the whole file
     cfg = tmp_path / "cfg.json"
@@ -277,6 +280,16 @@ def test_cli_empty_selection_flag_is_a_config_error(tmp_path, capsys, flag):
     assert main(["run", flag, "", "--out", str(tmp_path / "r"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config-error: unknown ")
     assert not (tmp_path / "r").exists()
+
+
+def test_explicit_check_ids_keep_their_order():
+    # pool submission follows this order; suites only select when no ids do
+    ids = ["S-PERELMAN", "ID-SHARP", "V-NJ"]
+    pairs = ck.checks_for(["identity"], ["FS", "FLAT2"], ids)
+    assert list(dict.fromkeys(c for c, _ in pairs)) == ids
+    assert {f for _, f in pairs} == {"FS", "FLAT2"}
+    assert ck.checks_for() == ck.checks_for(ck.SUITES, bk.FIXTURE_KINDS)
+    assert ck.checks_for([], None) == ck.checks_for(None, [], ids) == []
 
 
 def test_cli_jobs_matches_serial(tmp_path):

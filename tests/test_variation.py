@@ -356,45 +356,27 @@ def _count_compose(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("t0,steps", [(0.0, {4}), (0.1, {7, 8, 9, 10})])
-def test_stacked_flow_is_bit_identical_to_single_t(monkeypatch, t0, steps):
+@pytest.mark.parametrize("orbit", [(0.05, -0.05, 0.1), (0.1, -0.05, 0.05)],
+                         ids=["gauge-order", "reversed"])
+def test_each_flow_is_integrated_alone(monkeypatch, orbit):
+    # S-GAUGE's orbit points, asked for in either order
     fx, ham, batch = _flow_setup()
-    stacked = va.HamiltonianFlowCurve(fx, ham)
-    sizes = _count_compose(monkeypatch)
-    asked = []
-
-    def flow_map(t):
-        asked.append(t)
-        return stacked.flow_jets(batch, t, 2)[0]
-
-    va.fd_derivative(flow_map, t0, order=1, scheme="central-4")
-    # the centre is in the scope, so a non-zero one joins the pass
-    ts = sorted((set(asked) | {t0}) - {0.0})
-    assert {stacked._steps(t) for t in ts} == steps
-    # one RK4 pass for the whole stencil, as long as its longest flow
-    assert len(sizes) == 4 * max(steps)
-    assert sum(sizes) == 4 * batch.size * sum(stacked._steps(t) for t in ts)
-    single = va.HamiltonianFlowCurve(fx, ham)
-    for t in ts:
-        got = stacked.flow_jets(batch, t, 2)
-        ref = single.flow_jets(batch, t, 2)
-        for g, r in zip(got, ref):
-            assert g.coeffs.flags.c_contiguous
-            assert g.coeffs.tobytes() == r.coeffs.tobytes()
-
-
-def test_zero_t_is_never_stacked(monkeypatch):
-    fx, ham, batch = _flow_setup()
+    refs = {t: va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, t, 1) for t in orbit}
     curve = va.HamiltonianFlowCurve(fx, ham)
     sizes = _count_compose(monkeypatch)
-    with va.stencil_scope((0.0, 0.01, -0.01)):
-        pos0 = curve.flow_jets(batch, 0.0, 2)
-        assert len(curve._flows) == 1 and sizes == []
-        curve.flow_jets(batch, -0.01, 2)
-    assert set(sizes) == {2 * batch.size}
-    assert len(curve._flows) == 3
-    assert pos0[1].coeffs.tobytes() == \
-        Jet.coordinate(1, batch.pts, 2, 2).coeffs.tobytes()
+    for t in orbit:
+        del sizes[:]
+        got = curve.flow_jets(batch, t, 1)
+        # one RK4 pass of _steps(t) steps on the batch's own points
+        assert sizes == [batch.size] * (4 * curve._steps(t))
+        for g, r in zip(got, refs[t]):
+            assert g.coeffs.tobytes() == r.coeffs.tobytes()
+    assert {t for _, t, _ in curve._flows} == set(orbit)
+    del sizes[:]
+    pos0 = curve.flow_jets(batch, 0.0, 2)
+    assert sizes == []
+    for i, p in enumerate(pos0):
+        assert p.coeffs.tobytes() == Jet.coordinate(i, batch.pts, 2, 2).coeffs.tobytes()
 
 
 def test_lower_order_flow_reuses_a_higher_order_one(monkeypatch):
@@ -432,8 +414,8 @@ def test_one_flow_curve_per_fixture_and_seed():
 
 
 def test_a_record_does_not_depend_on_the_checks_run_before_it(monkeypatch):
-    # V-NJ's off-centre stencil reaches 0.05 as 0.04000000000000001 + 0.01,
-    # V-KURSYM asks for a literal 0.05 on the same curve and the same batches
+    # V-NJ asks the curve for flows to +-0.04000000000000001 and V-KURSYM for
+    # a literal 0.05, on the same curve and the same batches
     monkeypatch.setattr(cat, "_FAMILIES", {})
     opts = RunOptions(node_count=40)
 
@@ -446,36 +428,6 @@ def test_a_record_does_not_depend_on_the_checks_run_before_it(monkeypatch):
     cat._FAMILIES.clear()
     record("V-NJ")
     assert record("V-KURSYM") == alone
-
-
-def test_a_published_scope_integrates_every_t_in_one_pass(monkeypatch):
-    # S-GAUGE's three orbit points, outside any fd_derivative
-    fx, ham, batch = _flow_setup()
-    curve = va.HamiltonianFlowCurve(fx, ham)
-    sizes = _count_compose(monkeypatch)
-    with va.stencil_scope((0.05, -0.05, 0.1)):
-        curve.flow_jets(batch, 0.05, 1)
-        assert va._STENCIL.get() == (0.05, -0.05, 0.1)
-    assert va._STENCIL.get() == ()
-    assert {t for _, t, _ in curve._flows} == {0.05, -0.05, 0.1}
-    assert len(sizes) == 4 * curve._steps(0.1)
-    for t in (-0.05, 0.1):
-        got = curve.flow_jets(batch, t, 1)
-        ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, t, 1)
-        assert all(g.coeffs.tobytes() == r.coeffs.tobytes() for g, r in zip(got, ref))
-
-
-def test_stencil_scope_is_reset_when_the_map_raises():
-    seen = []
-
-    def failing(t):
-        seen.append(va._STENCIL.get())
-        raise ValueError("map failed")
-
-    with pytest.raises(ValueError):
-        va.fd_derivative(failing, 0.0, order=1, scheme="central-4")
-    assert len(seen[0]) == 13 and 0.01 in seen[0] and 0.0 in seen[0]
-    assert va._STENCIL.get() == ()
 
 
 def test_compose_field_leaves_no_reference_cycles():
