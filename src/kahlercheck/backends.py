@@ -264,6 +264,9 @@ class Fixture:
     J: Field | None
     tags: frozenset
     descriptor: dict
+    # density values per batch token, read-only, as Backend._check_memo
+    _density_memo: dict = dc_field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
     def quad_nodes(self) -> NodeSet:
         return self.backend.quad_nodes()
@@ -276,7 +279,17 @@ class Fixture:
         return self.backend.dim
 
     def density_values(self, nodes: NodeSet) -> list:
-        return [self.omega_density(b, 0).value for b in nodes]
+        """The density at each batch's nodes, evaluated once per batch for
+        the life of the fixture; the arrays are read-only."""
+        out = []
+        for b in nodes:
+            rho = self._density_memo.get(b.token)
+            if rho is None:
+                rho = self.omega_density(b, 0).value
+                rho.flags.writeable = False
+                self._density_memo[b.token] = rho
+            out.append(rho)
+        return out
 
     def integrate(self, values_per_batch, nodes: NodeSet | None = None) -> float:
         """Integral against the fixture density Omega."""
@@ -527,7 +540,11 @@ def ambient_coordinates(chart: int, xs):
 
 
 def ambient_poly_scalar(backend, rng, degree=2, amp=1.0):
-    """Seeded polynomial in the ambient coordinates; globally smooth."""
+    """Seeded polynomial in the ambient coordinates; globally smooth.
+
+    Each monomial is one jet product of an earlier monomial (its first
+    exponent lowered by one) and a coordinate, and enters the sum scaled by
+    its coefficient: one product per monomial of degree two or more."""
     monos = [
         (i, j, k)
         for i in range(degree + 1)
@@ -539,17 +556,15 @@ def ambient_poly_scalar(backend, rng, degree=2, amp=1.0):
 
     def expr_for(chart):
         def expr(x, y):
-            X, Y, Z = ambient_coordinates(chart, (x, y))
+            coords = ambient_coordinates(chart, (x, y))
             acc = Jet.const(0.0, 2, x.order, x.batch_shape)
-            for (i, j, k), c in zip(monos, coeffs):
-                term = Jet.const(c, 2, x.order, x.batch_shape)
-                for _ in range(i):
-                    term = term * X
-                for _ in range(j):
-                    term = term * Y
-                for _ in range(k):
-                    term = term * Z
-                acc = acc + term
+            built: dict = {}
+            for mono, c in zip(monos, coeffs):
+                a = next(n for n, e in enumerate(mono) if e)
+                parent = mono[:a] + (mono[a] - 1,) + mono[a + 1:]
+                built[mono] = (built[parent] * coords[a] if any(parent)
+                               else coords[a])
+                acc = acc + built[mono] * c
             return acc
 
         return expr

@@ -113,9 +113,13 @@ def _validate(cfg):
     for f in cfg["fixtures"]:
         if f not in DEFAULT_FIXTURES:
             raise ConfigError(f"unknown fixture {f!r}")
+    seen = set()
     for c in cfg["checks"] or ():
         if c not in ck.REGISTRY:
             raise ConfigError(f"unknown check id {c!r}")
+        if c in seen:
+            raise ConfigError(f"check id {c!r} is given twice")
+        seen.add(c)
     if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be an integer >= 0, not {cfg['seed']!r}")
     for key in ("jobs", "node_count"):

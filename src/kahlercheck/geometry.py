@@ -23,7 +23,7 @@ import numpy as np
 from . import jets
 from .backends import NodeBatch
 from .errors import OrderExhaustedError, UnsupportedGeometryError
-from .jets import Jet, jet_einsum, jet_linear, jet_map
+from .jets import Jet, _einsum, jet_einsum, jet_linear, jet_map
 
 MAX_FIELD_ORDER = 4
 
@@ -48,7 +48,7 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
     logdet_corr = jet_map("pii->p", E) * (-1.0)
     P = E
     for k in range(2, G.order + G.q + 1):
-        P = jet_einsum("pij,pjk->pik", P, E)
+        P = _einsum("pij,pjk->pik", P, E, (k - 1, 1))     # E^k vanishes below k
         acc = acc + P
         logdet_corr = logdet_corr + jet_map("pii->p", P) * (-1.0 / k)
     Ginv = jet_linear("pkj,pik->pij", G0inv, acc)

@@ -342,7 +342,9 @@ def tintegral(a: Jet) -> Jet:
 #
 # out[k] = sum over the table's triples (i, j, k) of contract(a[i], b[j]).
 # The triples of one output coefficient are added in table order (i-major,
-# then j), starting from 0.0.  "Rank" r of the convolution holds the r-th
+# then j), starting from 0.0; a product of operands known to vanish below
+# some total degree leaves out the pairs below it, which add exact zeros
+# (see _rank_plan).  "Rank" r of the convolution holds the r-th
 # pair of every coefficient that has more than r of them; the coefficients
 # are kept in descending order of their pair count, so the coefficients of
 # rank r are a prefix of those of rank r - 1 and accumulating rank by rank
@@ -362,11 +364,22 @@ class _RankPlan(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _rank_plan(dim: int, order: int, q: int) -> _RankPlan:
+def _rank_plan(dim: int, order: int, q: int, low_a: int = 0, low_b: int = 0) -> _RankPlan:
+    """The rank plan of the table's triples, less the pairs whose first factor
+    has total degree (spatial plus t) below ``low_a`` or whose second has one
+    below ``low_b``: operands that vanish there contribute exact zeros.  A
+    coefficient left without a pair takes the pair (0, 0), an exact zero
+    once either bound is positive, so rank 0 still covers every coefficient
+    and the result needs no buffer of its own."""
     tb = table(dim, order, q)
+    deg = tb.alphas.sum(axis=1).tolist()
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(tb.ncoeff)]
     for i, j, k in zip(tb.mul_i.tolist(), tb.mul_j.tolist(), tb.mul_k.tolist()):
-        pairs[k].append((i, j))
+        if deg[i] >= low_a and deg[j] >= low_b:
+            pairs[k].append((i, j))
+    for p in pairs:
+        if not p:
+            p.append((0, 0))
     by_count = sorted(range(tb.ncoeff), key=lambda k: -len(pairs[k]))
     widths = tuple(sum(len(p) > r for p in pairs)
                    for r in range(len(pairs[by_count[0]])))
@@ -382,49 +395,48 @@ def _rank_plan(dim: int, order: int, q: int) -> _RankPlan:
 @lru_cache(maxsize=None)
 def _rank_groups(widths: tuple, step: int) -> tuple:
     """Consecutive ranks, grouped so each group gathers at most ``step``
-    coefficients (a single rank may exceed it)."""
-    groups, cur, size = [], [], 0
-    for r, w in enumerate(widths):
+    coefficients (a single rank may exceed it): per group, the range of the
+    plan's gather indices and each rank's (width, offset) within it."""
+    groups, cur, size, lo = [], [], 0, 0
+    for w in widths:
         if cur and size + w > step:
-            groups.append(tuple(cur))
-            cur, size = [], 0
-        cur.append(r)
+            groups.append((lo, lo + size, tuple(cur)))
+            cur, lo, size = [], lo + size, 0
+        cur.append((w, size))
         size += w
-    groups.append(tuple(cur))
+    groups.append((lo, lo + size, tuple(cur)))
     return tuple(groups)
 
 
 def _convolve(dim: int, order: int, q: int, a: np.ndarray, b: np.ndarray, contract,
-              per_coeff: int) -> np.ndarray:
+              per_coeff: int, lows: tuple = (0, 0)) -> np.ndarray:
     """Rank-ordered convolution of coefficient arrays ``a`` and ``b``.
 
     ``contract(x, y)`` maps stacks of coefficients to stacks of products and
     may overwrite ``x``, which is always a fresh copy.  ``per_coeff`` bounds
-    the elements of one coefficient of any operand or of the result.  The
-    result is in rank order; see :func:`_table_order`.
+    the elements of one coefficient of any operand or of the result.
+    ``lows`` are the lowest total degrees at which ``a`` and ``b`` can be
+    non-zero (see :func:`_rank_plan`).  The result is in rank order; see
+    :func:`_table_order`.
     """
-    plan = _rank_plan(dim, order, q)
+    plan = _rank_plan(dim, order, q, *lows)
     acc = None
-    lo = 0
-    for group in _rank_groups(plan.widths, max(1, _GATHER_BUDGET // max(per_coeff, 1))):
-        hi = lo + sum(plan.widths[r] for r in group)
+    for lo, hi, ranks in _rank_groups(plan.widths, max(1, _GATHER_BUDGET // max(per_coeff, 1))):
         prods = contract(a.take(plan.src_i[lo:hi], 0), b.take(plan.src_j[lo:hi], 0))
-        at = 0
-        for r in group:
-            w = plan.widths[r]
+        for w, at in ranks:
             if acc is None:
                 acc = prods[:w]
                 acc += 0.0                  # 0.0 + p: the sum starts at 0.0
             else:
-                acc[:w] += prods[at:at + w]
-            at += w
-        lo = hi
+                lead = acc[:w]              # a view: += writes in place
+                lead += prods[at:at + w]
     return acc
 
 
-def _table_order(dim: int, order: int, q: int, acc: np.ndarray) -> np.ndarray:
+def _table_order(dim: int, order: int, q: int, acc: np.ndarray,
+                 lows: tuple = (0, 0)) -> np.ndarray:
     """A C-contiguous copy of rank-ordered coefficients in table order."""
-    return acc.take(_rank_plan(dim, order, q).restore, 0)
+    return acc.take(_rank_plan(dim, order, q, *lows).restore, 0)
 
 
 def _multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -435,11 +447,20 @@ def _multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Product of two jets with identical batch shapes (Leibniz-exact)."""
+    return _mul(a, b)
+
+
+def _mul(a: Jet, b: Jet, lows: tuple = (0, 0)) -> Jet:
+    """``jet_mul``, skipping the pairs below the lowest total degrees
+    ``lows`` at which ``a`` and ``b`` can be non-zero: bit-identical for
+    finite input, since every skipped term is an exact zero and the kept
+    ones are added in the same order.  Products of increments (jets with no
+    constant term) pass their degrees here."""
     a, b = _pair(a, b)
     k, q = a.order, a.q
     per_coeff = max(a.coeffs[0].size, b.coeffs[0].size)
-    acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs, _multiply, per_coeff)
-    return Jet(a.dim, k, _table_order(a.dim, k, q, acc))
+    acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs, _multiply, per_coeff, lows)
+    return Jet(a.dim, k, _table_order(a.dim, k, q, acc, lows))
 
 
 class _Contraction(NamedTuple):
@@ -523,6 +544,12 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     ``spec`` addresses only the batch/tensor axes, e.g. ``'pij,pjk->pik'``;
     the coefficient axis is handled internally.
     """
+    return _einsum(spec, a, b)
+
+
+def _einsum(spec: str, a: Jet, b: Jet, lows: tuple = (0, 0)) -> Jet:
+    """``jet_einsum`` with the lowest total degrees ``lows`` of ``a`` and
+    ``b``, as in :func:`_mul`."""
     a, b = _pair(a, b)
     k, q = a.order, a.q
     c = _contraction(spec, a.coeffs.shape[1:], b.coeffs.shape[1:])
@@ -532,15 +559,15 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
         stacked = f"Y{s1},Y{s2}->Y{rhs}"
         acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs,
                         lambda x, y: np.einsum(stacked, x, y),
-                        max(a.coeffs[0].size, b.coeffs[0].size))
-        return Jet(a.dim, k, _table_order(a.dim, k, q, acc))
+                        max(a.coeffs[0].size, b.coeffs[0].size), lows)
+        return Jet(a.dim, k, _table_order(a.dim, k, q, acc, lows))
     x = _arrange(a.coeffs, c.perm_a, c.shape_a)
     y = _arrange(b.coeffs, c.perm_b, c.shape_b)
-    acc = _convolve(a.dim, k, q, x, y, c.kernel, c.per_coeff)
+    acc = _convolve(a.dim, k, q, x, y, c.kernel, c.per_coeff, lows)
     acc = acc.reshape(acc.shape[:1] + c.natural)
     if c.to_out is not None:
         acc = acc.transpose(c.to_out)
-    return Jet(a.dim, k, _table_order(a.dim, k, q, acc))
+    return Jet(a.dim, k, _table_order(a.dim, k, q, acc, lows))
 
 
 @lru_cache(maxsize=None)
@@ -608,12 +635,17 @@ def _compose(a: Jet, outer: np.ndarray) -> Jet:
     truncation order because the inner increment has no constant term.
     """
     k = len(outer) - 1
+    if k == 0:
+        return Jet.const(0.0, a.dim, a.order, a.batch_shape) + outer[0]
     w = a.copy()
     w.coeffs = w.coeffs.astype(np.result_type(w.coeffs.dtype, outer.dtype), copy=True)
     w.coeffs[0] = 0.0
-    acc = Jet.const(0.0, a.dim, a.order, a.batch_shape) + outer[k]
-    for j in range(k - 1, -1, -1):
-        acc = jet_mul(acc, w)
+    # the first Horner step, the constant outer[k] times w, as a scaling;
+    # + 0.0 makes its zeros those of a product's sums, which start at 0.0
+    acc = Jet(a.dim, a.order, w.coeffs * outer[k] + 0.0)
+    acc.coeffs[0] = acc.coeffs[0] + outer[k - 1]
+    for j in range(k - 2, -1, -1):
+        acc = _mul(acc, w, (0, 1))
         acc.coeffs[0] = acc.coeffs[0] + outer[j]
     return acc
 

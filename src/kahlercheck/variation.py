@@ -10,8 +10,9 @@ of degree q in t - t0 (see :mod:`jets`), so t-derivatives are exact too:
 g + t v is its own series, exp(tS) has a closed one, and a flow's series is
 the Picard iteration of its generating field (the Taylor method for an ODE).
 
-A flow to a finite t is integrated on its own, in RK4 steps of at most
-``HamiltonianFlowCurve.step``; the series around t start from that flow.
+A flow to a finite t is integrated in RK4 steps of at most
+``HamiltonianFlowCurve.step``, continuing a cached flow that took the same
+steps on the way; the series around t start from that flow.
 ``fd_derivative`` (Richardson-extrapolated central differences) remains as
 an independent reference for these series.
 """
@@ -37,14 +38,15 @@ from .jets import Jet, jet_einsum
 @lru_cache(maxsize=None)
 def _monomial_parents(dim: int, order: int) -> tuple:
     """For every multi-index of the jet table but the first: the index of the
-    monomial it extends by one factor, and the axis of that factor (the
-    first non-zero entry).  Each parent comes earlier in table order."""
+    monomial it extends by one factor, the axis of that factor (the first
+    non-zero entry) and the degree of the parent.  Each parent comes earlier
+    in table order."""
     tb = jmath.table(dim, order)
-    parents = [(0, 0)]
+    parents = [(0, 0, 0)]
     for beta in tb.alphas[1:].tolist():
         a = next(i for i, x in enumerate(beta) if x > 0)
         beta[a] -= 1
-        parents.append((tb.index[tuple(beta)], a))
+        parents.append((tb.index[tuple(beta)], a, sum(beta)))
     return tuple(parents)
 
 
@@ -68,9 +70,11 @@ def _recompose(F: Jet, pos: list[Jet], order: int) -> Jet:
     parents = _monomial_parents(dim, order + pos[0].q)
     w = []
     for p in pos:
-        q = p.truncate(order).copy()
-        q.coeffs[0] = 0.0
-        w.append(q)
+        # + 0.0 makes the zeros those of a product's sums, which start at
+        # 0.0, so an increment is also its own monomial of degree one
+        c = p.truncate(order).coeffs + 0.0
+        c[0] = 0.0
+        w.append(Jet(dim, order, c))
     nonzero = [bool(np.any(F.coeffs[idx])) for idx in range(len(parents))]
     # a monomial is built if its coefficient is non-zero or a needed
     # monomial extends it; built in table order, parents come first
@@ -81,13 +85,16 @@ def _recompose(F: Jet, pos: list[Jet], order: int) -> Jet:
     shape_extra = (1,) * (F.coeffs.ndim - 2)
     out = None
     monos: list = [None] * len(parents)
-    for idx, (prev, a) in enumerate(parents):
+    for idx, (prev, a, degree) in enumerate(parents):
         if not needed[idx]:
             continue
         if idx == 0:
             monos[0] = Jet.const(1.0, dim, order, pos[0].batch_shape)
+        elif prev == 0:
+            monos[idx] = w[a]
         else:
-            monos[idx] = jmath.jet_mul(monos[prev], w[a])
+            # a monomial of degree |beta| in increments vanishes below |beta|
+            monos[idx] = jmath._mul(monos[prev], w[a], (degree, 1))
         if not nonzero[idx]:
             continue
         mono = monos[idx]
@@ -300,15 +307,36 @@ class HamiltonianFlowCurve:
 
     def _integrate(self, batch: NodeBatch, t: float, order: int) -> None:
         """Flow to t in ``_steps(t)`` RK4 steps of t / n, cached under t;
-        t = 0 is the identity, the coordinate jets."""
+        t = 0 is the identity, the coordinate jets.  The steps already taken
+        by a cached flow on the way to t (see ``_prefix``) are not taken
+        again: the flow continues from it."""
         pos = Jet.coordinates(batch.pts, self.base.backend.dim, order)
         if t != 0.0:
             n = self._steps(t)
-            for _ in range(n):
+            done, prefix = self._prefix(batch.token, t, order)
+            if prefix is not None:
+                pos = [p.truncate(order) for p in prefix]
+            for _ in range(done, n):
                 pos = self._rk4_step(batch.chart, pos, t / n, order)
             if not all(np.all(np.isfinite(p.coeffs)) for p in pos):
                 raise FlowDivergedError("flow integration produced non-finite jets")
         self._flows[(batch.token, t, order)] = pos
+
+    def _prefix(self, token, t: float, order: int) -> tuple[int, list[Jet] | None]:
+        """(steps taken, flow) of the cached flow that the integration to t
+        passes through, or (0, None): the flow at the largest |t'| < |t| of
+        t's sign, of order at least ``order``, whose RK4 step t' / _steps(t')
+        is t / _steps(t) bit for bit.  Its truncation to ``order`` equals the
+        flow integrated at that order, so continuing from it reproduces the
+        integration from the identity bit for bit."""
+        h = t / self._steps(t)
+        best = None
+        for (tok, tk, k), pos in self._flows.items():
+            if (tok == token and k >= order and tk / t > 0 and abs(tk) < abs(t)
+                    and tk / self._steps(tk) == h
+                    and (best is None or abs(tk) > abs(best[0]))):
+                best = (tk, pos)
+        return (0, None) if best is None else (self._steps(best[0]), best[1])
 
     def _rk4_step(self, chart, pos, h, order):
         def f(state):

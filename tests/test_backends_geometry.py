@@ -369,3 +369,51 @@ def test_curvature_products_run_at_the_curvature_order(monkeypatch, k):
             getattr(geom, name)(batch, k)
         assert orders and max(orders) == k, name
         orders.clear()
+
+
+def test_integrate_evaluates_the_density_once_per_batch():
+    fs = bk.make_fixture("FS")
+    tokens = []
+
+    def counted(batch, order):
+        tokens.append(batch.token)
+        return fs.omega_density(batch, order)
+
+    fx = bk.Fixture(fs.name, fs.backend, fs.g, bk.Field(counted), fs.J, fs.tags,
+                    fs.descriptor)
+    quad = fx.quad_nodes()
+    vals = [np.cos(b.pts[:, 0]) for b in quad]
+    totals = [fx.integrate(vals) for _ in range(3)]
+    assert totals == [fs.integrate(vals)] * 3
+    assert tokens == [b.token for b in quad]
+    assert not any(r.flags.writeable for r in fx.density_values(quad))
+
+
+def _ambient_monomial_loop(chart, xs, degree, coeffs):
+    """The polynomial as a sum of constant jets times coordinates, one
+    product per factor."""
+    X, Y, Z = bk.ambient_coordinates(chart, xs)
+    monos = [(i, j, k) for i in range(degree + 1) for j in range(degree + 1)
+             for k in range(degree + 1) if 0 < i + j + k <= degree]
+    acc = Jet.const(0.0, 2, xs[0].order, xs[0].batch_shape)
+    for (i, j, k), c in zip(monos, coeffs):
+        term = Jet.const(c, 2, xs[0].order, xs[0].batch_shape)
+        for factor, n in ((X, i), (Y, j), (Z, k)):
+            for _ in range(n):
+                term = term * factor
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_ambient_poly_scalar_matches_the_monomial_loop(order, degree):
+    backend = bk.CP1()
+    fld = bk.ambient_poly_scalar(backend, np.random.default_rng(4), degree=degree)
+    nmonos = math.comb(degree + 3, 3) - 1
+    coeffs = np.random.default_rng(4).normal(size=nmonos) / nmonos
+    for batch in backend.check_nodes(3, 40):
+        ref = _ambient_monomial_loop(batch.chart, Jet.coordinates(batch.pts, 2, order),
+                                     degree, coeffs).coeffs
+        got = fld(batch, order).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))

@@ -243,10 +243,13 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
     ({"checks": None, "suites": []}, []),
     ({"checks": None, "suites": ["soliton"], "fixtures": []}, []),
     ({"checks": []}, []),
+    ({"checks": ["ID-SHARP", "ID-CONTR", "ID-SHARP"]}, []),
+    ({}, ["--check", "ID-SHARP,ID-SHARP"]),
 ], ids=["partial-fd", "seed-not-int", "negative-richardson", "node-count-zero", "jobs-zero",
         "tolerances-key", "tolerance-scale-key", "negative-seed-flag", "negative-seed-key",
         "top-level-number", "top-level-null", "top-level-nested-list", "top-level-list",
-        "top-level-string", "empty-suites", "empty-fixtures", "empty-checks"])
+        "top-level-string", "empty-suites", "empty-fixtures", "empty-checks",
+        "repeated-check-key", "repeated-check-flag"])
 def test_cli_config_contract(tmp_path, capsys, config, argv):
     # a dict is merged into a valid base config; anything else is the whole file
     cfg = tmp_path / "cfg.json"
@@ -260,6 +263,15 @@ def test_cli_config_contract(tmp_path, capsys, config, argv):
     assert err.startswith("config-error: ")
     if not isinstance(config, dict):
         assert "config must be a JSON object" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [["--check", "ID-CONTR,ID-SHARP,ID-SHARP"],
+                                  ["--check", "ID-SHARP,ID-CONTR,ID-SHARP", "--jobs", "2"]])
+def test_a_repeated_check_id_is_named(tmp_path, capsys, argv):
+    assert main(["run", *argv, "--fixture", "FLAT2", "--out", str(tmp_path / "r"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == "config-error: check id 'ID-SHARP' is given twice\n"
     assert not (tmp_path / "r").exists()
 
 

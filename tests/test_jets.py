@@ -446,3 +446,72 @@ def test_series_helpers_split_and_integrate_in_t():
     lhs = jets.tcoeff(e, 1).coeffs
     rhs = jets.jet_mul(jets.tcoeff(a, 1), jets.tcoeff(e, 0)).coeffs
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# -- products of increments skip their exact-zero blocks ----------------------
+
+
+def _vanishing_below(rng, dim, order, q, shape, low):
+    """A random jet of t-degree q whose coefficients of total degree (spatial
+    plus t) below ``low`` are exact zeros."""
+    tb = jets.table(dim, order, q)
+    c = rng.standard_normal((tb.ncoeff,) + shape)
+    c[tb.alphas.sum(axis=1) < low] = 0.0
+    return Jet(dim, order, c)
+
+
+@pytest.mark.parametrize("budget", [None, 40], ids=["one-group", "many-groups"])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("q", [0, 2])
+def test_zero_block_products_match_the_full_products(monkeypatch, dim, q, budget):
+    # the degrees _compose (0, 1), _recompose (|beta|, 1) and the powers of
+    # inverse_and_logdet (k - 1, 1) pass; the last pair leaves no pair at all
+    if budget:
+        monkeypatch.setattr(jets, "_GATHER_BUDGET", budget)
+    order = 3
+    rng = np.random.default_rng(10 * dim + q)
+    for lows in [(0, 1), (1, 1), (2, 1), (3, 1), (2, 2), (order + q, 1)]:
+        a = _vanishing_below(rng, dim, order, q, (5,), lows[0])
+        b = _vanishing_below(rng, dim, order, q, (5,), lows[1])
+        assert jets._mul(a, b, lows).coeffs.tobytes() == jets.jet_mul(a, b).coeffs.tobytes()
+        A = _vanishing_below(rng, dim, order, q, (5, 3, 3), lows[0])
+        B = _vanishing_below(rng, dim, order, q, (5, 3, 3), lows[1])
+        v = _vanishing_below(rng, dim, order, q, (5, 3), lows[1])
+        # a matrix product, a matrix-vector product, a full contraction and
+        # a label summed on one side only (the np.einsum fallback)
+        for spec, y in (("pij,pjk->pik", B), ("pij,pj->pi", v), ("pij,pji->p", B),
+                        ("pij,pj->p", v)):
+            got = jets._einsum(spec, A, y, lows).coeffs
+            assert got.tobytes() == jets.jet_einsum(spec, A, y).coeffs.tobytes(), (spec, lows)
+    tb = jets.table(dim, order, q)
+    assert len(jets._rank_plan(dim, order, q, 1, 1).src_i) < len(tb.mul_i)
+
+
+def _horner_with_products(a, outer):
+    """_compose as a Horner loop of full products from a constant jet."""
+    w = a.copy()
+    w.coeffs = w.coeffs.astype(np.result_type(w.coeffs.dtype, outer.dtype), copy=True)
+    w.coeffs[0] = 0.0
+    acc = Jet.const(0.0, a.dim, a.order, a.batch_shape) + outer[-1]
+    for j in range(len(outer) - 2, -1, -1):
+        acc = jets.jet_mul(acc, w)
+        acc.coeffs[0] = acc.coeffs[0] + outer[j]
+    return acc
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dim,order,q", [(2, 0, 0), (2, 3, 0), (4, 2, 2), (1, 4, 1)])
+def test_compose_scales_by_its_first_coefficient_bit_for_bit(dim, order, q, dtype):
+    # the first Horner step is a scaling, with the zeros of a product's sums
+    rng = np.random.default_rng(dim + 3 * order + q)
+    tb = jets.table(dim, order, q)
+    c = rng.standard_normal((tb.ncoeff, 6))
+    if dtype is complex:
+        c = c + 1j * rng.standard_normal(c.shape)
+    c[1::3] = -0.0
+    a = Jet(dim, order, c)
+    outer = rng.standard_normal((order + q + 1, 6)).astype(dtype)
+    outer[-1, 0] = -0.0
+    got, ref = jets._compose(a, outer), _horner_with_products(a, outer)
+    assert got.coeffs.dtype == ref.coeffs.dtype
+    assert got.coeffs.tobytes() == ref.coeffs.tobytes()

@@ -356,19 +356,22 @@ def _count_compose(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("orbit", [(0.05, -0.05, 0.1), (0.1, -0.05, 0.05)],
+@pytest.mark.parametrize("orbit,steps", [((0.05, -0.05, 0.1), (4, 4, 4)),
+                                         ((0.1, -0.05, 0.05), (8, 4, 4))],
                          ids=["gauge-order", "reversed"])
-def test_each_flow_is_integrated_alone(monkeypatch, orbit):
-    # S-GAUGE's orbit points, asked for in either order
+def test_each_flow_is_integrated_alone(monkeypatch, orbit, steps):
+    # S-GAUGE's orbit points, asked for in either order; 0.1 continues a
+    # cached 0.05, which takes the same steps of 0.0125, and nothing else
+    # is shared
     fx, ham, batch = _flow_setup()
     refs = {t: va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, t, 1) for t in orbit}
     curve = va.HamiltonianFlowCurve(fx, ham)
     sizes = _count_compose(monkeypatch)
-    for t in orbit:
+    for t, n in zip(orbit, steps):
         del sizes[:]
         got = curve.flow_jets(batch, t, 1)
-        # one RK4 pass of _steps(t) steps on the batch's own points
-        assert sizes == [batch.size] * (4 * curve._steps(t))
+        # the RK4 steps not yet taken, on the batch's own points
+        assert sizes == [batch.size] * (4 * n)
         for g, r in zip(got, refs[t]):
             assert g.coeffs.tobytes() == r.coeffs.tobytes()
     assert {t for _, t, _ in curve._flows} == set(orbit)
@@ -377,6 +380,43 @@ def test_each_flow_is_integrated_alone(monkeypatch, orbit):
     assert sizes == []
     for i, p in enumerate(pos0):
         assert p.coeffs.tobytes() == Jet.coordinate(i, batch.pts, 2, 2).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("prefix_order,order,steps", [(1, 1, 4), (3, 3, 4), (3, 1, 4),
+                                                       (1, 3, 8)])
+def test_a_flow_continues_a_cached_flow_on_its_step(monkeypatch, prefix_order, order, steps):
+    # V-KURSYM asks for 0.05 and then 0.1, both in steps of 0.0125; a cached
+    # flow of lower order than the one asked for cannot serve
+    fx, ham, _ = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    batches = fx.check_nodes(2, 20)
+    assert {b.chart for b in batches} == {0, 1}
+    assert curve._steps(0.05) == 4 and curve._steps(0.1) == 8
+    for batch in batches:
+        curve.flow_jets(batch, 0.05, prefix_order)
+        sizes = _count_compose(monkeypatch)
+        got = curve.flow_jets(batch, 0.1, order)
+        monkeypatch.undo()
+        assert sizes == [batch.size] * (4 * steps)
+        ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, 0.1, order)
+        for g, r in zip(got, ref):
+            assert g.order == order and g.coeffs.tobytes() == r.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("orbit", [(0.04000000000000001, -0.04000000000000001, 0.05),
+                                   (-0.04, 0.05, 0.04)])
+def test_flows_on_other_steps_never_continue_each_other(monkeypatch, orbit):
+    # V-NJ's +-0.04 take steps of +-0.01, V-KURSYM's 0.05 steps of 0.0125
+    fx, ham, batch = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    sizes = _count_compose(monkeypatch)
+    for t in orbit:
+        del sizes[:]
+        got = curve.flow_jets(batch, t, 2)
+        assert sizes == [batch.size] * (4 * curve._steps(t))
+        ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, t, 2)
+        for g, r in zip(got, ref):
+            assert g.coeffs.tobytes() == r.coeffs.tobytes()
 
 
 def test_lower_order_flow_reuses_a_higher_order_one(monkeypatch):
@@ -428,6 +468,43 @@ def test_a_record_does_not_depend_on_the_checks_run_before_it(monkeypatch):
     cat._FAMILIES.clear()
     record("V-NJ")
     assert record("V-KURSYM") == alone
+
+
+def _recompose_with_products(F, pos, order):
+    """_recompose with every monomial a chain of full products from the
+    constant 1, in the engine's order of factors (the last axis first)."""
+    dim, q = pos[0].dim, pos[0].q
+    w = []
+    for p in pos:
+        inc = p.truncate(order).copy()
+        inc.coeffs[0] = 0.0
+        w.append(inc)
+    out = None
+    for idx, beta in enumerate(jets.table(dim, order + q).alphas.tolist()):
+        if not np.any(F.coeffs[idx]):
+            continue
+        mono = Jet.const(1.0, dim, order, pos[0].batch_shape)
+        for a in reversed(range(dim)):
+            for _ in range(beta[a]):
+                mono = jets.jet_mul(mono, w[a])
+        term = Jet(dim, order, mono.coeffs.reshape(mono.coeffs.shape + (1,)) * F.coeffs[idx][None])
+        out = term if out is None else out + term
+    return out.coeffs
+
+
+@pytest.mark.parametrize("q", [0, 2])
+def test_recompose_matches_full_products_bit_for_bit(q):
+    # increments skip their zero blocks and are their own degree-one
+    # monomials; signed zeros in the positions must not show
+    fx, ham, batch = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    pos = curve.flow_series(batch, 0.0, 3, q)
+    pos = [jets.series([jets.tcoeff(p, j) * 1.5 for j in range(q + 1)]) for p in pos]
+    for p in pos:
+        p.coeffs[2::5] = -0.0
+    F = curve.xi(batch, 3 + q)
+    got = va._recompose(F, pos, 3)
+    assert got.coeffs.tobytes() == _recompose_with_products(F, pos, 3).tobytes()
 
 
 def test_compose_field_leaves_no_reference_cycles():
