@@ -60,21 +60,20 @@ def _l2(arr) -> float:
 
 
 def _geom_cache(curve):
-    """``at(t)``, the geometry at t, and ``at.series(t0, q)``, the geometry
-    of the curve's series of degree q around t0, each built once."""
+    """``at.series(t0, q)``, the geometry of the curve's series of degree q
+    around t0, and ``at(t)``, the geometry at t, which is ``at.series(t, 0)``.
+    Each is built once, keyed by (t0 rounded to 12 digits, q) and built at
+    that rounded t0, as the flows are."""
     cache: dict = {}
 
-    def at(t: float) -> GeometryState:
-        key = round(t, 14)
+    def series(t0: float, q: int) -> GeometryState:
+        key = (round(t0, 12), q)
         if key not in cache:
-            cache[key] = GeometryState(curve.fixture_at(t))
+            cache[key] = GeometryState(curve.series_at(*key))
         return cache[key]
 
-    def series(t0: float, q: int) -> GeometryState:
-        key = (round(t0, 14), q)
-        if key not in cache:
-            cache[key] = GeometryState(curve.series_at(t0, q))
-        return cache[key]
+    def at(t: float) -> GeometryState:
+        return series(t, 0)
 
     at.curve = curve  # type: ignore[attr-defined]
     at.series = series  # type: ignore[attr-defined]

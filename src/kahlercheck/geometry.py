@@ -12,8 +12,8 @@ Gamma Gamma products run at the curvature's order, and Ricci is contracted
 straight from Gamma and its first derivatives, so the 4-index tensor is
 built only for ``riemann`` itself (read by ``riemann_cov``).  A state keeps
 one build per quantity and node batch and answers any lower order from it
-by truncation, which is bit-identical to a build at that order because
-every jet table is a prefix of the higher-order ones.
+by truncation (``by_order``), which is bit-identical to a build at that
+order because every jet table is a prefix of the higher-order ones.
 """
 
 from __future__ import annotations
@@ -57,11 +57,19 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
     return Ginv, logdet
 
 
-def _truncate(value, order: int):
-    """A cached jet, or a tuple of them, at ``order``."""
-    if isinstance(value, Jet):
-        return value.truncate(order)
-    return tuple(j.truncate(order) for j in value)
+def by_order(store: dict, key, order: int, build):
+    """``store[key]`` at ``order``: truncated from its build at the next
+    higher order when there is one, else ``build()``, a jet or a sequence of
+    them.  Every jet table is a prefix of the higher-order ones, so the
+    truncation is bit-identical to a build at ``order``; this one rule serves
+    the geometry states, the curve terms, the flows and the flow series."""
+    built = store.setdefault(key, {})
+    if order not in built:
+        above = [k for k in built if k > order]
+        value = built[min(above)] if above else build()
+        built[order] = (value.truncate(order) if isinstance(value, Jet)
+                        else type(value)(j.truncate(order) for j in value))
+    return built[order]
 
 
 def symplectic_form(J: Jet, g: Jet) -> Jet:
@@ -94,16 +102,8 @@ class GeometryState:
     # -- cache plumbing ------------------------------------------------------
 
     def _get(self, name: str, batch: NodeBatch, order: int, builder):
-        """The quantity ``name`` on ``batch`` at ``order``: truncated from its
-        build at a higher order when there is one, else built.  The jet tables
-        are prefixes of each other, so the truncation is bit-identical to a
-        build at ``order``."""
-        built = self._cache.setdefault((name, batch.token), {})
-        if order not in built:
-            above = [k for k in built if k > order]
-            built[order] = (_truncate(built[min(above)], order) if above
-                            else builder())
-        return built[order]
+        """The quantity ``name`` on ``batch`` at ``order`` (see ``by_order``)."""
+        return by_order(self._cache, (name, batch.token), order, builder)
 
     def _guard(self, order: int, depth: int, what: str):
         if order + depth > MAX_FIELD_ORDER:

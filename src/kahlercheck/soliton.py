@@ -175,11 +175,12 @@ def g_metric(geom, phi: Field, psi: Field) -> float:
         m = geom.integrate([f(b, 0).value for b in nodes], nodes)
         if abs(m) > 1e-8:
             raise BadInputError("arguments must have vanishing mean")
+    Pphi = [P(phi, b) for b in nodes]
     term1 = geom.integrate(
-        [np.real(P(phi, b) * np.conj(psi(b, 0).value)) for b in nodes], nodes
+        [np.real(p * np.conj(psi(b, 0).value)) for p, b in zip(Pphi, nodes)], nodes
     )
     term2 = 0.5 * geom.integrate(
-        [np.imag(P(phi, b)) * np.imag(P(psi, b)) for b in nodes], nodes
+        [np.imag(p) * np.imag(P(psi, b)) for p, b in zip(Pphi, nodes)], nodes
     )
     return term1 + term2
 

@@ -11,8 +11,10 @@ g + t v is its own series, exp(tS) has a closed one, and a flow's series is
 the Picard iteration of its generating field (the Taylor method for an ODE).
 
 A flow to a finite t is integrated in RK4 steps of at most
-``HamiltonianFlowCurve.step``, continuing a cached flow that took the same
-steps on the way; the series around t start from that flow.
+``HamiltonianFlowCurve.step``, continuing a cached flow on the same step;
+the series around t start from that flow.  Curve terms, flows and flow
+series are cached by ``geometry.by_order``: a lower order is served by
+truncating a build at a higher one.
 ``fd_derivative`` (Richardson-extrapolated central differences) remains as
 an independent reference for these series.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from . import jets as jmath
 from .backends import Field, Fixture, NodeBatch
 from .errors import FlowDivergedError, NanInFieldError
-from .geometry import inverse_and_logdet, symplectic_form
+from .geometry import by_order, inverse_and_logdet, symplectic_form
 from .jets import Jet, jet_einsum
 
 # ---------------------------------------------------------------------------
@@ -197,16 +199,15 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
 
 def _term(terms: dict, name: str, field, batch: NodeBatch, order: int) -> Jet:
     """The jet of a t-independent term of a curve, kept in the curve's
-    ``terms`` under (name, batch token, order), so every t and every series
-    shares one evaluation.  Its coefficients are read-only: a write into them
-    would reach every other t."""
-    key = (name, batch.token, order)
-    jet = terms.get(key)
-    if jet is None:
+    ``terms`` under (name, batch token) by ``by_order``, so every t, every
+    series and every lower order shares one evaluation.  Its coefficients are
+    read-only: a write into them would reach every other t."""
+    def build():
         jet = field(batch, order)
         jet.coeffs.flags.writeable = False
-        terms[key] = jet
-    return jet
+        return jet
+
+    return by_order(terms, (name, batch.token), order, build)
 
 
 class LinearCurve:
@@ -283,60 +284,38 @@ class HamiltonianFlowCurve:
     def flow_jets(self, batch: NodeBatch, t: float, order: int) -> list[Jet]:
         """The flow to t of the batch's points, as position jets of ``order``.
 
-        Cached under (batch token, t rounded to 12 digits, order) and computed
-        at that rounded t, so each flow is a function of its key alone."""
-        key = (batch.token, round(t, 12), order)
-        pos = self._cached(key)
-        if pos is None:
-            self._integrate(batch, key[1], order)
-            return self._flows[key]
-        self._flows[key] = pos
-        return pos
-
-    def _cached(self, key) -> list[Jet] | None:
-        # jet truncation is exact: a flow of higher order serves lower ones
-        token, tk, order = key
-        for k in range(order, jmath.MAX_ORDER + 1):
-            pos = self._flows.get((token, tk, k))
-            if pos is not None:
-                return pos if k == order else [p.truncate(order) for p in pos]
-        return None
+        Computed at t rounded to 12 digits, in n = ``_steps(t)`` RK4 steps of
+        h = t / n, and cached under (batch token, h) and n, so each flow is a
+        function of its key alone."""
+        t = round(t, 12)
+        n = self._steps(t)
+        h = t / n
+        runs = self._flows.setdefault((batch.token, h), {})
+        return by_order(runs, n, order, lambda: self._integrate(batch, runs, n, h, order))
 
     def _steps(self, t: float) -> int:
         return max(4, int(math.ceil(abs(t) / self.step)))
 
-    def _integrate(self, batch: NodeBatch, t: float, order: int) -> None:
-        """Flow to t in ``_steps(t)`` RK4 steps of t / n, cached under t;
-        t = 0 is the identity, the coordinate jets.  The steps already taken
-        by a cached flow on the way to t (see ``_prefix``) are not taken
-        again: the flow continues from it."""
+    def _integrate(self, batch: NodeBatch, runs: dict, n: int, h: float,
+                   order: int) -> list[Jet]:
+        """The flow of n RK4 steps of h; h = 0 is the identity, the coordinate
+        jets.  The flow continues the one in ``runs`` (the flows on step h, by
+        steps taken) of the most steps below n and an order at least
+        ``order``: its truncation equals the flow integrated at ``order``, so
+        continuing it reproduces the integration from the identity bit for
+        bit."""
         pos = Jet.coordinates(batch.pts, self.base.backend.dim, order)
-        if t != 0.0:
-            n = self._steps(t)
-            done, prefix = self._prefix(batch.token, t, order)
-            if prefix is not None:
-                pos = [p.truncate(order) for p in prefix]
-            for _ in range(done, n):
-                pos = self._rk4_step(batch.chart, pos, t / n, order)
-            if not all(np.all(np.isfinite(p.coeffs)) for p in pos):
-                raise FlowDivergedError("flow integration produced non-finite jets")
-        self._flows[(batch.token, t, order)] = pos
-
-    def _prefix(self, token, t: float, order: int) -> tuple[int, list[Jet] | None]:
-        """(steps taken, flow) of the cached flow that the integration to t
-        passes through, or (0, None): the flow at the largest |t'| < |t| of
-        t's sign, of order at least ``order``, whose RK4 step t' / _steps(t')
-        is t / _steps(t) bit for bit.  Its truncation to ``order`` equals the
-        flow integrated at that order, so continuing from it reproduces the
-        integration from the identity bit for bit."""
-        h = t / self._steps(t)
-        best = None
-        for (tok, tk, k), pos in self._flows.items():
-            if (tok == token and k >= order and tk / t > 0 and abs(tk) < abs(t)
-                    and tk / self._steps(tk) == h
-                    and (best is None or abs(tk) > abs(best[0]))):
-                best = (tk, pos)
-        return (0, None) if best is None else (self._steps(best[0]), best[1])
+        if h == 0.0:
+            return pos
+        done = max((m for m, built in runs.items()
+                    if m < n and any(k >= order for k in built)), default=0)
+        if done:
+            pos = [p.truncate(order) for p in runs[done][max(runs[done])]]
+        for _ in range(done, n):
+            pos = self._rk4_step(batch.chart, pos, h, order)
+        if not all(np.all(np.isfinite(p.coeffs)) for p in pos):
+            raise FlowDivergedError("flow integration produced non-finite jets")
+        return pos
 
     def _rk4_step(self, chart, pos, h, order):
         def f(state):
@@ -360,10 +339,10 @@ class HamiltonianFlowCurve:
         other t0 the RK4 flow): psi_t0 plus the integral of xi(psi) is exact
         to s^(n+1) when psi is exact to s^n.  xi is expanded once, at the
         points psi_t0, and recomposed with each iterate.  Cached under
-        (batch token, t0 rounded to 12 digits, order, q)."""
-        key = (batch.token, round(t0, 12), order, q)
-        pos = self._series.get(key)
-        if pos is None:
+        (batch token, t0 rounded to 12 digits, q) by ``by_order``."""
+        t0 = round(t0, 12)
+
+        def build():
             base = pos = self.flow_jets(batch, t0, order)
             if q:
                 pts = np.stack([p.value for p in base], axis=-1)
@@ -372,8 +351,9 @@ class HamiltonianFlowCurve:
                     xi = _recompose(F, pos, order)
                     pos = [p + jmath.tintegral(Jet(xi.dim, xi.order, xi.coeffs[..., i]))
                            for i, p in enumerate(base)]
-            self._series[key] = pos
-        return pos
+            return pos
+
+        return by_order(self._series, (batch.token, t0, q), order, build)
 
     def _jacobian(self, pos: list[Jet]) -> Jet:
         rows = [p.gradient() for p in pos]      # each (m, a): d_a Psi^i

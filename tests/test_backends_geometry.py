@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kahlercheck import backends as bk
-from kahlercheck.geometry import GeometryState, inverse_and_logdet
+from kahlercheck.geometry import GeometryState, by_order, inverse_and_logdet
 from kahlercheck.jets import Jet
 
 
@@ -417,3 +417,36 @@ def test_ambient_poly_scalar_matches_the_monomial_loop(order, degree):
                                      degree, coeffs).coeffs
         got = fld(batch, order).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["jet", "tuple", "list"])
+def test_by_order_serves_lower_orders_by_truncation(kind):
+    fx = bk.make_fixture("KAH4")
+    batch = fx.check_nodes(0, 10)[0]
+
+    def make(order):
+        g = fx.g(batch, order)
+        if kind == "jet":
+            return g
+        if kind == "tuple":
+            return inverse_and_logdet(g)
+        return [g, fx.omega_density(batch, order)]
+
+    built = []
+
+    def build(order):
+        built.append(order)
+        return make(order)
+
+    store: dict = {}
+    by_order(store, "key", 3, lambda: build(3))
+    for order in (2, 1, 0):
+        got = by_order(store, "key", order, lambda: build(order))
+        ref = make(order)
+        assert type(got) is type(ref)
+        for a, b in zip([got] if kind == "jet" else got, [ref] if kind == "jet" else ref):
+            assert a.order == order
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert built == [3]
+    by_order(store, "key", 4, lambda: build(4))
+    assert built == [3, 4]

@@ -165,7 +165,8 @@ def test_linear_curve_evaluates_its_direction_once_per_batch_and_order():
 
     def f_map(t):
         # a state serves lower orders by truncating its own builds, so it
-        # takes two states to ask the curve for its terms at two orders
+        # takes two states to ask the curve for its terms at two orders; the
+        # curve serves the lower one by truncating its own term
         ts.append(t)
         so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 1)
         return so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 0)
@@ -173,7 +174,11 @@ def test_linear_curve_evaluates_its_direction_once_per_batch_and_order():
     va.fd_derivative(f_map, 0.0, order=1, scheme="central-4", richardson_levels=1)
     assert len(ts) == 8
     orders = {(n, k) for n, tok, k in counts if tok == batch.token}
-    assert {n for n, _ in orders} == {"v", "Vs"} and len(orders) > 2
+    assert orders == {("v", 3), ("Vs", 3)}
+    # an order above the one built evaluates the term again, once
+    so.H_scalar(GeometryState(curve.fixture_at(0.0)), batch, 2)
+    orders = {(n, k) for n, tok, k in counts if tok == batch.token}
+    assert orders == {(n, k) for n in ("v", "Vs") for k in (3, 4)}
     assert set(counts.values()) == {1}
 
 
@@ -184,12 +189,16 @@ def test_conjugation_curve_evaluates_its_direction_once_per_batch_and_order():
     curve = va.StructureConjugationCurve(fx, A)
     batch = fx.check_nodes(4, 12)[0]
     def f_map(t):
-        # two states, so the curve is asked for its direction at two orders
+        # two states, so the curve is asked for its direction at two orders;
+        # the lower one is served by truncation
         so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 1)
         return so.H_scalar(GeometryState(curve.fixture_at(t)), batch, 0)
 
     va.fd_derivative(f_map, 0.0, order=1, scheme="central-4", richardson_levels=1)
-    assert len({k for _, _, k in counts}) > 1
+    assert len({k for _, _, k in counts}) == 1
+    # an order above the one built evaluates the direction again, once
+    so.H_scalar(GeometryState(curve.fixture_at(0.0)), batch, 2)
+    assert len({k for _, _, k in counts}) == 2
     assert set(counts.values()) == {1}
 
 
@@ -254,7 +263,8 @@ def test_cached_curve_terms_are_read_only():
     conj.fixture_at(0.01).g(batch, 1)
     for curve in (line, conj):
         assert curve._terms
-        assert not any(j.coeffs.flags.writeable for j in curve._terms.values())
+        assert not any(j.coeffs.flags.writeable
+                       for built in curve._terms.values() for j in built.values())
 
 
 def test_curve_terms_do_not_outlive_the_curve():
@@ -374,7 +384,9 @@ def test_each_flow_is_integrated_alone(monkeypatch, orbit, steps):
         assert sizes == [batch.size] * (4 * n)
         for g, r in zip(got, refs[t]):
             assert g.coeffs.tobytes() == r.coeffs.tobytes()
-    assert {t for _, t, _ in curve._flows} == set(orbit)
+    # one flow per (step, steps taken)
+    assert {(h, n) for (_, h), runs in curve._flows.items() for n in runs} == \
+        {(t / curve._steps(t), curve._steps(t)) for t in orbit}
     del sizes[:]
     pos0 = curve.flow_jets(batch, 0.0, 2)
     assert sizes == []
@@ -439,6 +451,7 @@ def test_flow_is_integrated_at_its_canonical_t():
     curve = va.HamiltonianFlowCurve(fx, ham)
     assert curve._steps(t) == 5 and curve._steps(0.05) == 4
     got = curve.flow_jets(batch, t, 2)
+    assert list(curve._flows) == [(batch.token, 0.05 / 4)]
     ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, 0.05, 2)
     for g, r in zip(got, ref):
         assert g.coeffs.tobytes() == r.coeffs.tobytes()
@@ -505,6 +518,20 @@ def test_recompose_matches_full_products_bit_for_bit(q):
     F = curve.xi(batch, 3 + q)
     got = va._recompose(F, pos, 3)
     assert got.coeffs.tobytes() == _recompose_with_products(F, pos, 3).tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("t0", [0.0, 0.05])
+def test_flow_series_serves_lower_orders_by_truncation(q, t0):
+    fx, ham, batch = _flow_setup()
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    high = curve.flow_series(batch, t0, 3, q)
+    for order in (3, 2, 1):
+        got = curve.flow_series(batch, t0, order, q)
+        ref = va.HamiltonianFlowCurve(fx, ham).flow_series(batch, t0, order, q)
+        for g, h, r in zip(got, high, ref):
+            assert g.order == order and np.shares_memory(g.coeffs, h.coeffs)
+            assert g.coeffs.tobytes() == r.coeffs.tobytes()
 
 
 def test_compose_field_leaves_no_reference_cycles():
