@@ -9,8 +9,9 @@ residual measures the identity and roundoff, not a step size.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +35,66 @@ class RunOptions:
     node_count: int = 120
 
 
-@dataclass
-class Outcome:
-    """Raw runner output before tolerance gating; ``l2`` defaults to ``sup``."""
+class Sides:
+    """The named (lhs, rhs) pairs a runner compares, before tolerance gating.
 
-    sup: float
-    l2: float | None = None
-    status: str = "computed"
-    reason: str = ""
-    details: dict = dc_field(default_factory=dict)
+    ``add`` records one comparison; a name may be added once per batch, and
+    its sup and scale are taken over every add.  ``details`` holds reported
+    values that are not compared, ``skip`` a reason not to gate the record
+    and ``reason`` the cause of a failed requirement.  ``measure`` turns the
+    pairs into the record's residuals.
+    """
 
-    def __post_init__(self):
-        self.sup = float(self.sup)
-        self.l2 = self.sup if self.l2 is None else float(self.l2)
+    def __init__(self, skip: str = ""):
+        self.skip = skip
+        self.reason = ""
+        self.details: dict = {}
+        self._pairs: dict = {}      # name -> [sup |lhs - rhs|, sup(|lhs|, |rhs|)]
+        self._gaps: list = []       # |lhs - rhs| of every add, raveled, in add order
+
+    def add(self, name: str, lhs, rhs):
+        """Compare ``lhs`` with ``rhs``: jets (their values are read), arrays
+        or numbers, subtracted before raveling so that a constant side
+        broadcasts."""
+        lhs, rhs = (np.asarray(x.value if isinstance(x, Jet) else x) for x in (lhs, rhs))
+        gap = np.abs(lhs - rhs).ravel()
+        self._gaps.append(gap)
+        sup, scale = _sup(gap), max(_sup(lhs), _sup(rhs))
+        if name in self._pairs:
+            old = self._pairs[name]
+            sup, scale = float(np.maximum(old[0], sup)), max(old[1], scale)
+        self._pairs[name] = [sup, scale]
+
+    def require(self, name: str, ok: bool, reason: str):
+        """A condition that is not a comparison: when it fails it is the
+        pair ``name`` of 1 against 0, and ``reason`` explains the record."""
+        if not ok:
+            self.add(name, 1.0, 0.0)
+            self.reason = reason
+
+    @property
+    def sup(self) -> float:
+        """The largest sup |lhs - rhs| over all pairs, 0 with none."""
+        return float(np.max([p[0] for p in self._pairs.values()])) if self._pairs else 0.0
+
+    def measure(self) -> tuple[float, float, dict]:
+        """``(residual_sup, residual_l2, details)``: the largest pair sup, the
+        RMS of every compared component, and the reported details with each
+        pair's sup, the ``worst`` pair and its ``scale``."""
+        details = dict(self.details)
+        if not self._pairs:
+            return 0.0, 0.0, details
+        names = list(self._pairs)
+        sups = np.array([self._pairs[n][0] for n in names])
+        worst = names[int(np.argmax(sups))]
+        details.update({n: self._pairs[n][0] for n in names})
+        details["worst"], details["scale"] = worst, self._pairs[worst][1]
+        gaps = np.concatenate(self._gaps)
+        return float(sups.max()), float(np.sqrt(np.mean(gaps * gaps))), details
 
 
 def _sup(arr) -> float:
     return float(np.max(np.abs(arr))) if np.size(arr) else 0.0
-
-
-def _l2(arr) -> float:
-    """Root mean square of the residual components."""
-    a = np.abs(np.asarray(arr))
-    return float(np.sqrt(np.mean(a * a))) if a.size else 0.0
 
 
 def _geom_cache(curve):
@@ -104,12 +142,6 @@ def _tder(at, map_fn, order=1, t0=0.0) -> Jet:
     return jmath.tcoeff(val, order) * float(math.factorial(order))
 
 
-def _outcome(residuals, **details) -> Outcome:
-    """Sup and RMS of the concatenated residuals."""
-    res = np.concatenate(residuals)
-    return Outcome(_sup(res), _l2(res), details=details)
-
-
 def _tders(at, seed, opts, lhs, order=1, inputs=lambda batch: ()):
     """Yield ``(batch, x, derivative)`` for every check batch: ``x`` is the
     tuple ``inputs(batch)``, evaluated once, and the derivative is taken of
@@ -119,23 +151,24 @@ def _tders(at, seed, opts, lhs, order=1, inputs=lambda batch: ()):
         yield batch, x, _tder(at, lambda gt: lhs(gt, batch, *x), order)
 
 
-def _tder_check(at, seed, opts, lhs, rhs, factor=1.0, inputs=lambda batch: ()) -> Outcome:
-    """The residual ``factor * d/dt lhs - rhs`` on every check batch.
+def _tder_check(at, seed, opts, lhs, rhs, factor=1.0, inputs=lambda batch: ()) -> Sides:
+    """The pair ``variation``, ``factor * d/dt lhs`` against ``rhs``, on
+    every check batch.
 
     ``lhs`` and ``inputs`` are as in ``_tders``; ``rhs(batch, *x)`` is the
     closed form at t = 0 and may take t-derivatives of its own.
     """
-    res = []
+    s = Sides()
     for batch, x, der in _tders(at, seed, opts, lhs, inputs=inputs):
-        res.append((der.value * factor - rhs(batch, *x).value).ravel())
-    return _outcome(res)
+        s.add("variation", der.value * factor, rhs(batch, *x))
+    return s
 
 
 # ---------------------------------------------------------------------------
 # first-variation entries on linear curves
 
 
-def run_v_f(fixture: Fixture, seed: int, opts: RunOptions) -> Outcome:
+def run_v_f(fixture: Fixture, seed: int, opts: RunOptions) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
 
     def rhs(batch):
@@ -145,7 +178,7 @@ def run_v_f(fixture: Fixture, seed: int, opts: RunOptions) -> Outcome:
     return _tder_check(at, seed, opts, lambda gt, batch: gt.f(batch, 0), rhs)
 
 
-def run_v_grad(fixture, seed, opts) -> Outcome:
+def run_v_grad(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
 
     def rhs(batch):
@@ -158,7 +191,7 @@ def run_v_grad(fixture, seed, opts) -> Outcome:
     return _tder_check(at, seed, opts, lambda gt, batch: gt.gradf(batch, 0), rhs)
 
 
-def run_v_adj(fixture, seed, opts) -> Outcome:
+def run_v_adj(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
     u = fl.seeded_sym2(geom, seed + 57)
 
@@ -186,7 +219,7 @@ def _pair_cd_with_sym2(geom, batch, cdW: Jet, v: Jet) -> Jet:
     return jet_einsum("paj,paj->p", lowered, v_up)
 
 
-def run_v_trcov(fixture, seed, opts) -> Outcome:
+def run_v_trcov(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
     u = fl.seeded_sym2(geom, seed + 57)
 
@@ -210,7 +243,7 @@ def run_v_trcov(fixture, seed, opts) -> Outcome:
                         inputs=lambda batch: (u(batch, 1),))
 
 
-def run_v_div1(fixture, seed, opts) -> Outcome:
+def run_v_div1(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
     al = fl.seeded_oneform(geom, seed + 91)
 
@@ -225,7 +258,7 @@ def run_v_div1(fixture, seed, opts) -> Outcome:
                         inputs=lambda batch: (al(batch, 1),))
 
 
-def run_v_div2(fixture, seed, opts) -> Outcome:
+def run_v_div2(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
 
     def lhs(gt, batch, vj2):
@@ -257,7 +290,7 @@ def _v_div2_rhs(geom, batch, v: Field, Vs: Field) -> Jet:
     return r1.truncate(k) + r2.truncate(k) + r3.truncate(k) + r4.truncate(k) + r5.truncate(k)
 
 
-def run_v_super(fixture, seed, opts) -> Outcome:
+def run_v_super(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
 
     def rhs(batch, vstar0):
@@ -273,7 +306,7 @@ def run_v_super(fixture, seed, opts) -> Outcome:
                         inputs=lambda batch: (tc.sharp_sym2(geom, batch, v(batch, 1)),))
 
 
-def run_v_dh(fixture, seed, opts) -> Outcome:
+def run_v_dh(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
     return _tder_check(at, seed, opts, lambda gt, batch: so.H_scalar(gt, batch, 0),
                         lambda batch: _dh_formula(geom, batch, v(batch, 3), Vs(batch, 3)),
@@ -321,10 +354,11 @@ def _hess_assemble(geom, seed, opts, v: Field, Vs: Field, cases):
     """Shared assembly for the second-variation checks on the base geometry
     ``geom``: for each ``(kappa, rhs)`` case, the second t-derivative of H
     less the first-variation correction, against ``rhs``.  H is differentiated
-    once per batch for all cases.  Returns one residual array per case and
-    the sup of the direction-constraint vector adj(v*) + grad V*."""
+    once per batch for all cases.  Returns, per case, the (lhs, rhs) values
+    of every batch, and the direction-constraint vector adj(v*) + grad V*
+    against 0 as the pair ``direction_constraint``."""
     at = _geom_cache(LinearCurve(geom.fixture, v, Vs))
-    res, precond = [[] for _ in cases], 0.0
+    pairs, constraint = [[] for _ in cases], Sides()
     for batch, _, d2 in _tders(at, seed, opts, lambda gt, batch: so.H_scalar(gt, batch, 0),
                                order=2):
         vj = v(batch, 3)
@@ -335,25 +369,38 @@ def _hess_assemble(geom, seed, opts, v: Field, Vs: Field, cases):
         norm2 = tc.pair_2tensors(geom, batch, vj, vj)
         Vs2 = jet_einsum("p,p->p", Vsj, Vsj)
         w = _gauge_vector(geom, batch, v, Vs, order=1)
-        precond = max(precond, _sup(w.value))
-        for out, (kappa, rhs) in zip(res, cases):
+        constraint.add("direction_constraint", w, 0.0)
+        for out, (kappa, rhs) in zip(pairs, cases):
             theta_star = (norm2 - Vs2 * 2.0 + (-kappa)) * 0.25
             dh_theta = _dh_formula(geom, batch, theta, theta_star) * 0.5
             lhs = d2.value * 2.0 - 2.0 * dh_theta.value
-            out.append(lhs - rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa).value)
-    return [np.concatenate(r) for r in res], precond
+            out.append((lhs, rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa).value))
+    return pairs, constraint
 
 
-def run_v_hess(fixture, seed, opts) -> Outcome:
+def _hess_sides(checked, spread_cases) -> Sides:
+    """The pair ``variation`` of the ``checked`` case, and as the detail
+    ``kappa_independence`` the largest gap between the residuals of two
+    ``spread_cases`` on the same batch."""
+    s, spread = Sides(), Sides()
+    for lhs, rhs in checked:
+        s.add("variation", lhs, rhs)
+    for a, b in itertools.combinations(spread_cases, 2):
+        for (la, ra), (lb, rb) in zip(a, b):
+            spread.add("kappa_independence", la - ra, lb - rb)
+    s.details["kappa_independence"] = spread.sup
+    return s
+
+
+def run_v_hess(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     v, Vs = _directions(geom, seed)
-    res, _ = _hess_assemble(geom, seed, opts, v, Vs,
-                                    [(kappa, _hess_rhs) for kappa in (0.0, 1.0, 10.0)])
-    kap_spread = max(_sup(a - b) for a in res for b in res)
-    return _outcome(res[:1], kappa_independence=kap_spread)
+    cases, _ = _hess_assemble(geom, seed, opts, v, Vs,
+                              [(kappa, _hess_rhs) for kappa in (0.0, 1.0, 10.0)])
+    return _hess_sides(cases[0], cases)
 
 
-def run_v_hess_f(fixture, seed, opts) -> Outcome:
+def run_v_hess_f(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
 
     # the direction ((1 + f) e^f g, (e^f - mean) Omega) satisfies the
@@ -381,11 +428,12 @@ def run_v_hess_f(fixture, seed, opts) -> Outcome:
 
     # the constrained statement replaces the assembled right-hand side; it is
     # checked at kappa = 0 against the dedicated formula
-    (r0, r1, res), precond = _hess_assemble(
+    (r0, r1, constrained), constraint = _hess_assemble(
         geom, seed, opts, Field(v_fn), Field(Vs_fn),
         [(0.0, _hess_rhs), (1.0, _hess_rhs), (0.0, _hess_f_rhs)])
-    return _outcome([res], kappa_independence=_sup(r0 - r1),
-                    direction_constraint=precond)
+    s = _hess_sides(constrained, [r0, r1])
+    s.details["direction_constraint"] = constraint.sup
+    return s
 
 
 def _hess_f_rhs(geom, batch, vj: Jet, Vsj: Jet, *_) -> Jet:
@@ -442,30 +490,29 @@ def make_kahler_family(fixture: Fixture, seed: int):
     return _FAMILIES[key][1]
 
 
-def run_v_gdot(fixture, seed, opts) -> Outcome:
+def run_v_gdot(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_structure_curve(fixture, seed))
     geom = at(0.0)
-    sups, sups2 = [], []
+    s = Sides()
     for batch, _, gdot in _tders(at, seed, opts, lambda gt, batch: gt.g(batch, 0)):
         Jdot = _tder(at, lambda gt: gt.J(batch, 0))
         gi = geom.ginv(batch, 0)
         gds = jet_einsum("pik,pkj->pij", gi, gdot)
         J0 = geom.J(batch, 0)
-        rhs = jet_einsum("pik,pkj->pij", J0, Jdot) * (-1.0)
-        sups.append((gds - rhs).value.ravel())
+        s.add("variation", gds, jet_einsum("pik,pkj->pij", J0, Jdot) * (-1.0))
         gddot = _tder(at, lambda gt: gt.g(batch, 0), 2)
         gdds = jet_einsum("pik,pkj->pij", gi, gddot)
         JgJ = jet_einsum("pik,pkj->pij", J0,
                          jet_einsum("pik,pkj->pij", gdds, J0))
-        proj10 = (gdds - JgJ) * 0.5
-        sups2.append((proj10 - jet_einsum("pik,pkj->pij", gds, gds)).value.ravel())
-    return _outcome(sups, second_order_residual=_sup(np.concatenate(sups2)))
+        s.add("second_order_residual", (gdds - JgJ) * 0.5,
+              jet_einsum("pik,pkj->pij", gds, gds))
+    return s
 
 
-def run_v_nj(fixture, seed, opts) -> Outcome:
+def run_v_nj(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_structure_curve(fixture, seed))
     geom = at(0.0)
-    consequence = [0.0]
+    consequence = []
 
     def rhs(batch):
         Jdot = _tder(at, lambda gt: gt.J(batch, 2))
@@ -482,16 +529,17 @@ def run_v_nj(fixture, seed, opts) -> Outcome:
             for tt in (0.0, 0.5 * at.curve.t_max * 0.4, -0.5 * at.curve.t_max * 0.4):
                 gt = at(tt)
                 Jd_t = _tder(at, lambda gs: gs.J(batch, 2), t0=tt)
-                consequence.append(_sup(kh.dbar_endo(gt, batch, Jd_t).value))
+                consequence.append(kh.dbar_endo(gt, batch, Jd_t))
         return dbar_term + hook - comp
 
-    out = _tder_check(at, seed, opts,
+    s = _tder_check(at, seed, opts,
                     lambda gt, batch: kh.nijenhuis(gt, batch, gt.J(batch, 1)), rhs)
-    out.details["dbar_Jdot_along_curve"] = max(consequence)
-    return out
+    for dbar in consequence:
+        s.add("dbar_Jdot_along_curve", dbar, 0.0)
+    return s
 
 
-def run_v_dbarvar(fixture, seed, opts) -> Outcome:
+def run_v_dbarvar(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
 
@@ -506,24 +554,23 @@ def run_v_dbarvar(fixture, seed, opts) -> Outcome:
     return _tder_check(at, seed, opts, kh.dbar_endo, rhs, inputs=gstar0)
 
 
-def run_v_secord(fixture, seed, opts) -> Outcome:
+def run_v_secord(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
-    sups = []
+    s = Sides()
     for batch, _, gdot in _tders(at, seed, opts, lambda gt, batch: gt.g(batch, 2)):
         gddot = _tder(at, lambda gt: gt.g(batch, 2), 2)
         gi = geom.ginv(batch, 2)
         gds = jet_einsum("pik,pkj->pij", gi, gdot)
         gdds = jet_einsum("pik,pkj->pij", gi, gddot)
         xi_star = gdds - jet_einsum("pik,pkj->pij", gds, gds)
-        lhs = kh.dbar_endo(geom, batch, xi_star)
         n10 = jet_map("paij->piaj", kh.nabla10_endo(geom, batch, gds))
-        rhs = tc.generalized_contraction(gds.truncate(n10.order), n10, 1, 2)
-        sups.append((lhs.value - rhs.value).ravel())
-    return _outcome(sups)
+        s.add("variation", kh.dbar_endo(geom, batch, xi_star),
+              tc.generalized_contraction(gds.truncate(n10.order), n10, 1, 2))
+    return s
 
 
-def run_v_dbarvf(fixture, seed, opts) -> Outcome:
+def run_v_dbarvf(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
     xi_field = fl.seeded_vector(geom, seed + 3)
@@ -544,7 +591,7 @@ def run_v_dbarvf(fixture, seed, opts) -> Outcome:
                         inputs=lambda batch: (xi_field(batch, 2),))
 
 
-def run_v_trans(fixture, seed, opts) -> Outcome:
+def run_v_trans(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_structure_curve(fixture, seed))
     geom = at(0.0)
     A_field = fl.seeded_sym_endo(geom, seed + 5)
@@ -559,9 +606,9 @@ def run_v_trans(fixture, seed, opts) -> Outcome:
                         inputs=lambda batch: (A_field(batch, 1),))
 
 
-def run_v_kursym(fixture, seed, opts) -> Outcome:
+def run_v_kursym(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_kahler_family(fixture, seed))
-    sups = []
+    s = Sides()
     # the one off-centre loop: the symmetry is checked along the curve
     for batch in fixture.check_nodes(seed, opts.node_count):
         for tt in (0.0, 0.05, 0.1):
@@ -570,12 +617,11 @@ def run_v_kursym(fixture, seed, opts) -> Outcome:
             gds = jet_einsum("pik,pkj->pij", gt.ginv(batch, 2), gdot)
             W = tc.adjoint_endo(gt, batch, gds)
             E = kh.dbar_vector(gt, batch, W)
-            r = E - tc.transpose_endo(gt, batch, E)
-            sups.append(r.value.ravel())
-    return _outcome(sups)
+            s.add("symmetry", E, tc.transpose_endo(gt, batch, E))
+    return s
 
 
-def run_v_kur1(fixture, seed, opts) -> Outcome:
+def run_v_kur1(fixture, seed, opts) -> Sides:
     at = _geom_cache(make_kahler_family(fixture, seed))
     geom = at(0.0)
     batch = fixture.check_nodes(seed, opts.node_count)[0]
@@ -584,21 +630,17 @@ def run_v_kur1(fixture, seed, opts) -> Outcome:
     Vstar = jet_einsum("p,p->p", rho_dot, jmath.reciprocal(geom.rho(batch, 2)))
     gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 1), gdot)
     w = tc.adjoint_endo(geom, batch, gds) + tc.grad_scalar(geom, batch, Vstar)
-    scale = max(_sup(gds.value), 1e-9)
-    precond = _sup(w.value)
-    if _sup(gds.value) < 1e-10:
-        return Outcome(0.0, 0.0, status="skipped",
-                       reason="trivial direction: the curve does not move the metric")
-    if precond > 1e-6 * max(1.0, scale):
-        return Outcome(precond, precond, status="skipped",
-                       reason=f"direction not divergence-compatible: constraint residual {precond:.2e}")
-    return Outcome(precond, precond, status="skipped",
-                   reason="constraint met only by a trivial direction at desk scale")
+    speed = _sup(gds.value)
+    if speed < 1e-10:
+        return Sides(skip="trivial direction: the curve does not move the metric")
+    s = Sides()
+    s.add("direction_constraint", w, 0.0)
+    s.skip = (f"direction not divergence-compatible: constraint residual {s.sup:.2e}"
+              if s.sup > 1e-6 * max(1.0, speed)
+              else "constraint met only by a trivial direction at desk scale")
+    return s
 
 
-def run_v_fundcx(fixture, seed, opts) -> Outcome:
-    return Outcome(
-        0.0, 0.0, status="skipped",
-        reason="harmonic structure variations are trivial on the rigid fixture; "
-               "the symmetry statement has no nontrivial instance at desk scale",
-    )
+def run_v_fundcx(fixture, seed, opts) -> Sides:
+    return Sides(skip="harmonic structure variations are trivial on the rigid fixture; "
+                      "the symmetry statement has no nontrivial instance at desk scale")

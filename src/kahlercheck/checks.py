@@ -1,9 +1,10 @@
 """Registry of residual-gated checks with stable public identifiers.
 
 Three suites: the pointwise/integral identity suite (ID-*), the variation
-catalog (V-*), and the shrinker/obstruction suite (S-*).  Each check returns
-a CheckResult whose pass flag is exactly residual_sup <= tolerance; skipped
-results always carry a reason.
+catalog (V-*), and the shrinker/obstruction suite (S-*).  Each runner returns
+the named sides it compares (``catalog.Sides``), and ``run_check`` measures
+them into a CheckResult whose pass flag is exactly residual_sup <= tolerance;
+skipped results always carry a reason.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import kahler as kh
 from . import soliton as so
 from . import tensorcalc as tc
 from .backends import FIXTURE_KINDS, Field, NodeBatch
-from .catalog import Outcome, RunOptions, _geom_cache, _outcome, _sup, _tder
+from .catalog import RunOptions, Sides, _geom_cache, _tder
 from .conventions import manifest_hash
 from .errors import KahlercheckError
 from .geometry import GeometryState
@@ -92,39 +93,44 @@ class CheckDef:
         return self.tolerance
 
 
-def _pointwise(residual):
-    """The runner of a pointwise identity: ``residual(geom, batch, seed)`` on
-    every check batch, raveled, with its sup and RMS over all batches.
+def _integrals(geom, values) -> float:
+    """The weighted integral of per-batch ``values`` over the quadrature
+    nodes."""
+    return geom.integrate(list(values), geom.fixture.quad_nodes())
 
-    ``residual`` builds its seeded fields in its body; each is seeded by its
+
+def _pointwise(sides):
+    """The runner of a pointwise identity: ``sides(geom, batch, seed)`` on
+    every check batch, one (lhs, rhs) pair, added as ``identity``, or a dict
+    of named pairs.
+
+    ``sides`` builds its seeded fields in its body; each is seeded by its
     construction, so every batch sees the same field."""
 
-    def run(fixture, seed, opts) -> Outcome:
+    def run(fixture, seed, opts) -> Sides:
         geom = GeometryState(fixture)
-        res = []
+        s = Sides()
         for batch in fixture.check_nodes(seed, opts.node_count):
-            r = residual(geom, batch, seed)
-            res.append(np.ravel(r.value if isinstance(r, Jet) else r))
-        return _outcome(res)
+            pairs = sides(geom, batch, seed)
+            for name, (lhs, rhs) in (pairs.items() if isinstance(pairs, dict)
+                                     else [("identity", pairs)]):
+                s.add(name, lhs, rhs)
+        return s
 
     return run
 
 
-def _gap(geom, sides) -> float:
-    """|integral of lhs - integral of rhs| over the quadrature nodes, where
-    ``sides(b)`` returns the values of both sides on one node batch."""
-    nodes = geom.fixture.quad_nodes()
-    lhs, rhs = zip(*(sides(b) for b in nodes))
-    return abs(geom.integrate(list(lhs), nodes) - geom.integrate(list(rhs), nodes))
-
-
 def _duality(sides):
-    """The runner of an integral duality: the gap between the integrals of
-    the two sides that ``sides(geom, batch, seed)`` returns per batch."""
+    """The runner of an integral duality: the pair ``duality`` of the
+    integrals of the two sides that ``sides(geom, batch, seed)`` returns per
+    quadrature batch."""
 
-    def run(fixture, seed, opts) -> Outcome:
+    def run(fixture, seed, opts) -> Sides:
         geom = GeometryState(fixture)
-        return Outcome(_gap(geom, lambda b: sides(geom, b, seed)))
+        lhs, rhs = zip(*(sides(geom, b, seed) for b in fixture.quad_nodes()))
+        s = Sides()
+        s.add("duality", _integrals(geom, lhs), _integrals(geom, rhs))
+        return s
 
     return run
 
@@ -133,74 +139,59 @@ def _duality(sides):
 # identity suite runners
 
 
-def run_fixture_invariants(fixture, seed, opts) -> Outcome:
+def run_fixture_invariants(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
-    details = {}
-    sups = []
+    s = Sides()
     nodes = fixture.quad_nodes()
-    total = fixture.integrate([np.ones(b.size) for b in nodes], nodes)
-    details["unit_mass"] = abs(total - 1.0)
-    sups.append(details["unit_mass"])
+    s.add("unit_mass", fixture.integrate([np.ones(b.size) for b in nodes], nodes), 1.0)
     for batch in fixture.check_nodes(seed, opts.node_count):
         g = geom.g(batch, 0).value
         eig = float(np.min(np.linalg.eigvalsh(g)))
-        details["min_metric_eig"] = min(details.get("min_metric_eig", eig), eig)
+        s.details["min_metric_eig"] = min(s.details.get("min_metric_eig", eig), eig)
         if geom.is_kahler:
             J = geom.J(batch, 1)
-            jj = np.einsum("pij,pjk->pik", J.value, J.value) + np.eye(fixture.dim)
-            comp = np.einsum("pai,pab,pbj->pij", J.value, g, J.value) - g
-            N = kh.nijenhuis(geom, batch, J)
+            s.add("J_square", np.einsum("pij,pjk->pik", J.value, J.value), -np.eye(fixture.dim))
+            s.add("J_compatibility", np.einsum("pai,pab,pbj->pij", J.value, g, J.value), g)
+            s.add("integrability", kh.nijenhuis(geom, batch, J), 0.0)
             om = geom.omega(batch, 1)
             dom = jet_map("pijd->pdij", om.gradient()).value
             curl = dom + np.transpose(dom, (0, 3, 1, 2)) + np.transpose(dom, (0, 2, 3, 1))
-            cdJ = tc.cd_endo(geom, batch, J)
-            # each detail is the largest over the check batches
-            for name, r in (("J_square", _sup(jj)), ("J_compatibility", _sup(comp)),
-                            ("integrability", _sup(N.value)),
-                            ("symplectic_closed", _sup(curl)), ("parallel_J", _sup(cdJ.value))):
-                details[name] = max(details.get(name, r), r)
-                sups.append(r)
-    return Outcome(max(sups), details=details)
+            s.add("symplectic_closed", curl, 0.0)
+            s.add("parallel_J", tc.cd_endo(geom, batch, J), 0.0)
+    return s
 
 
-def run_quadrature(fixture, seed, opts) -> Outcome:
+def run_quadrature(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     nodes = fixture.quad_nodes()
-    details = {}
-    details["unit_mass"] = abs(fixture.integrate([np.ones(b.size) for b in nodes], nodes) - 1.0)
+    s = Sides()
+    s.add("unit_mass", fixture.integrate([np.ones(b.size) for b in nodes], nodes), 1.0)
     u = fl.seeded_scalar(geom, seed, mean_zero=True)
-    mean = fixture.integrate([u(b, 0).value for b in nodes], nodes)
-    details["projected_mean"] = abs(mean)
-    sups = [details["unit_mass"], details["projected_mean"]]
+    s.add("projected_mean", fixture.integrate([u(b, 0).value for b in nodes], nodes), 0.0)
     if fixture.name == "FLAT2":
         (batch,) = nodes
-        s = np.sin(2 * np.pi * batch.pts[:, 0])
-        details["odd_mode"] = abs(fixture.integrate([s], nodes))
-        dirichlet = fixture.integrate([4 * np.pi**2 * np.cos(2 * np.pi * batch.pts[:, 0]) ** 2], nodes)
-        details["dirichlet_closed_form"] = abs(dirichlet - 2 * np.pi**2)
-        sups += [details["odd_mode"], details["dirichlet_closed_form"]]
-    return Outcome(max(sups), details=details)
+        s.add("odd_mode", fixture.integrate([np.sin(2 * np.pi * batch.pts[:, 0])], nodes), 0.0)
+        dirichlet = fixture.integrate([4 * np.pi**2 * np.cos(2 * np.pi * batch.pts[:, 0]) ** 2],
+                                      nodes)
+        s.add("dirichlet_closed_form", dirichlet, 2 * np.pi**2)
+    return s
 
 
 @_pointwise
 def run_metric_compat(geom, b, seed):
-    return tc.cd_sym2(geom, b, geom.g(b, 1))
+    return tc.cd_sym2(geom, b, geom.g(b, 1)), 0.0
 
 
 @_pointwise
 def run_div_lap(geom, b, seed):
     uj = fl.seeded_scalar(geom, seed)(b, 3)
     X = tc.grad_scalar(geom, b, uj)
-    return tc.div_omega_vector(geom, b, X) + tc.laplacian_scalar(geom, b, uj.truncate(3))
+    return tc.div_omega_vector(geom, b, X), tc.laplacian_scalar(geom, b, uj.truncate(3)) * (-1.0)
 
 
-def run_div_integral(fixture, seed, opts) -> Outcome:
-    geom = GeometryState(fixture)
-    nodes = fixture.quad_nodes()
-    xi = fl.seeded_vector(geom, seed)
-    vals = [tc.div_omega_vector(geom, b, xi(b, 1)).value for b in nodes]
-    total = geom.integrate(vals, nodes)
-    return Outcome(abs(total))
+@_duality
+def run_div_integral(geom, b, seed):
+    return tc.div_omega_vector(geom, b, fl.seeded_vector(geom, seed)(b, 1)).value, 0.0
 
 
 def _identity_inputs(geom, seed, batch):
@@ -218,7 +209,7 @@ def run_div_ua(geom, b, seed):
     gradu = tc.grad_scalar(geom, b, u)
     rhs = jet_einsum("pij,pj->pi", A.truncate(gradu.order), gradu) * (-1.0) + \
         jet_einsum("p,pi->pi", u.truncate(1), tc.adjoint_endo(geom, b, A))
-    return lhs - rhs
+    return lhs, rhs
 
 
 @_pointwise
@@ -228,7 +219,7 @@ def run_div_uxi(geom, b, seed):
     lhs = tc.div_omega_vector(geom, b, uxi)
     rhs = jet_einsum("pi,pi->p", u.gradient().truncate(1), xi.truncate(1)) + \
         jet_einsum("p,p->p", u.truncate(1), tc.div_omega_vector(geom, b, xi))
-    return lhs - rhs
+    return lhs, rhs
 
 
 @_pointwise
@@ -240,7 +231,7 @@ def run_div_a2(geom, b, seed):
     tr = jet_einsum("pam,paim->pi", geom.ginv(b, cdA.order), W)
     rhs = tr * (-1.0) + jet_einsum("pij,pj->pi", A.truncate(1),
                                    tc.adjoint_endo(geom, b, A))
-    return lhs - rhs
+    return lhs, rhs
 
 
 @_pointwise
@@ -255,7 +246,7 @@ def run_div_ev(geom, b, seed):
                          jet_einsum("pja,pji->pai", geom.ginv(b, 1), gA),
                          cdxi.truncate(1))
     rhs = tc.pair_vectors(geom, b, adjA, xi.truncate(1)) * (-1.0) + pairing
-    return lhs - rhs
+    return lhs, rhs
 
 
 @_pointwise
@@ -269,7 +260,7 @@ def run_div_tr(geom, b, seed):
     adjB = tc.adjoint_slots2(geom, b, hat)
     rhs = tc.pair_endos(geom, b, adjB, A.truncate(adjB.order)) * (-1.0) + \
         tc.pair_slots2(geom, b, hat.truncate(1), jet_map("paij->piaj", cdA.truncate(1)))
-    return lhs - rhs
+    return lhs, rhs
 
 
 @_pointwise
@@ -283,22 +274,22 @@ def run_m_identity(geom, b, seed):
     rhs = jet_einsum("pi,pij->pj", adj_vs, vj.truncate(adj_vs.order)) * 2.0 \
         - tc.flat_vector(geom, b, adj_vs2) * 2.0 \
         + normsq.gradient().truncate(1) * 0.5
-    return M - rhs
+    return M, rhs
 
 
-def run_frame_independence(fixture, seed, opts) -> Outcome:
+def run_frame_independence(fixture, seed, opts) -> Sides:
     # one generator draws the frames of every batch in turn
     geom = GeometryState(fixture)
     u = fl.seeded_sym2(geom, seed + 13)
     v = fl.seeded_sym2(geom, seed + 17)
     rng = np.random.default_rng(seed + 19)
-    res = []
+    s = Sides()
     for b in fixture.check_nodes(seed, opts.node_count):
         uj, vj = u(b, 1), v(b, 1)
-        M = tc.m_form(geom, b, uj, vj)
         frame = tc.cholesky_frame(geom.g(b, 0).value, rng)
-        res.append((M.value - tc.m_form_frame_values(geom, b, uj, vj, frame)).ravel())
-    return _outcome(res)
+        s.add("identity", tc.m_form(geom, b, uj, vj),
+              tc.m_form_frame_values(geom, b, uj, vj, frame))
+    return s
 
 
 @_duality
@@ -328,20 +319,22 @@ def run_lap_symmetry(geom, b, seed):
             (tc.laplacian_scalar(geom, b, vj) * uj.truncate(0)).value)
 
 
-def run_lap_positivity(fixture, seed, opts) -> Outcome:
+def run_lap_positivity(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
-    nodes = fixture.quad_nodes()
     u = fl.seeded_scalar(geom, seed + 47)
     uu, du2 = [], []
-    for b in nodes:
+    for b in fixture.quad_nodes():
         uj = u(b, 2)
         uu.append((tc.laplacian_scalar(geom, b, uj) * uj.truncate(0)).value)
         duj = uj.gradient().truncate(0)
         du2.append(tc.pair_oneforms(geom, b, duj, duj).value)
-    gap = geom.integrate(uu, nodes) - geom.integrate(du2, nodes)
-    dirichlet = geom.integrate(du2, nodes)
-    return Outcome(abs(gap), details={"dirichlet_energy": dirichlet,
-                                      "nonnegative": bool(dirichlet > 0)})
+    dirichlet = _integrals(geom, du2)
+    s = Sides()
+    s.add("identity", _integrals(geom, uu), dirichlet)
+    s.details.update(dirichlet_energy=dirichlet, nonnegative=bool(dirichlet > 0))
+    s.require("positive_energy", dirichlet > 0,
+              f"the Dirichlet energy {dirichlet:.3e} is not positive")
+    return s
 
 
 @_pointwise
@@ -352,10 +345,10 @@ def run_sharp(geom, b, seed):
     vs = tc.sharp_sym2(geom, b, vj)
     lhs = jet_einsum("pi,pi->p", tc.flat_vector(geom, b, jet_einsum("pij,pj->pi", vs, xi)), eta)
     rhs = jet_einsum("pi,pi->p", jet_einsum("pij,pj->pi", vj, xi), eta)
-    return lhs - rhs
+    return lhs, rhs
 
 
-def run_contraction_algebra(fixture, seed, opts) -> Outcome:
+def run_contraction_algebra(fixture, seed, opts) -> Sides:
     # one generator draws the tensors of every batch in turn
     rng = np.random.default_rng(seed + 67)
     n = fixture.dim
@@ -365,7 +358,7 @@ def run_contraction_algebra(fixture, seed, opts) -> Outcome:
         j.coeffs[0] = arr
         return j
 
-    res = []
+    s = Sides()
     for b in fixture.check_nodes(seed, opts.node_count):
         m = b.size
         sym = rng.normal(size=(m, n, n))
@@ -373,32 +366,32 @@ def run_contraction_algebra(fixture, seed, opts) -> Outcome:
         anti = rng.normal(size=(m, n, n))
         anti = anti - np.swapaxes(anti, 1, 2)
         eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-        r1 = tc.contraction(cj(eye), cj(sym)).value
-        r2 = tc.contraction(cj(eye), cj(anti)).value - anti
+        s.add("kills_symmetric", tc.contraction(cj(eye), cj(sym)), 0.0)
+        s.add("fixes_antisymmetric", tc.contraction(cj(eye), cj(anti)), anti)
         alpha = cj(rng.normal(size=(m, n, n)))
         b1 = cj(rng.normal(size=(m, n)))
-        r3 = tc.generalized_contraction(alpha, b1, 1, 1).value - \
-            tc.contraction(alpha, b1).value
+        s.add("first_slot", tc.generalized_contraction(alpha, b1, 1, 1),
+              tc.contraction(alpha, b1))
         beta2 = cj(rng.normal(size=(m, n, n, n)))
         g2 = tc.generalized_contraction(alpha, beta2, 1, 2).value
-        r4 = g2 + np.swapaxes(g2, 2, 3)
-        res += [r.ravel() for r in (r1, r2, r3, r4)]
-    return _outcome(res)
+        s.add("antisymmetric_pair", g2, -np.swapaxes(g2, 2, 3))
+    return s
 
 
-def run_chart_transition(fixture, seed, opts) -> Outcome:
+def run_chart_transition(fixture, seed, opts) -> Sides:
     rng = np.random.default_rng(seed + 71)
     pts = rng.uniform(0.5, 0.95, size=(40, 2))
     comp = rng.normal(size=(40, 2, 2))
     comp = comp + np.swapaxes(comp, 1, 2)
     new_pts, out = bk.chart_transition(comp, "sym2", pts)
     back_pts, back = bk.chart_transition(out, "sym2", new_pts)
-    r1 = _sup(back - comp) + _sup(back_pts - pts)
+    s = Sides()
+    s.add("roundtrip", back, comp)
+    s.add("roundtrip_points", back_pts, pts)
     g0 = fixture.g(NodeBatch(0, pts), 0).value
     _, g_push = bk.chart_transition(g0, "sym2", pts)
-    g1 = fixture.g(NodeBatch(1, new_pts), 0).value
-    r2 = _sup(g_push - g1)
-    return Outcome(max(r1, r2), details={"roundtrip": r1, "metric_overlap": r2})
+    s.add("metric_overlap", g_push, fixture.g(NodeBatch(1, new_pts), 0))
+    return s
 
 
 # -- Kahler-only identity runners
@@ -409,33 +402,28 @@ def _bidegree(geom, b, seed):
     Aj = fl.seeded_antilinear(geom, seed + 73)(b, 2)
     n10, n01 = kh.bidegree_split_endo(geom, b, Aj)
     cdA = tc.cd_endo(geom, b, Aj)
-    rec = (n10 + n01) - cdA
     J = geom.J(b, n01.order)
-    rot = jet_einsum("pba,pbij->paij", J, n01)
-    post = jet_einsum("pik,pakj->paij", J, n01) * (-1.0)
-    lin = rot - post
-    return np.concatenate([rec.value.ravel(), lin.value.ravel()])
+    return {"reconstruction": (n10 + n01, cdA),
+            "typed": (jet_einsum("pba,pbij->paij", J, n01),
+                      jet_einsum("pik,pakj->paij", J, n01) * (-1.0))}
 
 
-def run_bidegree(fixture, seed, opts) -> Outcome:
-    out = _bidegree(fixture, seed, opts)
+def run_bidegree(fixture, seed, opts) -> Sides:
+    s = _bidegree(fixture, seed, opts)
     if fixture.backend.kind == "CP1":
         # the holomorphic generators lie in the kernel of del-bar
         geom = GeometryState(fixture)
         basis = bk.holomorphic_basis(fixture.backend)
-        hol = 0.0
         for b in fixture.check_nodes(seed, opts.node_count):
             for xi in basis:
-                hol = max(hol, _sup(kh.dbar_vector(geom, b, xi(b, 2)).value))
-        out.details["holomorphic_kernel"] = hol
-        out.sup = max(out.sup, hol)
-    return out
+                s.add("holomorphic_kernel", kh.dbar_vector(geom, b, xi(b, 2)), 0.0)
+    return s
 
 
 @_pointwise
 def run_dbar_squared(geom, b, seed):
     e = kh.dbar_vector(geom, b, fl.seeded_vector(geom, seed + 79)(b, 3))
-    return kh.dbar_endo(geom, b, e)
+    return kh.dbar_endo(geom, b, e), 0.0
 
 
 @_duality
@@ -459,40 +447,40 @@ def run_dbar_three_route(geom, b, seed):
     emf = jmath.exp(f * (-1.0))
     scaled = jet_einsum("p,pij->pij", emf, Aj)
     r3 = jet_einsum("p,pi->pi", ef.truncate(1), tc.adjoint_endo(free, b, scaled))
-    return np.concatenate([(r1 - r2).value.ravel(), (r1 - r3).value.ravel()])
+    return {"unweighted_route": (r1, r2), "conjugated_route": (r1, r3)}
 
 
 @_pointwise
 def run_hw_relation(geom, b, seed):
     return kh.hodge_witten_relation_residual(
-        geom, b, fl.seeded_antilinear(geom, seed + 101)(b, 2))
+        geom, b, fl.seeded_antilinear(geom, seed + 101)(b, 2)), 0.0
 
 
-def run_hw_self_adjoint(fixture, seed, opts) -> Outcome:
+def run_hw_self_adjoint(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     A = fl.seeded_antilinear(geom, seed + 103)
     B = fl.seeded_antilinear(geom, seed + 107)
-    aa = []
-
-    def sides(b):
+    ab, ba, aa = [], [], []
+    for b in fixture.quad_nodes():
         Aj, Bj = A(b, 2), B(b, 2)
         LA = kh.hodge_witten(geom, b, Aj, 1)
         LB = kh.hodge_witten(geom, b, Bj, 1)
+        ab.append(tc.pair_endos(geom, b, LA, Bj.truncate(0)).value)
+        ba.append(tc.pair_endos(geom, b, LB, Aj.truncate(0)).value)
         # the energy integrand reuses this batch's Hodge-Witten jets
         aa.append(tc.pair_endos(geom, b, LA, Aj.truncate(0)).value)
-        return (tc.pair_endos(geom, b, LA, Bj.truncate(0)).value,
-                tc.pair_endos(geom, b, LB, Aj.truncate(0)).value)
-
-    gap = _gap(geom, sides)
-    quad = geom.integrate(aa, fixture.quad_nodes())
-    return Outcome(max(gap, max(0.0, -quad)),
-                   details={"energy": quad, "symmetry_gap": gap})
+    s = Sides()
+    s.add("symmetry_gap", _integrals(geom, ab), _integrals(geom, ba))
+    energy = _integrals(geom, aa)
+    s.details["energy"] = energy
+    s.require("nonnegative_energy", energy >= 0, f"the energy {energy:.3e} is negative")
+    return s
 
 
 @_pointwise
 def run_b_two_route(geom, b, seed):
     uj = fl.seeded_scalar(geom, seed + 109)(b, 2)
-    return kh.b_operator(geom, b, uj) - kh.b_operator_divergence_route(geom, b, uj)
+    return kh.b_operator(geom, b, uj), kh.b_operator_divergence_route(geom, b, uj)
 
 
 @_duality
@@ -513,26 +501,24 @@ def run_b_chain(geom, b, seed):
     J = geom.J(b, cdA.order)
     Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, cdA.order))
     hook = jet_einsum("pa,paij->pij", Jgf, cdA)
-    rhs = tc.pair_endos(geom, b, hook, Aj.truncate(hook.order)) * 2.0
-    return lhs - rhs
+    return lhs, tc.pair_endos(geom, b, hook, Aj.truncate(hook.order)) * 2.0
 
 
 @_pointwise
 def run_mc_equivalence(geom, b, seed):
     _, _, equiv = kh.maurer_cartan_residuals(
         geom, b, fl.seeded_antilinear(geom, seed + 137)(b, 2))
-    return equiv
+    return equiv, 0.0
 
 
 @_pointwise
 def run_mc_explicit(geom, b, seed):
-    return kh.mc_explicit_residual(geom, b, fl.seeded_antilinear(geom, seed + 139)(b, 2))
+    return kh.mc_explicit_residual(geom, b, fl.seeded_antilinear(geom, seed + 139)(b, 2)), 0.0
 
 
-def run_lie_bracket(fixture, seed, opts) -> Outcome:
+def run_lie_bracket(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
-    details = {}
-    sups = []
+    s = Sides()
     X = fl.seeded_vector(geom, seed + 149)
     Y = fl.seeded_vector(geom, seed + 151)
     for b in fixture.check_nodes(seed, opts.node_count):
@@ -545,9 +531,8 @@ def run_lie_bracket(fixture, seed, opts) -> Outcome:
         k = cda.order
         rhs = jet_einsum("pc,pci->pi", a.truncate(k), cdc) - \
             jet_einsum("pc,pci->pi", c.truncate(k), cda)
-        sups.append(_sup((br - rhs).value))
-        sups.append(_sup((br + kh.lie_bracket_forms(geom, b, c, a, 0, 0)).value))
-    details["degree0"] = max(sups)
+        s.add("degree0", br, rhs)
+        s.add("degree0", br, kh.lie_bracket_forms(geom, b, c, a, 0, 0) * (-1.0))
     if fixture.dim == 4:
         mu1 = fl.seeded_antilinear(geom, seed + 157)
         mu2 = fl.seeded_antilinear(geom, seed + 163)
@@ -559,11 +544,9 @@ def run_lie_bracket(fixture, seed, opts) -> Outcome:
             pb = kh.partial_omega_01form(geom, b, beta)
             rhs = tc.generalized_contraction(alpha.truncate(pb.order), pb, 1, 2) + \
                 tc.generalized_contraction(beta.truncate(pa.order), pa, 1, 2)
-            sups.append(_sup((br - rhs).value))
-            br2 = kh.lie_bracket_forms(geom, b, beta, alpha, 1, 1)
-            sups.append(_sup((br - br2).value))
-        details["degree1"] = max(sups[-2:])
-    return Outcome(max(sups), details=details)
+            s.add("degree1", br, rhs)
+            s.add("degree1", br, kh.lie_bracket_forms(geom, b, beta, alpha, 1, 1))
+    return s
 
 # ---------------------------------------------------------------------------
 # shrinker / obstruction suite runners
@@ -574,272 +557,257 @@ def _pdata(fixture) -> tuple[GeometryState, so.PerelmanData]:
     return geom, so.PerelmanData(geom)
 
 
-def run_perelman(fixture, seed, opts) -> Outcome:
+def run_perelman(fixture, seed, opts) -> Sides:
     geom, pdata = _pdata(fixture)
     nodes = fixture.quad_nodes()
-    details = {
-        "mean_F": abs(geom.integrate([pdata.F(b, 0).value for b in nodes], nodes)),
-        "mean_H_bar": abs(geom.integrate([pdata.H_bar(b, 0).value for b in nodes], nodes)),
-    }
-    sups = [details["mean_F"], details["mean_H_bar"]]
+    s = Sides()
+    s.add("mean_F", _integrals(geom, (pdata.F(b, 0).value for b in nodes)), 0.0)
+    s.add("mean_H_bar", _integrals(geom, (pdata.H_bar(b, 0).value for b in nodes)), 0.0)
     if fixture.name == "FLAT2":
         for b in fixture.check_nodes(seed, opts.node_count):
-            details["flat_h_plus_g"] = _sup((pdata.h(b, 0) + geom.g(b, 0)).value)
-            details["flat_H_plus_one"] = _sup(so.H_scalar(geom, b, 0).value + 1.0)
-            sups += [details["flat_h_plus_g"], details["flat_H_plus_one"]]
-    return Outcome(max(sups), details=details)
+            s.add("flat_h_plus_g", pdata.h(b, 0), geom.g(b, 0) * (-1.0))
+            s.add("flat_H_plus_one", so.H_scalar(geom, b, 0), -1.0)
+    return s
 
 
-def run_soliton_residuals(fixture, seed, opts) -> Outcome:
+def run_soliton_residuals(fixture, seed, opts) -> Sides:
     geom, pdata = _pdata(fixture)
-    details = {"h": 0.0, "H_bar": 0.0, "F": 0.0, "chern_ricci": 0.0, "J_from_form": 0.0}
+    s = Sides()
     for b in fixture.check_nodes(seed, opts.node_count):
-        details["h"] = max(details["h"], _sup(pdata.h(b, 0).value))
-        details["H_bar"] = max(details["H_bar"], _sup(pdata.H_bar(b, 0).value))
-        details["F"] = max(details["F"], _sup(pdata.F(b, 0).value))
+        s.add("h", pdata.h(b, 0), 0.0)
+        s.add("H_bar", pdata.H_bar(b, 0), 0.0)
+        s.add("F", pdata.F(b, 0), 0.0)
         cr = so.chern_ricci(geom, b, 0)
         om = geom.omega(b, 0)
-        details["chern_ricci"] = max(details["chern_ricci"], _sup(cr.value - om.value))
+        s.add("chern_ricci", cr, om)
         Jrec = np.einsum("pij,pjk->pik", np.linalg.inv(om.value), geom.g(b, 0).value)
-        details["J_from_form"] = max(details["J_from_form"],
-                                     _sup(Jrec - geom.J(b, 0).value))
-    return Outcome(max(details.values()), details=details)
+        s.add("J_from_form", Jrec, geom.J(b, 0))
+    return s
 
 
-def run_characterization(fixture, seed, opts) -> Outcome:
-    geom, pdata = _pdata(fixture)
-    sups = []
-    for b in fixture.check_nodes(seed, opts.node_count):
-        sups.append(_sup(so.soliton_characterization_residual(geom, pdata, b)))
-    details = {"at_base": max(sups)}
+def _characterization(s: Sides, name: str, geom, batches):
+    """The pointwise soliton characterization against 0 on ``batches``."""
+    pdata = so.PerelmanData(geom)
+    for b in batches:
+        s.add(name, so.soliton_characterization_residual(geom, pdata, b), 0.0)
+
+
+def run_characterization(fixture, seed, opts) -> Sides:
+    geom = GeometryState(fixture)
+    s = Sides()
+    _characterization(s, "at_base", geom, fixture.check_nodes(seed, opts.node_count))
     # along the gauge orbit the identity persists
     ham = fl.seeded_scalar(geom, seed + 3, mean_zero=True, amp=0.5)
     curve = HamiltonianFlowCurve(fixture, ham)
-    gt = GeometryState(curve.fixture_at(0.05))
-    pt = so.PerelmanData(gt)
-    orbit = max(_sup(so.soliton_characterization_residual(gt, pt, b))
-                for b in fixture.check_nodes(seed, 60))
-    details["on_orbit"] = orbit
+    _characterization(s, "on_orbit", GeometryState(curve.fixture_at(0.05)),
+                      fixture.check_nodes(seed, 60))
     # negative control: scaling the density leaves the compatible family
     def rho_bad(batch, order):
         base = fixture.omega_density(batch, order)
         x = Jet.coordinates(batch.pts, 2, order)[0]
         bump = jmath.sin(x * 3.0) * 0.2 + 1.0
-        raw = jet_einsum("p,p->p", base, bump)
-        return raw
+        return jet_einsum("p,p->p", base, bump)
 
     bad = bk.Fixture("FS-offfamily", fixture.backend, fixture.g,
                      Field(rho_bad), fixture.J, fixture.tags, fixture.descriptor)
-    gb = GeometryState(bad)
-    pb = so.PerelmanData(gb)
-    neg = max(_sup(so.soliton_characterization_residual(gb, pb, b))
-              for b in fixture.check_nodes(seed, 40))
-    details["negative_control"] = neg
-    out = Outcome(max(details["at_base"], orbit), details=details)
-    if neg < 1e-3:
-        out.sup = max(out.sup, 1.0)
-        out.reason = "negative control failed to move the residual"
-    return out
+    control = Sides()
+    _characterization(control, "negative_control", GeometryState(bad),
+                      fixture.check_nodes(seed, 40))
+    s.details["negative_control"] = control.sup
+    s.require("control_moved", control.sup >= 1e-3,
+              "negative control failed to move the residual")
+    return s
 
 
-def run_lambda_basis(fixture, seed, opts) -> Outcome:
+def run_lambda_basis(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     basis = so.lambda_basis(geom)
     ev = np.linalg.eigvalsh(basis.gram)
     nodes = fixture.quad_nodes()
-    means = max(abs(geom.integrate([f(b, 0).value for b in nodes], nodes))
-                for f in basis.functions)
-    details = {
-        "kernel_residual": basis.kernel_residual,
-        "gram_rank": int(np.sum(ev > 1e-10 * ev[-1])),
-        "gram_cond": basis.cond,
-        "means": means,
-    }
-    sup = basis.kernel_residual if details["gram_rank"] == 3 else 1.0
-    return Outcome(max(sup, means), details=details)
+    s = Sides()
+    s.add("kernel_residual", basis.kernel_residual, 0.0)
+    for f in basis.functions:
+        s.add("means", _integrals(geom, (f(b, 0).value for b in nodes)), 0.0)
+    rank = int(np.sum(ev > 1e-10 * ev[-1]))
+    s.details.update(gram_rank=rank, gram_cond=basis.cond)
+    s.require("rank_3", rank == 3, f"the Gram matrix has rank {rank}, not 3")
+    return s
 
 
-def run_p_kernel(fixture, seed, opts) -> Outcome:
+def run_p_kernel(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     basis = so.lambda_basis(geom)
-    sup, imag = 0.0, 0.0
+    s = Sides()
     for b in fixture.check_nodes(seed, opts.node_count):
         for f in basis.functions:
             w = f(b, 4)
             wr = Jet(w.dim, w.order, np.real(w.coeffs))
             out = kh.p_operator(geom, b, wr)
-            sup = max(sup, _sup(out.value))
-            imag = max(imag, _sup(np.imag(out.value)))
+            s.add("kernel", out, 0.0)
+            s.add("imag_residue", np.imag(out.value), 0.0)
     # positivity off the kernel: <w, P w> equals the squared shifted-
     # Laplacian norm, strictly positive away from the kernel
     w_field = fl.seeded_scalar(geom, seed + 5, mean_zero=True)
-    nodes = fixture.quad_nodes()
     quad = []
-    for b in nodes:
+    for b in fixture.quad_nodes():
         lam = kh.complex_laplacian(geom, b, w_field(b, 2)) - w_field(b, 0) * 2.0
         quad.append(np.abs(lam.value) ** 2)
-    energy = geom.integrate(quad, nodes)
-    return Outcome(sup, details={"imag_residue": imag, "offkernel_energy": energy,
-                                 "positive": bool(energy > 0)})
+    energy = _integrals(geom, quad)
+    s.details.update(offkernel_energy=energy, positive=bool(energy > 0))
+    s.require("positive_offkernel", energy > 0,
+              f"the off-kernel energy {energy:.3e} is not positive")
+    return s
 
 
-def run_projector(fixture, seed, opts) -> Outcome:
+def run_projector(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     basis = so.lambda_basis(geom)
     proj = so.KernelProjector(geom, basis)
     nodes = fixture.quad_nodes()
-    details = {"rank": proj.rank}
-    sups = [0.0 if proj.rank == 3 else 1.0]
+    s = Sides()
+    s.details["rank"] = proj.rank
+    s.require("rank_3", proj.rank == 3, f"the kernel projector has rank {proj.rank}, not 3")
     for k in range(20):
         w_field = fl.seeded_scalar(geom, seed + 7 * k, mean_zero=True)
         w = [w_field(b, 0).value for b in nodes]
         pi1, pi2 = proj.split(w)
-        rec = max(_sup(a + c - d) for a, c, d in zip(pi1, pi2, w))
+        for a, c, d in zip(pi1, pi2, w):
+            s.add("completeness", a + c, d)
         _, pi2b = proj.split(pi2)
-        idem = max(_sup(a - c) for a, c in zip(pi2, pi2b))
-        cross = abs(geom.integrate([a * c for a, c in zip(pi1, pi2)], nodes))
-        sups += [rec, idem, cross]
+        for a, c in zip(pi2, pi2b):
+            s.add("idempotency", a, c)
+        s.add("orthogonality", _integrals(geom, (a * c for a, c in zip(pi1, pi2))), 0.0)
     u0 = [np.real(basis.functions[0](b, 0).value) for b in nodes]
     _, pi2u = proj.split(u0)
-    fixed = max(_sup(a - c) for a, c in zip(pi2u, u0))
-    sups.append(fixed)
-    details["kernel_fixed"] = fixed
-    return Outcome(max(sups), details=details)
+    for a, c in zip(pi2u, u0):
+        s.add("kernel_fixed", a, c)
+    return s
 
 
-def run_g_metric(fixture, seed, opts) -> Outcome:
+def run_g_metric(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     basis = so.lambda_basis(geom)
-    details = {}
-    kernel = max(abs(so.g_metric(geom, f, f)) for f in basis.functions)
-    details["kernel_degeneracy"] = kernel
+    s = Sides()
+    for f in basis.functions:
+        s.add("kernel_degeneracy", so.g_metric(geom, f, f), 0.0)
     phi = fl.seeded_complex_scalar(geom, seed + 11)
     psi = fl.seeded_complex_scalar(geom, seed + 13)
     a = so.g_metric(geom, phi, psi)
-    bsym = so.g_metric(geom, psi, phi)
-    details["symmetry"] = abs(a - bsym) / max(1.0, abs(a))
+    # symmetry and linearity relative to the size of G(phi, psi), once past 1
+    rel = max(1.0, abs(a))
+    s.add("symmetry", a / rel, so.g_metric(geom, psi, phi) / rel)
     pos = so.g_metric(geom, phi, phi)
-    details["sample_positivity"] = pos
+    s.details["sample_positivity"] = pos
+    s.require("positive", pos > 0, f"G(phi, phi) = {pos:.3e} is not positive")
     comb = Field(lambda bt, k: phi(bt, k) + psi(bt, k) * 2.0)
-    lin = so.g_metric(geom, comb, psi) - a - 2.0 * so.g_metric(geom, psi, psi)
-    details["linearity"] = abs(lin) / max(1.0, abs(a))
-    sup = max(kernel, details["symmetry"], details["linearity"],
-              0.0 if pos > 0 else 1.0)
-    return Outcome(sup, details=details)
+    s.add("linearity", (so.g_metric(geom, comb, psi) - a) / rel,
+          2.0 * so.g_metric(geom, psi, psi) / rel)
+    return s
 
 
-def run_tangent_cone(fixture, seed, opts) -> Outcome:
+def run_tangent_cone(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     psi = fl.seeded_complex_scalar(geom, seed + 17)
     v_f, Vs_f = so.eta_direction_fields(geom, psi)
     r_D, r_T = so.tangent_cone_residuals(geom, v_f, Vs_f, seed=seed + 19)
+    s = Sides()
+    s.add("anti_invariance_and_dbar", r_D, 0.0)
+    s.add("density_closedness", r_T, 0.0)
     gf = Field(lambda b, k: geom.g(b, k))
     neg, _ = so.tangent_cone_residuals(geom, gf, Vs_f, seed=seed + 23)
-    out = Outcome(max(r_D, r_T), details={"anti_invariance_and_dbar": r_D,
-                                          "density_closedness": r_T,
-                                          "negative_control": neg})
-    if neg < 1e-2:
-        out.sup = max(out.sup, 1.0)
-        out.reason = "negative control failed: an invariant tensor was accepted"
-    return out
+    s.details["negative_control"] = neg
+    s.require("control_moved", neg >= 1e-2,
+              "negative control failed: an invariant tensor was accepted")
+    return s
 
 
-def run_bochner_chain(fixture, seed, opts) -> Outcome:
+def run_bochner_chain(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     A = fl.seeded_antilinear(geom, seed + 29)
-    route, lich = [], []
+    s = Sides()
     for b in fixture.check_nodes(seed, opts.node_count):
-        req, llich = so.bochner_chain_residuals(geom, b, A(b, 2))
-        route.append(_sup(req.value))
-        lich.append(_sup(llich.value))
-    return Outcome(max(max(route), max(lich)),
-                   details={"route_equivalence": max(route),
-                            "lichnerowicz_agreement": max(lich)})
+        route, lich = so.bochner_chain_residuals(geom, b, A(b, 2))
+        s.add("route_equivalence", route, 0.0)
+        s.add("lichnerowicz_agreement", lich, 0.0)
+    return s
 
 
-def run_stability(fixture, seed, opts) -> Outcome:
+def run_stability(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     A = fl.seeded_antilinear(geom, seed + 31)
-    hw_norm = 0.0
-    sups = []
+    s, defect = Sides(), Sides()
     for b in fixture.check_nodes(seed, opts.node_count):
         Aj = A(b, 2)
-        sups.append(_sup(so.stability_identity_residual(geom, b, Aj)))
-        hw = kh.hodge_witten(geom, b, Aj, 1)
-        hw_norm = max(hw_norm, _sup(hw.value))
-    return Outcome(max(sups), details={"harmonicity_defect": hw_norm,
-                                       "defect_coefficient": 2.0})
+        s.add("identity", so.stability_identity_residual(geom, b, Aj), 0.0)
+        defect.add("harmonicity_defect", kh.hodge_witten(geom, b, Aj, 1), 0.0)
+    s.details.update(harmonicity_defect=defect.sup, defect_coefficient=2.0)
+    return s
 
 
-def run_phi(fixture, seed, opts) -> Outcome:
+def run_phi(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
-    details = {}
+    s = Sides()
     if fixture.backend.kind == "CP1":
         basis = so.lambda_basis(geom)
-        vals, bridges = [], []
         for k in range(10):
             A = fl.seeded_antilinear(geom, seed + 3 * k)
             direct = so.phi_functional(geom, A, basis.functions)
             bridge = so.phi_functional_bridge(geom, A, basis.functions)
-            vals += [abs(v) for v in direct]
-            bridges += [abs(v - b) for v, b in zip(direct, bridge)]
-        details["max_value"] = max(vals)
-        details["two_route_gap"] = max(bridges)
-        mech = 0.0
+            for v, b in zip(direct, bridge):
+                s.add("max_value", v, 0.0)
+                s.add("two_route_gap", v, b)
         for b in fixture.check_nodes(seed, 60):
-            mech = max(mech, _sup(geom.gradf(b, 0).value))
-        details["pointwise_mechanism"] = mech
-        return Outcome(max(details["max_value"], details["two_route_gap"], mech),
-                       details=details)
-    # plumbing mode: real-linearity on a curved weighted fixture
+            s.add("pointwise_mechanism", geom.gradf(b, 0), 0.0)
+        return s
+    # plumbing mode: real-linearity on a curved weighted fixture, relative
+    # to the size of phi(u) once past 1
     A = fl.seeded_antilinear(geom, seed + 37)
     u = fl.seeded_complex_scalar(geom, seed + 41)
     w = fl.seeded_complex_scalar(geom, seed + 43)
     comb = Field(lambda bt, k: u(bt, k) * 2.0 + w(bt, k) * (-3.0))
     p_comb, p_u, p_w = so.phi_functional(geom, A, [comb, u, w])
-    lin = p_comb - 2.0 * p_u + 3.0 * p_w
-    scale = max(1.0, abs(p_u))
-    details["linearity"] = abs(lin) / scale
-    return Outcome(details["linearity"], details=details)
+    rel = max(1.0, abs(p_u))
+    s.add("linearity", (p_comb - 2.0 * p_u) / rel, -3.0 * p_w / rel)
+    return s
 
 
-def run_integral_identity(fixture, seed, opts) -> Outcome:
+def run_integral_identity(fixture, seed, opts) -> Sides:
     geom, pdata = _pdata(fixture)
     A = fl.seeded_antilinear(geom, seed + 47)
     lhs, rhs, defect = so.integral_identity_sides(geom, pdata, A)
-    details = {"cone_integral": abs(lhs), "drift_side": abs(rhs),
-               "harmonicity_defect": defect}
+    s = Sides()
+    s.details.update(drift_side=abs(rhs), harmonicity_defect=defect)
     if fixture.backend.kind == "CP1":
-        return Outcome(max(abs(lhs), abs(lhs - rhs)), details=details)
-    # the hypothesis fails off the shrinker: the gap is reported, not gated
-    return Outcome(abs(lhs - rhs), details=details, status="skipped",
-                   reason="the identity needs a harmonic argument; on this fixture "
-                          f"the seeded one has harmonicity defect {defect:.2e}")
+        s.add("cone_integral", lhs, 0.0)
+    else:
+        # the hypothesis fails off the shrinker: the gap is reported, not gated
+        s.details["cone_integral"] = abs(lhs)
+        s.skip = ("the identity needs a harmonic argument; on this fixture "
+                  f"the seeded one has harmonicity defect {defect:.2e}")
+    s.add("integral_identity", lhs, rhs)
+    return s
 
 
-def run_weighted_bochner(fixture, seed, opts) -> Outcome:
+def run_weighted_bochner(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     basis = so.lambda_basis(geom)
-    sups_kernel, sups = [], []
+    s = Sides()
     for b in fixture.check_nodes(seed, 40):
         for f in basis.functions:
-            r = so.weighted_complex_bochner_residual(geom, b, f(b, 4))
-            sups_kernel.append(_sup(r.value))
+            s.add("kernel_arguments", so.weighted_complex_bochner_residual(geom, b, f(b, 4)), 0.0)
     for k in range(10):
         psi = fl.seeded_complex_scalar(geom, seed + 5 * k)
         for b in fixture.check_nodes(seed + k, 40):
-            r = so.weighted_complex_bochner_residual(geom, b, psi(b, 4))
-            sups.append(_sup(r.value))
-    return Outcome(max(max(sups), max(sups_kernel)),
-                   details={"kernel_arguments": max(sups_kernel),
-                            "seeded_arguments": max(sups)})
+            s.add("seeded_arguments", so.weighted_complex_bochner_residual(geom, b, psi(b, 4)),
+                  0.0)
+    return s
 
 
-def run_dh_map(fixture, seed, opts) -> Outcome:
+def run_dh_map(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     basis = so.lambda_basis(geom)
-    details = {}
     nodes = fixture.quad_nodes()
+    s = Sides()
 
     def H_mean(gt):
         # PerelmanData.H_mean's quadrature written in jets, so that on a
@@ -849,50 +817,38 @@ def run_dh_map(fixture, seed, opts) -> Outcome:
                    for b in nodes)
 
     def one(psi_field, label):
+        # d/dt of H less its mean against a quarter of P on Re psi
         v_f, Vs_f = so.eta_direction_fields(geom, psi_field)
         at = _geom_cache(LinearCurve(fixture, v_f, Vs_f))
         mean_dot = _tder(at, H_mean).value
-        local = []
         for batch in fixture.check_nodes(seed, 50):
             der = _tder(at, lambda gt: so.H_scalar(gt, batch, 0))
             psi = psi_field(batch, 4)
             wr = Jet(psi.dim, psi.order, np.real(psi.coeffs))
             P = kh.p_operator(geom, batch, wr)
-            rhs = np.real(P.value) * 0.25
-            local.append(_sup(der.value - mean_dot - rhs))
-        details[label] = max(local)
-        return max(local)
+            s.add(label, der.value - mean_dot, np.real(P.value) * 0.25)
 
-    s1 = one(basis.functions[1], "kernel_argument")
-    psi = fl.seeded_complex_scalar(geom, seed + 53)
-    s2 = one(psi, "seeded_argument")
-    return Outcome(max(s1, s2), details=details)
+    one(basis.functions[1], "kernel_argument")
+    one(fl.seeded_complex_scalar(geom, seed + 53), "seeded_argument")
+    return s
 
 
-def run_gauge(fixture, seed, opts) -> Outcome:
+def run_gauge(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     ham = fl.seeded_scalar(geom, seed + 59, mean_zero=True,
                            amp=0.5 if fixture.backend.kind == "CP1" else 0.15)
     curve = HamiltonianFlowCurve(fixture, ham)
-    details = {}
-    sups = []
+    s = Sides()
     if "fano_soliton" in fixture.tags:
         for t in (0.05, -0.05, 0.1):
-            gt = GeometryState(curve.fixture_at(t))
-            pt = so.PerelmanData(gt)
-            r = max(_sup(pt.H_bar(b, 0).value) for b in fixture.check_nodes(seed, 60))
-            sups.append(r)
-        details["H_bar_along_orbit"] = max(sups)
-        sym = 0.0
+            pt = so.PerelmanData(GeometryState(curve.fixture_at(t)))
+            for b in fixture.check_nodes(seed, 60):
+                s.add("H_bar_along_orbit", pt.H_bar(b, 0), 0.0)
         for t in (0.05, 0.1):
             gt = GeometryState(curve.fixture_at(t))
             for b in fixture.check_nodes(seed, 40):
-                om_t = gt.omega(b, 0).value
-                om_0 = geom.omega(b, 0).value
-                sym = max(sym, _sup(om_t - om_0))
-        details["symplectic_residual"] = sym
-        sups.append(sym)
-        return Outcome(max(sups), details=details)
+                s.add("symplectic_residual", gt.omega(b, 0), geom.omega(b, 0))
+        return s
     # equivariance on a curved weighted torus: transported quantities commute
     pdata = so.PerelmanData(geom)
     H_mean = pdata.H_mean
@@ -904,29 +860,25 @@ def run_gauge(fixture, seed, opts) -> Outcome:
     gt = GeometryState(curve.fixture_at(t))
     pt = so.PerelmanData(gt)
     H_field = Field(lambda batch, order: so.H_scalar(geom, batch, order))
-    pointwise = []
+    # its two parts, reported: H itself, point by point, and the quadrature
+    # of its mean
+    pointwise = Sides()
     for b in fixture.check_nodes(seed, 60):
-        lhs = pt.H_bar(b, 0).value
-        rhs = curve.pullback_scalar_values(Field(hbar_field), b, t)
-        sups.append(_sup(lhs - rhs))
-        pointwise.append(_sup(so.H_scalar(gt, b, 0).value
-                              - curve.pullback_scalar_values(H_field, b, t)))
-    details["H_bar_equivariance"] = max(sups)
-    # its two parts: H itself, point by point, and the quadrature of its mean
-    details["H_pointwise_equivariance"] = max(pointwise)
-    details["H_mean_drift"] = float(abs(pt.H_mean - H_mean))
+        s.add("H_bar_equivariance", pt.H_bar(b, 0),
+              curve.pullback_scalar_values(Field(hbar_field), b, t))
+        pointwise.add("H_pointwise_equivariance", so.H_scalar(gt, b, 0),
+                      curve.pullback_scalar_values(H_field, b, t))
+    s.details["H_pointwise_equivariance"] = pointwise.sup
+    s.details["H_mean_drift"] = float(abs(pt.H_mean - H_mean))
     # the defect tensor transports as a 2-tensor
-    h_sups = []
     for b in fixture.check_nodes(seed, 40):
         pos = curve.flow_jets(b, t, 1)
         h0Y = compose_field(Field(lambda bb, kk: so.h_tensor(geom, bb, kk)),
                             b.chart, [p.truncate(0) for p in pos], 0)
         dpsi = curve._jacobian(pos).value
         transported = np.einsum("pia,pij,pjb->pab", dpsi, h0Y.value, dpsi)
-        ht = so.h_tensor(gt, b, 0).value
-        h_sups.append(_sup(transported - ht))
-    details["h_equivariance"] = max(h_sups)
-    return Outcome(max(sups + h_sups), details=details)
+        s.add("h_equivariance", transported, so.h_tensor(gt, b, 0))
+    return s
 
 # ---------------------------------------------------------------------------
 # registry
@@ -1117,14 +1069,14 @@ def run_check(check_id: str, fixture_name: str, seed: int,
         return CheckResult(check_id, fixture_name, seed, float("nan"), float("nan"),
                            tol, "fail", reason, ms, manifest_hash(), details)
     ms = (time.perf_counter() - t0) * 1e3
-    if out.status == "skipped":
-        status = "skipped-with-reason"
-        reason = out.reason or "skipped"
+    sup, l2, details = out.measure()
+    if out.skip:
+        status, reason = "skipped-with-reason", out.skip
+    elif sup <= tol:
+        status, reason = "pass", ""
     else:
-        ok = out.sup <= tol
-        status = "pass" if ok else "fail"
-        reason = out.reason if not ok else ""
-        if not ok and not reason:
-            reason = f"residual_sup {out.sup:.3e} exceeds tolerance {tol:.3e}"
-    return CheckResult(check_id, fixture_name, seed, out.sup, out.l2, tol,
-                       status, reason, ms, manifest_hash(), dict(out.details))
+        status = "fail"
+        reason = out.reason or (f"residual_sup {sup:.3e} of {details['worst']} "
+                                f"exceeds tolerance {tol:.3e}")
+    return CheckResult(check_id, fixture_name, seed, sup, l2, tol,
+                       status, reason, ms, manifest_hash(), details)

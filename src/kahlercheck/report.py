@@ -62,7 +62,7 @@ def format_table(records: list[dict]) -> str:
             f"{rec['check_id']:14s} {rec['fixture']:7s} {rec['status']:19s} "
             f"{res_s:>11s} {rec['tolerance']:>8.0e}\n"
         )
-        if rec["status"] == "skipped-with-reason":
+        if rec["status"] != "pass":
             out.write(f"    reason: {rec['reason']}\n")
     rep = report_dict(records)
     out.write(

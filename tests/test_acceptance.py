@@ -178,3 +178,18 @@ def test_criterion_9_full_run(full_run, tmp_path):
     _criterion(9, "full deterministic run", ok,
                f"{len(rep['results'])} checks in {full_run['wall']:.0f}s, "
                f"exit {full_run['code']}, deterministic={det}")
+
+
+def test_criterion_10_every_record_names_its_worst_pair(full_run):
+    recs = [r for r in full_run["report"]["results"] if "worst" in r["details"]]
+    bad = [(r["check_id"], r["fixture"]) for r in recs
+           if r["details"][r["details"]["worst"]] != r["residual_sup"]
+           or not r["residual_l2"] <= r["residual_sup"]]
+    # an exact zero that is not vacuous: both sides of the duality are of order 4
+    selfadj = full_run["by_key"][("ID-HW-SELFADJ", "KAH4")]["details"]["scale"]
+    unnamed = [(r["check_id"], r["fixture"]) for r in full_run["report"]["results"]
+               if r["status"] != "skipped-with-reason" and "worst" not in r["details"]]
+    ok = not unnamed and not bad and selfadj > 1
+    _criterion(10, "worst pair and scale", ok,
+               f"{len(recs)} records with pairs, mismatched {bad}, unnamed {unnamed}, "
+               f"ID-HW-SELFADJ/KAH4 scale {selfadj:.3f}")

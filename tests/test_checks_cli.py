@@ -53,12 +53,34 @@ def test_registry_holds_every_variation_check():
     }
 
 
-def test_outcome_l2_is_the_rms_and_defaults_to_sup():
-    assert ck.Outcome(2).l2 == 2.0
-    out = cat._outcome([np.array([3.0, -4.0]), np.array([0.0, 0.0])])
-    assert out.sup == 4.0
-    assert out.l2 == pytest.approx(2.5)
-    assert out.details == {}
+def test_sides_driver_measures_every_pair():
+    s = cat.Sides()
+    assert s.measure() == (0.0, 0.0, {})
+    s.add("a", np.array([3.0, -4.0]), 0.0)
+    # a constant side broadcasts against the array before raveling
+    s.add("b", np.full((2, 2, 2), 1.0), np.eye(2))
+    s.add("a", np.array([1.0, 1.0]), np.array([1.0, 6.0]))
+    s.details["reported"] = 7.0
+    sup, l2, details = s.measure()
+    # per pair: the sup over every add of the name, and sup(|lhs|, |rhs|)
+    assert details["a"] == 5.0 and details["b"] == 1.0
+    assert details["worst"] == "a" and details["scale"] == 6.0
+    assert details["reported"] == 7.0
+    assert sup == s.sup == 5.0
+    # the RMS of every compared component, in add order
+    gaps = np.array([3, 4, 0, 1, 1, 0, 0, 1, 1, 0, 0, 5], dtype=float)
+    assert l2 == np.sqrt(np.mean(gaps * gaps))
+    assert l2 <= sup
+
+
+def test_a_failed_requirement_is_a_pair_of_one_against_zero():
+    s = cat.Sides()
+    s.require("holds", True, "never read")
+    assert s.measure() == (0.0, 0.0, {}) and s.reason == ""
+    s.add("tiny", 1e-20, 0.0)
+    s.require("rank_3", False, "rank 2")
+    sup, l2, details = s.measure()
+    assert sup == 1.0 and details["worst"] == "rank_3" and s.reason == "rank 2"
 
 
 def test_fixture_details_cover_every_check_batch():
@@ -79,7 +101,9 @@ def test_integral_identity_off_the_shrinker_is_a_skip_with_its_gap():
     assert r.status == "skipped-with-reason"
     assert "harmonic" in r.reason
     d = r.details
-    assert set(d) == {"cone_integral", "drift_side", "harmonicity_defect"}
+    assert set(d) == {"cone_integral", "drift_side", "harmonicity_defect",
+                      "integral_identity", "worst", "scale"}
+    assert d["worst"] == "integral_identity"
     assert d["harmonicity_defect"] > 1e-3
     assert r.residual_sup >= abs(d["cone_integral"] - d["drift_side"])
     assert r.residual_sup > 0.1
@@ -124,6 +148,25 @@ def test_report_roundtrip(tmp_path):
     assert len(lines) == 3
     table = report.format_table(recs)
     assert "ID-SHARP" in table and "pass" in table
+    assert "reason:" not in table
+
+
+def test_a_failing_pair_is_named_in_the_record_and_the_table(monkeypatch):
+    def second_fails(fixture, seed, opts):
+        s = cat.Sides()
+        s.add("first", np.zeros(3), 1e-15)
+        s.add("second", np.array([1.0, 2.0]), np.array([1.0, 2.5]))
+        return s
+
+    d = ck.REGISTRY["ID-SHARP"]
+    monkeypatch.setitem(ck.REGISTRY, "ID-SHARP", dataclasses.replace(d, runner=second_fails))
+    r = ck.run_check("ID-SHARP", "FLAT2", 0)
+    assert r.status == "fail"
+    assert r.residual_sup == 0.5 and r.details["worst"] == "second"
+    assert r.details["scale"] == 2.5 and r.details["first"] == 1e-15
+    assert r.reason == f"residual_sup 5.000e-01 of second exceeds tolerance {r.tolerance:.3e}"
+    table = report.format_table([r.to_record()])
+    assert f"    reason: {r.reason}\n" in table
 
 
 def _strip_runtime(rep):

@@ -291,23 +291,22 @@ def test_curve_terms_do_not_outlive_the_curve():
 def test_catalog_entries_pass(cid, fixture):
     entry = ck.REGISTRY[cid]
     out = entry.runner(bk.make_fixture(fixture), 11, OPTS)
-    assert out.status == "computed"
+    assert not out.skip
     assert out.sup < entry.tolerance, (cid, fixture, out.sup)
 
 
 def test_v_hess_kappa_protocol():
     out = cat.run_v_hess(bk.make_fixture("FLAT2"), 11, OPTS)
+    assert not out.skip
     assert out.sup < 1e-6
     assert out.details["kappa_independence"] < 1e-8
 
 
 def test_v_kur1_never_vacuously_passes():
     out = cat.run_v_kur1(bk.make_fixture("FS"), 11, OPTS)
-    assert out.status == "skipped"
-    assert out.reason
+    assert out.skip
     out2 = cat.run_v_fundcx(bk.make_fixture("FS"), 11, OPTS)
-    assert out2.status == "skipped"
-    assert "trivial" in out2.reason
+    assert "trivial" in out2.skip
 
 
 def test_flow_initial_speed_is_lie_derivative():
