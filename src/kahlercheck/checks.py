@@ -453,7 +453,7 @@ def run_dbar_three_route(geom, b, seed):
 @_pointwise
 def run_hw_relation(geom, b, seed):
     return kh.hodge_witten_relation_residual(
-        geom, b, fl.seeded_antilinear(geom, seed + 101)(b, 2)), 0.0
+        geom, b, fl.seeded_antilinear(geom, seed + 101)(b, 2))
 
 
 def run_hw_self_adjoint(fixture, seed, opts) -> Sides:
@@ -513,7 +513,7 @@ def run_mc_equivalence(geom, b, seed):
 
 @_pointwise
 def run_mc_explicit(geom, b, seed):
-    return kh.mc_explicit_residual(geom, b, fl.seeded_antilinear(geom, seed + 139)(b, 2)), 0.0
+    return kh.mc_explicit_residual(geom, b, fl.seeded_antilinear(geom, seed + 139)(b, 2))
 
 
 def run_lie_bracket(fixture, seed, opts) -> Sides:

@@ -96,16 +96,17 @@ def partial10_gradf(geom, batch, order: int) -> Jet:
     return (H - JHJ) * 0.5
 
 
-def hodge_witten_relation_residual(geom, batch, A: Jet) -> Jet:
-    """Weighted minus unweighted Laplacian against the two weight hooks."""
-    lhs = hodge_witten(geom, batch, A, 1)
+def hodge_witten_relation_residual(geom, batch, A: Jet) -> tuple[Jet, Jet]:
+    """``(lhs, rhs)``: the weighted minus the unweighted Laplacian, and the
+    two weight hooks it equals."""
+    weighted = hodge_witten(geom, batch, A, 1)
     free = geom.unweighted()
-    rhs = hodge_witten(free, batch, A, 1)
+    unweighted = hodge_witten(free, batch, A, 1)
     n01 = nabla01_endo(geom, batch, A)
     hook1 = jet_einsum("pa,paij->pij", geom.gradf(batch, n01.order), n01)
-    S = partial10_gradf(geom, batch, lhs.order)
+    S = partial10_gradf(geom, batch, weighted.order)
     hook2 = tc.endo_mul(A.truncate(S.order), S)
-    return lhs - rhs - hook1 - hook2
+    return weighted - unweighted, hook1 + hook2
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,9 @@ def maurer_cartan_residuals(geom, batch, mu: Jet):
     return r_re, r_cx, equiv
 
 
-def mc_explicit_residual(geom, batch, mu: Jet) -> Jet:
-    """(I + mu) hook J cd(mu) - (I + mu) J hook cd(mu) against 2 J R_re(mu)."""
+def mc_explicit_residual(geom, batch, mu: Jet) -> tuple[Jet, Jet]:
+    """``(lhs, rhs)``: (I + mu) hook J cd(mu) - (I + mu) J hook cd(mu), and
+    2 J R_re(mu)."""
     cdmu = jet_map("paij->piaj", tc.cd_endo(geom, batch, mu))   # value-first
     J = geom.J(batch, cdmu.order)
     Jcd = jet_einsum("pik,pkab->piab", J, cdmu)
@@ -220,7 +222,7 @@ def mc_explicit_residual(geom, batch, mu: Jet) -> Jet:
     lhs = lhs - tc.generalized_contraction(opJ, cdmu, 1, 2)
     r_re = mc_real_residual(geom, batch, mu)
     rhs = jet_einsum("pik,pkab->piab", J.truncate(r_re.order), r_re) * 2.0
-    return lhs - rhs
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,17 @@ def test_compare_reports_script(tmp_path, field, code):
         assert f"({last['check_id']}, PERT2, residual_sup)" in out.stdout
 
 
+@pytest.mark.parametrize("limit, child, code", [(4096, "pass", 0), (1, "pass", 1),
+                                               (4096, "raise SystemExit(3)", 3)],
+                         ids=["under-limit", "over-limit", "command-failed"])
+def test_peak_rss_script(limit, child, code):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
+    out = subprocess.run([sys.executable, str(script), "--limit-mib", str(limit), "--",
+                          sys.executable, "-c", child], capture_output=True, text=True)
+    assert out.returncode == code, out.stdout + out.stderr
+    assert f"limit {limit:.1f} MiB" in out.stdout
+
+
 def test_skipped_checks_carry_reasons():
     r = ck.run_check("V-KUR1", "FS", 0, RunOptions(node_count=20))
     assert r.status == "skipped-with-reason"
