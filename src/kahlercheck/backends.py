@@ -303,16 +303,18 @@ class Fixture:
             out.append(rho)
         return out
 
-    def integrate(self, values_per_batch, nodes: NodeSet | None = None) -> float:
-        """Integral against the fixture density Omega."""
-        nodes = nodes or self.quad_nodes()
+    def integrate(self, values_per_batch) -> float:
+        """Integral against the fixture density Omega of the values on each
+        quadrature batch, in ``quad_nodes()`` order: every integral of the
+        engine is this call."""
+        nodes = self.quad_nodes()
+        values = list(values_per_batch)
+        if len(values) != len(nodes):
+            raise BadInputError(f"{self.name}: {len(values)} value arrays for "
+                                f"{len(nodes)} quadrature batches")
         rho = self.density_values(nodes)
-        weighted = [np.asarray(v) * r for v, r in zip(values_per_batch, rho)]
+        weighted = [np.asarray(v) * r for v, r in zip(values, rho)]
         return self.backend.integrate_chart(weighted, nodes)
-
-    def integrate_field(self, fld: Field, nodes: NodeSet | None = None) -> float:
-        nodes = nodes or self.quad_nodes()
-        return self.integrate([fld(b, 0).value for b in nodes], nodes)
 
 
 # -- torus helper fields ----------------------------------------------------
@@ -427,7 +429,7 @@ def _check_unit_mass(fixture: Fixture, tol: float = 1e-10):
 
 
 def _flat2(desc):
-    backend = Torus(2, desc.get("grid", 24))
+    backend = Torus(2, desc["grid"])
     g = const_matrix_field(backend, np.eye(2))
     rho = chart_expr_field(backend, lambda x, y: Jet.const(1.0, 2, x.order, x.batch_shape))
     J = const_matrix_field(backend, standard_J(2))
@@ -435,8 +437,8 @@ def _flat2(desc):
 
 
 def _pert2(desc):
-    backend = Torus(2, desc.get("grid", 24))
-    eps = desc.get("epsilon", 0.08)
+    backend = Torus(2, desc["grid"])
+    eps = desc["epsilon"]
     J0 = standard_J(2)
 
     # potential eps' sin(2 pi x) cos(2 pi y), scaled so the induced metric
@@ -454,9 +456,9 @@ def _pert2(desc):
 
 
 def _riem4(desc):
-    backend = Torus(4, desc.get("grid", 10))
-    seed = desc.get("seed", 7)
-    eps = desc.get("epsilon", 0.05)
+    backend = Torus(4, desc["grid"])
+    seed = desc["seed"]
+    eps = desc["epsilon"]
     rng = np.random.default_rng(seed)
     modes, amps = [], []
     for i in range(4):
@@ -476,9 +478,9 @@ def _riem4(desc):
 
 
 def _kah4(desc):
-    backend = Torus(4, desc.get("grid", 10))
-    seed = desc.get("seed", 11)
-    eps = desc.get("epsilon", 0.04)
+    backend = Torus(4, desc["grid"])
+    seed = desc["seed"]
+    eps = desc["epsilon"]
     rng = np.random.default_rng(seed)
     J0 = standard_J(4)
     modes, amps = trig_modes(rng, 4, band=1, nmodes=4, amp=eps / TWO_PI**2)
@@ -493,7 +495,7 @@ def _kah4(desc):
 
 
 def _fs(desc):
-    backend = CP1(desc.get("n_theta", 32), desc.get("n_phi", 64))
+    backend = CP1(desc["n_theta"], desc["n_phi"])
 
     def g_expr(x, y):
         lam = 4.0 / (1.0 + x * x + y * y) ** 2
@@ -518,19 +520,36 @@ def _fs(desc):
 
 _MAKERS = {"FLAT2": _flat2, "PERT2": _pert2, "RIEM4": _riem4, "KAH4": _kah4, "FS": _fs}
 
+# Every key a descriptor of each kind may set, with its default.
+_DEFAULTS = {
+    "FLAT2": {"grid": 24},
+    "PERT2": {"grid": 24, "epsilon": 0.08},
+    "RIEM4": {"grid": 10, "seed": 7, "epsilon": 0.05},
+    "KAH4": {"grid": 10, "seed": 11, "epsilon": 0.04},
+    "FS": {"n_theta": 32, "n_phi": 64},
+}
+
 _cache: dict = {}
 
 
 def make_fixture(desc) -> Fixture:
-    """Build a fixture from a descriptor (dict with ``kind`` or a kind name)."""
+    """Build a fixture from a descriptor (dict with ``kind`` or a kind name).
+
+    The descriptor is completed from the kind's defaults; the completed one
+    keys the cache and becomes ``Fixture.descriptor``, so every descriptor
+    of the same geometry returns the same fixture."""
     if isinstance(desc, str):
         desc = {"kind": desc}
     kind = desc.get("kind")
     if kind not in _MAKERS:
         raise BadInputError(f"unknown fixture kind {kind!r}")
-    key = tuple(sorted((k, repr(v)) for k, v in desc.items()))
+    unknown = set(desc) - {"kind"} - set(_DEFAULTS[kind])
+    if unknown:
+        raise BadInputError(f"unknown {kind} descriptor keys: {sorted(unknown)}")
+    full = {**_DEFAULTS[kind], **desc}
+    key = tuple(sorted((k, repr(v)) for k, v in full.items()))
     if key not in _cache:
-        _cache[key] = _MAKERS[kind](dict(desc))
+        _cache[key] = _MAKERS[kind](full)
     return _cache[key]
 
 

@@ -419,9 +419,8 @@ def run_v_hess_f(fixture, seed, opts) -> Sides:
             extra.coeffs[0] += d
         return jet_einsum("p,pij->pij", s, geom.g(batch, order)) + extra
 
-    nodes = fixture.quad_nodes()
     raw_mean_field = Field(lambda b, k: jmath.exp(geom.f(b, k)))
-    mean = fixture.integrate([raw_mean_field(b, 0).value for b in nodes], nodes)
+    mean = fixture.integrate([raw_mean_field(b, 0).value for b in fixture.quad_nodes()])
 
     def Vs_fn(batch, order):
         return (jmath.exp(geom.f(batch, order)) - mean) * scale

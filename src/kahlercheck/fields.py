@@ -55,7 +55,7 @@ def seeded_scalar(geom: GeometryState, seed: int, mean_zero: bool = False,
         raw = _torus_field(fx, (), [(seed, [()])], amp)
     if not mean_zero:
         return raw
-    mean = fx.integrate_field(raw)
+    mean = fx.integrate([raw(b, 0).value for b in fx.quad_nodes()])
 
     def fn(batch, order):
         return raw(batch, order) - mean

@@ -248,8 +248,3 @@ class GeometryState:
     def omega(self, batch: NodeBatch, order: int) -> Jet:
         return self._get("omega", batch, order,
                          lambda: symplectic_form(self.J(batch, order), self.g(batch, order)))
-
-    # -- norms and integrals ----------------------------------------------------
-
-    def integrate(self, values_per_batch, nodes=None) -> float:
-        return self.fixture.integrate(values_per_batch, nodes)

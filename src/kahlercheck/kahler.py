@@ -96,7 +96,7 @@ def partial10_gradf(geom, batch, order: int) -> Jet:
     return (H - JHJ) * 0.5
 
 
-def hodge_witten_relation_residual(geom, batch, A: Jet) -> tuple[Jet, Jet]:
+def hodge_witten_relation_sides(geom, batch, A: Jet) -> tuple[Jet, Jet]:
     """``(lhs, rhs)``: the weighted minus the unweighted Laplacian, and the
     two weight hooks it equals."""
     weighted = hodge_witten(geom, batch, A, 1)
@@ -199,17 +199,16 @@ def mc_complex_residual(geom, batch, theta: Jet) -> Jet:
     return dbar + quad
 
 
-def maurer_cartan_residuals(geom, batch, mu: Jet):
-    """Real and complex residual routes plus their equivalence defect."""
+def maurer_cartan_sides(geom, batch, mu: Jet) -> tuple[Jet, Jet]:
+    """``(lhs, rhs)``: the real residual route, and the complex route plus
+    its conjugate."""
     _check_antilinear(geom, batch, mu)
     r_re = mc_real_residual(geom, batch, mu)
-    theta = cayley_half(geom, batch, mu)
-    r_cx = mc_complex_residual(geom, batch, theta)
-    equiv = r_re - (r_cx + conj_jet(r_cx))
-    return r_re, r_cx, equiv
+    r_cx = mc_complex_residual(geom, batch, cayley_half(geom, batch, mu))
+    return r_re, r_cx + conj_jet(r_cx)
 
 
-def mc_explicit_residual(geom, batch, mu: Jet) -> tuple[Jet, Jet]:
+def mc_explicit_sides(geom, batch, mu: Jet) -> tuple[Jet, Jet]:
     """``(lhs, rhs)``: (I + mu) hook J cd(mu) - (I + mu) J hook cd(mu), and
     2 J R_re(mu)."""
     cdmu = jet_map("paij->piaj", tc.cd_endo(geom, batch, mu))   # value-first

@@ -46,11 +46,11 @@ class PerelmanData:
 
     def __init__(self, geom: GeometryState):
         self.geom = geom
-        nodes = geom.fixture.quad_nodes()
+        fx = geom.fixture
         # H first: on a flowed fixture its order-2 read of f integrates the
         # flow at order 3, which the later order-0 read of f truncates
-        self.H_mean = geom.integrate([H_scalar(geom, b, 0).value for b in nodes], nodes)
-        self.f_mean = geom.integrate([geom.f(b, 0).value for b in nodes], nodes)
+        self.H_mean = fx.integrate([H_scalar(geom, b, 0).value for b in fx.quad_nodes()])
+        self.f_mean = fx.integrate([geom.f(b, 0).value for b in fx.quad_nodes()])
 
     def F(self, batch, order: int) -> Jet:
         return self.geom.f(batch, order) - self.f_mean
@@ -91,7 +91,6 @@ class LambdaBasis:
     functions: list          # complex scalar Fields u_i
     gram: np.ndarray         # hermitian L2 Gram matrix
     cond: float
-    kernel_residual: float
 
 
 def divergence_kernel_function(geom, xi_field: Field) -> Field:
@@ -146,17 +145,10 @@ def lambda_basis(geom: GeometryState) -> LambdaBasis:
     gram = np.zeros((3, 3), dtype=complex)
     for i in range(3):
         for j in range(3):
-            gram[i, j] = geom.integrate(
-                [vi * np.conj(vj) for vi, vj in zip(vals[i], vals[j])], nodes
-            )
+            gram[i, j] = geom.fixture.integrate(
+                [vi * np.conj(vj) for vi, vj in zip(vals[i], vals[j])])
     ev = np.linalg.eigvalsh(gram)
-    cond = float(ev[-1] / max(ev[0], 1e-300))
-    res = 0.0
-    for f in funcs:
-        for b in geom.fixture.check_nodes(0, 80):
-            lam = kh.complex_laplacian(geom, b, f(b, 2)) - f(b, 0) * 2.0
-            res = max(res, float(np.max(np.abs(lam.value))))
-    return LambdaBasis(functions=funcs, gram=gram, cond=cond, kernel_residual=res)
+    return LambdaBasis(functions=funcs, gram=gram, cond=float(ev[-1] / max(ev[0], 1e-300)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +158,19 @@ def lambda_basis(geom: GeometryState) -> LambdaBasis:
 def g_metric(geom, phi: Field, psi: Field) -> float:
     """Re integral (P phi) conj(psi) + (1/2) integral Im(P phi) Im(P psi),
     P the shifted complex Laplacian, for mean-zero phi and psi."""
-    nodes = geom.fixture.quad_nodes()
+    fx = geom.fixture
+    nodes = fx.quad_nodes()
 
     def P(f, b):
         return (kh.complex_laplacian(geom, b, f(b, 2)) - f(b, 0) * 2.0).value
 
     for f in (phi, psi):
-        m = geom.integrate([f(b, 0).value for b in nodes], nodes)
+        m = fx.integrate([f(b, 0).value for b in nodes])
         if abs(m) > 1e-8:
             raise BadInputError("arguments must have vanishing mean")
     Pphi = [P(phi, b) for b in nodes]
-    term1 = geom.integrate(
-        [np.real(p * np.conj(psi(b, 0).value)) for p, b in zip(Pphi, nodes)], nodes
-    )
-    term2 = 0.5 * geom.integrate(
-        [np.imag(p) * np.imag(P(psi, b)) for p, b in zip(Pphi, nodes)], nodes
-    )
+    term1 = fx.integrate([np.real(p * np.conj(psi(b, 0).value)) for p, b in zip(Pphi, nodes)])
+    term2 = 0.5 * fx.integrate([np.imag(p) * np.imag(P(psi, b)) for p, b in zip(Pphi, nodes)])
     return term1 + term2
 
 
@@ -189,9 +178,8 @@ class KernelProjector:
     """L2 projection onto the real span of the kernel functions."""
 
     def __init__(self, geom: GeometryState, basis: LambdaBasis):
-        self.geom = geom
+        self.fixture = geom.fixture
         nodes = geom.fixture.quad_nodes()
-        self.nodes = nodes
         fam = []
         for f in basis.functions:
             vals = [f(b, 0).value for b in nodes]
@@ -201,9 +189,7 @@ class KernelProjector:
         G = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
-                G[i, j] = geom.integrate(
-                    [a * c for a, c in zip(fam[i], fam[j])], nodes
-                )
+                G[i, j] = self.fixture.integrate([a * c for a, c in zip(fam[i], fam[j])])
         w, Q = np.linalg.eigh(G)
         if w[-1] <= 0:
             raise DegenerateBasisError("kernel family has no mass")
@@ -220,12 +206,12 @@ class KernelProjector:
 
     def split(self, w_vals: list) -> tuple[list, list]:
         """Return (pi1 w, pi2 w) as value arrays over the quadrature batches."""
-        mean = self.geom.integrate(w_vals, self.nodes)
+        mean = self.fixture.integrate(w_vals)
         if abs(mean) > 1e-8 * max(1.0, max(np.max(np.abs(v)) for v in w_vals)):
             raise BadInputError("projection input must have vanishing mean")
         pi2 = [np.zeros_like(v) for v in w_vals]
         for q in self.ortho:
-            c = self.geom.integrate([a * b for a, b in zip(w_vals, q)], self.nodes)
+            c = self.fixture.integrate([a * b for a, b in zip(w_vals, q)])
             pi2 = [p + c * b for p, b in zip(pi2, q)]
         pi1 = [a - b for a, b in zip(w_vals, pi2)]
         return pi1, pi2
@@ -269,13 +255,6 @@ def bochner_routes(geom, batch, A: Jet):
     return route1, route2
 
 
-def bochner_chain_residuals(geom, batch, A: Jet):
-    """(route equivalence, Lichnerowicz agreement) as endo-valued jets."""
-    r1, r2 = bochner_routes(geom, batch, A)
-    LA = lichnerowicz_endo(geom, batch, A)
-    return r1 - r2, LA - r1
-
-
 def drift_terms(geom, batch, A: Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The obstruction's weight terms for anti-linear A (jet order >= 1) as
     pointwise values: <Hess f, A^2>, <(J grad f) hook cd A, A> and
@@ -290,18 +269,17 @@ def drift_terms(geom, batch, A: Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray
             tc.pair_endos(geom, batch, hook, tc.endo_mul(J, A0)).value)
 
 
-def stability_identity_residual(geom, batch, A: Jet) -> np.ndarray:
-    """Pointwise defect-corrected stability identity.
-
-    <L_w A, A> + 2 <Hess f, A^2> - <(J grad f) hook cd A, J A>
-    - 2 <lap_{w,-J} A, A> vanishes identically for anti-linear symmetric A.
+def stability_identity_sides(geom, batch, A: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)`` of the pointwise defect-corrected stability identity:
+    <L_w A, A> + 2 <Hess f, A^2> - <(J grad f) hook cd A, J A> equals
+    2 <lap_{w,-J} A, A> for anti-linear symmetric A.
     """
     LA = lichnerowicz_endo(geom, batch, A)
     lhs = tc.pair_endos(geom, batch, LA, A.truncate(LA.order))
     hessA2, _, cross = drift_terms(geom, batch, A)
     HW = kh.hodge_witten(geom, batch, A, 1)
     defect = tc.pair_endos(geom, batch, HW, A.truncate(HW.order))
-    return lhs.value + hessA2 * 2.0 - cross - defect.value * 2.0
+    return lhs.value + hessA2 * 2.0 - cross, defect.value * 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +300,7 @@ def phi_functional(geom, A_field: Field, u_fields: Sequence[Field]) -> list[floa
             u1, u2 = np.real(u), np.imag(u)
             # i conj(u) x_J A = u2 A + u1 J A under the frozen complex action
             out.append(hessA2 * (2.0 * u1) - hookA * u2 - hookJA * u1)
-    return [geom.integrate(v, nodes) for v in vals]
+    return [geom.fixture.integrate(v) for v in vals]
 
 
 def phi_functional_bridge(geom, A_field: Field, u_fields: Sequence[Field]) -> list[float]:
@@ -339,30 +317,20 @@ def phi_functional_bridge(geom, A_field: Field, u_fields: Sequence[Field]) -> li
         weight = hessA2 * 4.0 - hookJA * 2.0 - lapN.value
         for out, u_field in zip(vals, u_fields):
             out.append(0.5 * np.real(u_field(b, 0).value) * weight)
-    return [geom.integrate(v, nodes) for v in vals]
+    return [geom.fixture.integrate(v) for v in vals]
 
 
-def integral_identity_sides(geom, pdata: PerelmanData, A_field: Field):
-    """(lhs, rhs, harmonicity defect): integral |A|^2 F against the Hessian and
-    drift terms, with the Hodge-Witten residual reported alongside."""
-    nodes = geom.fixture.quad_nodes()
-    lhs_vals, rhs_vals, defect = [], [], 0.0
-    for b in nodes:
+def integral_identity_sides(geom, pdata: PerelmanData, A_field: Field) -> tuple[float, float]:
+    """``(lhs, rhs)``: the integral of |A|^2 F against that of the Hessian and
+    drift terms, -(2 <Hess f, A^2> - <(J grad f) hook cd A, J A>)."""
+    lhs_vals, rhs_vals = [], []
+    for b in geom.fixture.quad_nodes():
         A = A_field(b, 1)
         norm2 = tc.pair_endos(geom, b, A, A).value
         lhs_vals.append(norm2 * pdata.F(b, 0).value)
         hessA2, _, hookJA = drift_terms(geom, b, A)
         rhs_vals.append(-(hessA2 * 2.0 - hookJA))
-    # a sup estimate of the harmonicity defect on the sample nodes suffices
-    for b in geom.fixture.check_nodes(1, 120):
-        hw = kh.hodge_witten(geom, b, A_field(b, 2), 1)
-        hwn = tc.pair_endos(geom, b, hw, hw).value
-        defect = max(defect, float(np.sqrt(np.max(hwn))))
-    return (
-        geom.integrate(lhs_vals, nodes),
-        geom.integrate(rhs_vals, nodes),
-        defect,
-    )
+    return geom.fixture.integrate(lhs_vals), geom.fixture.integrate(rhs_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +347,15 @@ def grad_J(geom, batch, psi: Jet) -> Jet:
     return g1 + jet_einsum("pij,pj->pi", J, g2)
 
 
-def weighted_complex_bochner_residual(geom, batch, psi: Jet) -> Jet:
-    """adjoint(del-bar(grad_J conj(psi))) - (1/2) grad_J conj((lap_c - 2) psi)."""
+def weighted_complex_bochner_sides(geom, batch, psi: Jet) -> tuple[Jet, Jet]:
+    """``(lhs, rhs)``: adjoint(del-bar(grad_J conj(psi))) and
+    (1/2) grad_J conj((lap_c - 2) psi)."""
     vec = grad_J(geom, batch, kh.conj_jet(psi))
     B = kh.dbar_vector(geom, batch, vec)
     lhs = tc.adjoint_endo(geom, batch, B)
     lam = kh.complex_laplacian(geom, batch, psi) - psi.truncate(psi.order - 2) * 2.0
     rhs = grad_J(geom, batch, kh.conj_jet(lam)) * 0.5
-    return lhs - rhs.truncate(lhs.order)
+    return lhs, rhs.truncate(lhs.order)
 
 
 def eta_direction_fields(geom, psi_field: Field):
@@ -414,32 +383,25 @@ def eta_direction_fields(geom, psi_field: Field):
     return Field(v_fn), Field(Vstar_fn)
 
 
-def tangent_cone_residuals(geom, v_field: Field, Vstar_field: Field, seed: int = 0):
-    """(r_D, r_T): anti-invariance plus del-bar closure of the sharp, and the
-    closedness constraint linking the density rate to the metric part."""
-    r_D = 0.0
-    r_T = 0.0
-    for batch in geom.fixture.check_nodes(seed, 120):
-        v = v_field(batch, 2)
-        J = geom.J(batch, v.order)
-        JvJ = jet_einsum("pai,paj->pij", J, jet_einsum("pab,pbj->paj", v, J))
-        r_D = max(r_D, float(np.max(np.abs((v + JvJ).value))))
-        vs = tc.sharp_sym2(geom, batch, v)
-        db = kh.dbar_endo(geom, batch, vs)
-        r_D = max(r_D, float(np.max(np.abs(db.value))))
-        Vs = Vstar_field(batch, 2)
-        t1 = ddc_scalar(geom, batch, Vs) * 2.0
-        W = tc.adjoint_endo(geom, batch, vs)
-        om = geom.omega(batch, W.order)
-        alpha = jet_einsum("pi,pij->pj", W, om)
-        t2 = d_oneform(alpha)
-        r_T = max(r_T, float(np.max(np.abs((t1 + t2.truncate(t1.order)).value))))
-    return r_D, r_T
+def tangent_cone_sides(geom, batch, v: Jet, Vs: Jet):
+    """The membership pairs of a direction (v, V*) on one batch: anti-
+    invariance (v against -J^T v J), del-bar closure of the sharp (against
+    0), and the closedness constraint linking the density rate to the metric
+    part (2 dd^c V* against -d(adj(v*) hook omega))."""
+    J = geom.J(batch, v.order)
+    JvJ = jet_einsum("pai,paj->pij", J, jet_einsum("pab,pbj->paj", v, J))
+    vs = tc.sharp_sym2(geom, batch, v)
+    db = kh.dbar_endo(geom, batch, vs)
+    t1 = ddc_scalar(geom, batch, Vs) * 2.0
+    W = tc.adjoint_endo(geom, batch, vs)
+    om = geom.omega(batch, W.order)
+    t2 = d_oneform(jet_einsum("pi,pij->pj", W, om))
+    return (v, JvJ * (-1.0)), (db, 0.0), (t1, t2.truncate(t1.order) * (-1.0))
 
 
-def soliton_characterization_residual(geom, pdata: PerelmanData, batch) -> np.ndarray:
-    """Pointwise 2 H_bar + (lap_c - 2) F on a batch (complex values)."""
+def soliton_characterization_sides(geom, pdata: PerelmanData, batch) -> tuple[Jet, Jet]:
+    """``(lhs, rhs)`` on a batch: 2 H_bar and -(lap_c - 2) F (complex)."""
     Hb = pdata.H_bar(batch, 0)
     F = pdata.F(batch, 2)
     lam = kh.complex_laplacian(geom, batch, F) - F.truncate(0) * 2.0
-    return (Hb * 2.0 + lam).value
+    return Hb * 2.0, lam * (-1.0)

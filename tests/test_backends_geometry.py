@@ -53,10 +53,41 @@ def test_fixture_unit_mass_and_determinism():
         fx = bk.make_fixture(kind)
         total = fx.integrate([np.ones(b.size) for b in fx.quad_nodes()])
         assert abs(total - 1.0) < 1e-10, kind
+    # a second build, past the cache, reproduces the metric and the density
     a = bk.make_fixture({"kind": "RIEM4", "seed": 7})
-    b = bk.make_fixture({"kind": "RIEM4", "seed": 7})
+    b = bk._MAKERS["RIEM4"](dict(a.descriptor))
+    assert a is not b
     for n in a.quad_nodes():
         assert np.array_equal(a.g(n, 1).coeffs, b.g(n, 1).coeffs)
+        assert np.array_equal(a.omega_density(n, 1).coeffs, b.omega_density(n, 1).coeffs)
+
+
+def test_descriptors_are_completed_from_the_defaults():
+    import kahlercheck.errors as err
+
+    fx = bk.make_fixture("RIEM4")
+    assert fx.descriptor == {"kind": "RIEM4", "grid": 10, "seed": 7, "epsilon": 0.05}
+    # one geometry, one cache entry, however its descriptor is spelled
+    assert bk.make_fixture({"kind": "RIEM4", "seed": 7}) is fx
+    assert bk.make_fixture({"epsilon": 0.05, "kind": "RIEM4", "grid": 10}) is fx
+    assert bk.make_fixture({"kind": "RIEM4", "seed": 8}) is not fx
+    for kind in bk.FIXTURE_KINDS:
+        assert set(bk.make_fixture(kind).descriptor) == {"kind"} | set(bk._DEFAULTS[kind])
+    with pytest.raises(err.BadInputError, match="epsilon"):
+        bk.make_fixture({"kind": "FS", "epsilon": 0.1})
+
+
+def test_integrate_rejects_a_batch_count_that_is_not_the_grids():
+    import kahlercheck.errors as err
+
+    fx = bk.make_fixture("KAH4")
+    nodes = fx.quad_nodes()
+    assert len(nodes) == 5
+    with pytest.raises(err.BadInputError, match="1 value arrays for 5"):
+        fx.integrate([np.ones(nodes[0].size)])
+    with pytest.raises(err.BadInputError):
+        fx.integrate([np.ones(b.size) for b in nodes + nodes[:1]])
+    assert abs(fx.integrate(np.ones(b.size) for b in nodes) - 1.0) < 1e-10
 
 
 def test_cp1_quadrature_total_area():

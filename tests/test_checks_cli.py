@@ -109,15 +109,19 @@ def test_integral_identity_off_the_shrinker_is_a_skip_with_its_gap():
     assert r.residual_sup > 0.1
 
 
-@pytest.mark.parametrize("field, code", [(None, 0), ("residual_sup", 1), ("runtime_ms", 0)],
-                         ids=["equal", "residual-changed", "runtime-only"])
-def test_compare_reports_script(tmp_path, field, code):
+@pytest.mark.parametrize("fields, code", [
+    ((), 0), (("residual_sup",), 1), (("runtime_ms",), 0),
+    (("residual_sup", "details.identity", "details.scale"), 1),
+], ids=["equal", "residual-changed", "runtime-only", "every-difference"])
+def test_compare_reports_script(tmp_path, fields, code):
     assert main(["run", "--check", "ID-DIV-TR", "--fixture", "PERT2",
                  "--out", str(tmp_path), "--quiet"]) == 0
     a = tmp_path / "report.json"
     rep = json.loads(a.read_text())
-    if field:
-        rep["results"][-1][field] *= 2.0
+    last = rep["results"][-1]
+    for field in fields:
+        rec = last["details"] if field.startswith("details.") else last
+        rec[field.removeprefix("details.")] *= 2.0
     b = tmp_path / "changed.json"
     b.write_text(json.dumps(rep))
     script = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
@@ -125,8 +129,23 @@ def test_compare_reports_script(tmp_path, field, code):
                          capture_output=True, text=True)
     assert out.returncode == code, out.stdout + out.stderr
     if code:
-        last = rep["results"][-1]
-        assert f"({last['check_id']}, PERT2, residual_sup)" in out.stdout
+        # one line per differing field, a details key by its name, and no
+        # dump of the whole details dict
+        lines = out.stdout.splitlines()
+        assert lines[0] == f"reports differ in {len(fields)} fields:"
+        assert [ln.split(":")[0] for ln in lines[1:]] == \
+            [f"({last['check_id']}, PERT2, {f})" for f in sorted(fields)]
+        assert "worst" not in out.stdout
+
+
+def test_scale_reads_the_sides_of_the_shrinker_and_mc_helpers():
+    # these helpers return their two sides, so a record's scale is the size
+    # of the compared quantities, far above its residual at roundoff
+    for check_id, fixture in (("S-STAB", "KAH4"), ("S-BOCHNER", "KAH4"),
+                              ("ID-MC-EQUIV", "KAH4"), ("S-LAMBDA", "FS")):
+        r = ck.run_check(check_id, fixture, 0)
+        assert r.status == "pass", check_id
+        assert r.details["scale"] > 1, check_id
 
 
 @pytest.mark.parametrize("limit, child, code", [(4096, "pass", 0), (1, "pass", 1),

@@ -50,7 +50,7 @@ def test_weighted_divergence_integrates_to_zero():
         nodes = geom.fixture.quad_nodes()
         xi = fl.seeded_vector(geom, 5)
         vals = [tc.div_omega_vector(geom, b, xi(b, 1)).value for b in nodes]
-        assert abs(geom.integrate(vals, nodes)) < 1e-10, kind
+        assert abs(geom.fixture.integrate(vals)) < 1e-10, kind
 
 
 def test_sharp_inverts_pairing():
@@ -77,8 +77,8 @@ def test_adjoint_sym2_quadrature_duality():
             lhs_vals.append(tc.pair_oneforms(geom, b, adj, aj.truncate(0)).value)
             cda = tc.cd_oneform(geom, b, aj)
             rhs_vals.append(jet_einsum("pij,pij->p", tc.raise2(geom, b, uj.truncate(0)), cda).value)
-        lhs = geom.integrate(lhs_vals, nodes)
-        rhs = geom.integrate(rhs_vals, nodes)
+        lhs = geom.fixture.integrate(lhs_vals)
+        rhs = geom.fixture.integrate(rhs_vals)
         assert abs(lhs - rhs) < 1e-10, kind
 
 
@@ -97,8 +97,8 @@ def test_adjoint_endo_quadrature_duality():
         g = geom.g(b, 0).value
         gi = geom.ginv(b, 0).value
         rhs_vals.append(np.einsum("pij,pia,pab,pbj->p", g, Aj.value, gi, cdX.value))
-    lhs = geom.integrate(lhs_vals, nodes)
-    rhs = geom.integrate(rhs_vals, nodes)
+    lhs = geom.fixture.integrate(lhs_vals)
+    rhs = geom.fixture.integrate(rhs_vals)
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -117,9 +117,9 @@ def test_laplacian_symmetry_and_positivity():
         uu.append((lu * uj.truncate(0)).value)
         duj = uj.gradient().truncate(0)
         du2.append(tc.pair_oneforms(geom, b, duj, duj).value)
-    assert abs(geom.integrate(uv, nodes) - geom.integrate(vu, nodes)) < 1e-10
-    dirichlet = geom.integrate(du2, nodes)
-    assert abs(geom.integrate(uu, nodes) - dirichlet) < 1e-10
+    assert abs(geom.fixture.integrate(uv) - geom.fixture.integrate(vu)) < 1e-10
+    dirichlet = geom.fixture.integrate(du2)
+    assert abs(geom.fixture.integrate(uu) - dirichlet) < 1e-10
     assert dirichlet > 0
 
 
