@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -532,6 +533,20 @@ _DEFAULTS = {
 _cache: dict = {}
 
 
+def _descriptor_value(kind: str, key: str, value):
+    """``value`` as the type of ``key``: an int of at least 1 for a grid size,
+    an int for ``seed`` and a finite float for ``epsilon``.  A bool is none of
+    these."""
+    if key == "epsilon":
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    else:
+        ok = isinstance(value, numbers.Integral) and (key == "seed" or value >= 1)
+    if isinstance(value, bool) or not ok:
+        need = {"epsilon": "a finite real", "seed": "an integer"}.get(key, "an integer >= 1")
+        raise BadInputError(f"{kind} descriptor {key} must be {need}, not {value!r}")
+    return float(value) if key == "epsilon" else int(value)
+
+
 def make_fixture(desc) -> Fixture:
     """Build a fixture from a descriptor (dict with ``kind`` or a kind name).
 
@@ -547,6 +562,8 @@ def make_fixture(desc) -> Fixture:
     if unknown:
         raise BadInputError(f"unknown {kind} descriptor keys: {sorted(unknown)}")
     full = {**_DEFAULTS[kind], **desc}
+    for k in _DEFAULTS[kind]:
+        full[k] = _descriptor_value(kind, k, full[k])
     key = tuple(sorted((k, repr(v)) for k, v in full.items()))
     if key not in _cache:
         _cache[key] = _MAKERS[kind](full)

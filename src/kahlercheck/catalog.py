@@ -23,7 +23,7 @@ from . import tensorcalc as tc
 from .backends import Field, Fixture
 from .conventions import MANIFEST
 from .errors import NanInFieldError
-from .geometry import GeometryState
+from .geometry import FixtureScope, GeometryState
 from .jets import Jet, jet_einsum, jet_map
 from .variation import HamiltonianFlowCurve, LinearCurve, StructureConjugationCurve
 
@@ -469,24 +469,21 @@ def make_structure_curve(fixture: Fixture, seed: int):
     return StructureConjugationCurve(fixture, A)
 
 
-# One Hamiltonian pullback curve per (fixture object, seed) for the life of
-# the process: its flow cache then serves every check along that curve.  The
-# fixture is kept beside its curve so that its id cannot be reused.
-_FAMILIES: dict = {}
-
-
 def make_kahler_family(fixture: Fixture, seed: int):
     """Curves that stay integrable and compatible: Hamiltonian pullbacks.
 
     The structure-derivative formulas below differentiate the Kahler
     condition, so their premise is an integrable family; symplectomorphism
-    pullbacks realize that on every fixture."""
-    key = (id(fixture), seed)
-    if key not in _FAMILIES:
+    pullbacks realize that on every fixture.  Inside a ``FixtureScope`` on
+    ``fixture`` there is one curve per seed, whose flow cache then serves
+    every check along it; outside one, every call builds a new curve."""
+    scope = FixtureScope.on(fixture)
+    families = scope.families if scope else {}
+    if seed not in families:
         amp = 0.5 if fixture.backend.kind == "CP1" else 0.15
         ham = fl.seeded_scalar(GeometryState(fixture), seed + 7, mean_zero=True, amp=amp)
-        _FAMILIES[key] = (fixture, HamiltonianFlowCurve(fixture, ham))
-    return _FAMILIES[key][1]
+        families[seed] = HamiltonianFlowCurve(fixture, ham)
+    return families[seed]
 
 
 def run_v_gdot(fixture, seed, opts) -> Sides:

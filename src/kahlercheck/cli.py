@@ -13,11 +13,13 @@ import json
 import sys
 from pathlib import Path
 
+from . import backends as bk
 from . import checks as ck
 from .backends import FIXTURE_KINDS
 from .catalog import RunOptions
 from .conventions import manifest_hash, manifest_json
 from .errors import ConfigError
+from .geometry import FixtureScope
 from .report import format_table, write_csv, write_json
 
 DEFAULT_FIXTURES = FIXTURE_KINDS     # perfbench/probe.py reads this name
@@ -132,9 +134,30 @@ def _task_list(cfg):
     return [(cid, fx, cfg["seed"], cfg["node_count"]) for cid, fx in pairs]
 
 
-def _run_task(task) -> dict:
-    cid, fx, seed, node_count = task
-    return ck.run_check(cid, fx, seed, RunOptions(node_count=node_count)).to_record()
+def _fixture_groups(tasks, jobs: int) -> list:
+    """The tasks grouped by fixture, each group in selection order.  While
+    there are fewer groups than ``jobs``, the largest group of two or more
+    tasks is split into two contiguous runs, so that every worker has one."""
+    by_fixture: dict = {}
+    for task in tasks:
+        by_fixture.setdefault(task[1], []).append(task)
+    groups = list(by_fixture.values())
+    while len(groups) < jobs:
+        big = max(groups, key=len)
+        if len(big) < 2:
+            break
+        k = groups.index(big)
+        groups[k:k + 1] = [big[:len(big) // 2], big[len(big) // 2:]]
+    return groups
+
+
+def _run_group(group) -> list:
+    """The records of one fixture group's tasks, run in order in one process
+    and one ``FixtureScope``: the checks share the fixture's geometry and flow
+    families, which are dropped when the last one ends."""
+    with FixtureScope(bk.make_fixture(group[0][1])):
+        return [ck.run_check(cid, fx, seed, RunOptions(node_count=n)).to_record()
+                for cid, fx, seed, n in group]
 
 
 def cmd_run(args) -> int:
@@ -142,11 +165,17 @@ def cmd_run(args) -> int:
     tasks = _task_list(cfg)
     if not tasks:
         raise ConfigError("no checks selected")
-    if cfg["jobs"] > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as ex:
-            records = list(ex.map(_run_task, tasks))
+    groups = _fixture_groups(tasks, cfg["jobs"])
+    workers = min(cfg["jobs"], len(groups))
+    if workers > 1:
+        # the pool forks all its workers at once, so it starts no more than
+        # there are groups
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+            done = list(ex.map(_run_group, groups))
     else:
-        records = [_run_task(t) for t in tasks]
+        done = [_run_group(g) for g in groups]
+    # the reports sort their records, so the order of the groups is not seen
+    records = [rec for group in done for rec in group]
     outdir = Path(cfg["out"])
     try:
         outdir.mkdir(parents=True, exist_ok=True)

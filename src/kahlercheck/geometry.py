@@ -14,6 +14,10 @@ built only for ``riemann`` itself (read by ``riemann_cov``).  A state keeps
 one build per quantity and node batch and answers any lower order from it
 by truncation (``by_order``), which is bit-identical to a build at that
 order because every jet table is a prefix of the higher-order ones.
+
+Inside a ``FixtureScope`` every state on the scope's fixture shares one
+cache, so the checks of one fixture group build each quantity once; outside
+one, each state keeps its own.
 """
 
 from __future__ import annotations
@@ -62,12 +66,17 @@ def by_order(store: dict, key, order: int, build):
     higher order when there is one, else ``build()``, a jet or a sequence of
     them.  Every jet table is a prefix of the higher-order ones, so the
     truncation is bit-identical to a build at ``order``; this one rule serves
-    the geometry states, the curve terms, the flows and the flow series."""
+    the geometry states, the curve terms, the flows and the flow series.
+    Stored coefficients are read-only: a write into them would reach every
+    later reader of the store."""
     built = store.setdefault(key, {})
     if order not in built:
         above = [k for k in built if k > order]
         value = built[min(above)] if above else build()
-        built[order] = (value.truncate(order) if isinstance(value, Jet)
+        single = isinstance(value, Jet)
+        for j in [value] if single else value:
+            j.coeffs.flags.writeable = False
+        built[order] = (value.truncate(order) if single
                         else type(value)(j.truncate(order) for j in value))
     return built[order]
 
@@ -77,13 +86,48 @@ def symplectic_form(J: Jet, g: Jet) -> Jet:
     return jet_einsum("pki,pkj->pij", J, g)
 
 
+class FixtureScope:
+    """The state that every check of one fixture group shares, dropped when
+    the ``with`` block ends: the base fixture's ``GeometryState``, whose cache
+    every ``GeometryState(fixture)`` built inside the block reads and fills,
+    and the Hamiltonian families of ``catalog.make_kahler_family`` by seed.
+    One scope is open at a time; a state on any other fixture keeps its own
+    cache."""
+
+    current: "FixtureScope | None" = None
+
+    def __init__(self, fixture):
+        self.fixture = fixture
+        self.geometry: GeometryState | None = None
+        self.families: dict = {}
+
+    def __enter__(self) -> "FixtureScope":
+        if FixtureScope.current is not None:
+            raise RuntimeError("a fixture scope is already open")
+        self.geometry = GeometryState(self.fixture)
+        FixtureScope.current = self
+        return self
+
+    def __exit__(self, *exc):
+        FixtureScope.current = None
+        self.geometry = None
+        self.families = {}
+
+    @staticmethod
+    def on(fixture) -> "FixtureScope | None":
+        """The open scope when it is on ``fixture``, else None."""
+        scope = FixtureScope.current
+        return scope if scope is not None and scope.fixture is fixture else None
+
+
 class GeometryState:
     """Lazy per-batch jets of everything derived from (g, Omega, J)."""
 
     def __init__(self, fixture, weightless: bool = False):
         self.fixture = fixture
         self.weightless = weightless
-        self._cache: dict = {}
+        scope = FixtureScope.on(fixture)
+        self._cache: dict = scope.geometry._cache if scope else {}
 
     def unweighted(self):
         """Same metric data with the weight turned off (f constant)."""

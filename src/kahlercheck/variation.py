@@ -200,14 +200,9 @@ def fd_derivative(map_fn, t0: float = 0.0, order: int = 1, scheme: str = "centra
 def _term(terms: dict, name: str, field, batch: NodeBatch, order: int) -> Jet:
     """The jet of a t-independent term of a curve, kept in the curve's
     ``terms`` under (name, batch token) by ``by_order``, so every t, every
-    series and every lower order shares one evaluation.  Its coefficients are
-    read-only: a write into them would reach every other t."""
-    def build():
-        jet = field(batch, order)
-        jet.coeffs.flags.writeable = False
-        return jet
-
-    return by_order(terms, (name, batch.token), order, build)
+    series and every lower order shares one evaluation (read-only, as every
+    ``by_order`` store)."""
+    return by_order(terms, (name, batch.token), order, lambda: field(batch, order))
 
 
 class LinearCurve:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from kahlercheck import backends as bk
-from kahlercheck.geometry import GeometryState, by_order, inverse_and_logdet
+from kahlercheck import catalog as cat
+from kahlercheck.geometry import FixtureScope, GeometryState, by_order, inverse_and_logdet
 from kahlercheck.jets import Jet
 
 
@@ -256,6 +257,18 @@ def test_make_fixture_guards():
         bk.make_fixture({"kind": "KLEIN"})
     with pytest.raises(err.DegenerateMetricError):
         bk.make_fixture({"kind": "PERT2", "epsilon": 3.0})
+
+
+def test_make_fixture_rejects_descriptor_values_of_the_wrong_type():
+    import kahlercheck.errors as err
+
+    before = dict(bk._cache)
+    for desc in ({"kind": "PERT2", "epsilon": "0.08"}, {"kind": "PERT2", "grid": -3},
+                 {"kind": "FLAT2", "grid": "24"}, {"kind": "FLAT2", "grid": 24.0},
+                 {"kind": "KAH4", "seed": True}):
+        with pytest.raises(err.BadInputError, match="descriptor"):
+            bk.make_fixture(desc)
+    assert bk._cache == before
 
 
 def test_integrate_rejects_nan():
@@ -510,3 +523,28 @@ def test_by_order_serves_lower_orders_by_truncation(kind):
     assert built == [3]
     by_order(store, "key", 4, lambda: build(4))
     assert built == [3, 4]
+
+
+def test_states_share_one_cache_only_inside_a_scope_on_their_fixture():
+    fx, other = bk.make_fixture("PERT2"), bk.make_fixture("FLAT2")
+    batch = fx.check_nodes(0, 10)[0]
+    assert GeometryState(fx)._cache is not GeometryState(fx)._cache
+    with FixtureScope(fx) as scope:
+        ginv = GeometryState(fx).ginv(batch, 2)
+        assert np.shares_memory(GeometryState(fx).ginv(batch, 1).coeffs, ginv.coeffs)
+        assert GeometryState(fx).unweighted()._cache is scope.geometry._cache
+        assert GeometryState(other)._cache is not scope.geometry._cache
+        with pytest.raises(RuntimeError):
+            FixtureScope(other).__enter__()
+    assert FixtureScope.current is None and scope.geometry is None
+
+
+def test_a_write_into_a_shared_cached_jet_raises():
+    fx = bk.make_fixture("PERT2")
+    batch = fx.check_nodes(0, 10)[0]
+    with FixtureScope(fx):
+        gamma = GeometryState(fx).gamma(batch, 1)
+        pos = cat.make_kahler_family(fx, 0).flow_jets(batch, 0.05, 1)
+        for jet in (gamma, gamma.truncate(0), GeometryState(fx).gamma(batch, 0), pos[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                jet.coeffs[0] += 1.0

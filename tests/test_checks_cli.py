@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import json
+import weakref
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +14,10 @@ from kahlercheck import catalog as cat
 from kahlercheck import checks as ck
 from kahlercheck import report
 from kahlercheck.catalog import RunOptions
+from kahlercheck import cli
 from kahlercheck.cli import main
 from kahlercheck.conventions import MANIFEST, manifest_hash
-from kahlercheck.geometry import GeometryState
+from kahlercheck.geometry import FixtureScope, GeometryState
 
 
 def test_registry_shape():
@@ -423,3 +426,76 @@ def test_flow_selection_with_two_jobs_matches_serial(tmp_path):
         reports.append(_strip_runtime(json.loads((out / "report.json").read_text())))
     assert len(reports[0]["results"]) == 5
     assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+
+
+def test_fixture_groups_keep_selection_order_and_split_for_idle_workers():
+    tasks = [(cid, fx, 0, 120) for cid, fx in
+             [("A", "FS"), ("A", "KAH4"), ("B", "KAH4"), ("C", "FS"), ("D", "KAH4")]]
+
+    def shape(jobs):
+        return [[tasks.index(t) for t in g] for g in cli._fixture_groups(tasks, jobs)]
+
+    assert shape(1) == shape(2) == [[0, 3], [1, 2, 4]]
+    assert shape(3) == [[0, 3], [1], [2, 4]]
+    assert shape(64) == [[0], [3], [1], [2], [4]]
+
+
+def test_the_pool_starts_no_more_workers_than_fixture_groups(monkeypatch, tmp_path):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+
+    def run(checks, fixtures):
+        return main(["run", "--check", checks, "--fixture", fixtures, "--jobs", "64",
+                     "--out", str(tmp_path), "--quiet"])
+
+    assert run("ID-SHARP", "FLAT2") == 0
+    assert started == []
+    assert run("ID-SHARP", "FLAT2,PERT2") == 0
+    assert started == [2]
+    # four checks on two fixtures: each fixture's pair is split in two
+    assert run("ID-SHARP,ID-CONTR", "FLAT2,PERT2") == 0
+    assert started == [2, 4]
+    recs = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert len(recs) == 4
+
+
+def test_the_run_state_is_released_when_cmd_run_returns(monkeypatch, tmp_path):
+    states, families = [], []
+    enter, family = FixtureScope.__enter__, cat.make_kahler_family
+
+    def recording_enter(self):
+        scope = enter(self)
+        states.append(weakref.ref(scope.geometry))
+        return scope
+
+    def recording_family(fixture, seed):
+        curve = family(fixture, seed)
+        families.append(curve)
+        return curve
+
+    monkeypatch.setattr(FixtureScope, "__enter__", recording_enter)
+    monkeypatch.setattr(cat, "make_kahler_family", recording_family)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"node_count": 20}))
+    assert main(["run", "--config", str(cfg), "--check", "V-DBARVAR,V-SECORD",
+                 "--fixture", "FS", "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    # both checks read the one curve of the group
+    assert len(families) == 2 and families[0] is families[1]
+    family_ref = weakref.ref(families.pop())
+    families.clear()
+    assert len(states) == 1
+    assert states[0]() is None and family_ref() is None

@@ -14,7 +14,7 @@ from kahlercheck import jets
 from kahlercheck import soliton as so
 from kahlercheck import variation as va
 from kahlercheck.catalog import RunOptions
-from kahlercheck.geometry import GeometryState
+from kahlercheck.geometry import FixtureScope, GeometryState
 from kahlercheck.jets import Jet, jet_einsum
 
 OPTS = RunOptions(node_count=25)
@@ -458,17 +458,20 @@ def test_flow_is_integrated_at_its_canonical_t():
 
 def test_one_flow_curve_per_fixture_and_seed():
     fs = bk.make_fixture("FS")
-    curve = cat.make_kahler_family(fs, 4)
-    assert cat.make_kahler_family(fs, 4) is curve
-    assert cat.make_structure_curve(fs, 4) is curve
-    assert cat.make_kahler_family(fs, 5) is not curve
-    assert cat.make_kahler_family(bk.make_fixture("KAH4"), 4) is not curve
+    with FixtureScope(fs):
+        curve = cat.make_kahler_family(fs, 4)
+        assert cat.make_kahler_family(fs, 4) is curve
+        assert cat.make_structure_curve(fs, 4) is curve
+        assert cat.make_kahler_family(fs, 5) is not curve
+        assert cat.make_kahler_family(bk.make_fixture("KAH4"), 4) is not curve
+    # outside a scope no curve outlives its caller
+    assert cat.make_kahler_family(fs, 4) is not curve
 
 
-def test_a_record_does_not_depend_on_the_checks_run_before_it(monkeypatch):
+def test_a_record_does_not_depend_on_the_checks_run_before_it():
     # V-NJ asks the curve for flows to +-0.04000000000000001 and V-KURSYM for
     # a literal 0.05, on the same curve and the same batches
-    monkeypatch.setattr(cat, "_FAMILIES", {})
+    fs = bk.make_fixture("FS")
     opts = RunOptions(node_count=40)
 
     def record(cid):
@@ -476,10 +479,11 @@ def test_a_record_does_not_depend_on_the_checks_run_before_it(monkeypatch):
         rec.pop("runtime_ms")
         return rec
 
-    alone = record("V-KURSYM")
-    cat._FAMILIES.clear()
-    record("V-NJ")
-    assert record("V-KURSYM") == alone
+    with FixtureScope(fs):
+        alone = record("V-KURSYM")
+    with FixtureScope(fs):
+        record("V-NJ")
+        assert record("V-KURSYM") == alone
 
 
 def _recompose_with_products(F, pos, order):
