@@ -7,7 +7,8 @@ jet arithmetic, so every spatial derivative used downstream is exact.
 
 Quadrature weights are stored with respect to the chart Lebesgue measure of
 the node's own chart; ``Fixture.integrate`` folds in the fixture density.
-A torus grid comes as consecutive blocks of at most ``QUAD_BLOCK`` nodes.
+Every backend's grid comes, chart by chart, as consecutive blocks of at
+most ``QUAD_BLOCK`` nodes.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .jets import Jet, jet_stack
 
 TWO_PI = 2.0 * math.pi
 
-# The most nodes in one torus quadrature batch.  A batch's jets are the
-# memory peak: order-2 tensor jets in dimension 4 on the 10^4-node grids.
-# Below about 2000 nodes the peak no longer falls.
+# The most nodes in one quadrature batch, the one bound on the size of a
+# check's jet temporaries.  A batch's jets are the memory peak: order-2
+# tensor jets in dimension 4 on the 10^4-node grids.  Below about 2000 nodes
+# the peak no longer falls.
 QUAD_BLOCK = 2048
 
 _token_counter = itertools.count()
@@ -52,6 +54,14 @@ class NodeBatch:
 
 
 NodeSet = tuple
+
+
+def _blocks(chart: int, pts: np.ndarray, weights: np.ndarray) -> list[NodeBatch]:
+    """One chart's nodes and weights, in order, as ceil(n / QUAD_BLOCK)
+    consecutive batches of near-equal size."""
+    n_blocks = max(1, math.ceil(len(pts) / QUAD_BLOCK))
+    return [NodeBatch(chart, p, w)
+            for p, w in zip(np.array_split(pts, n_blocks), np.array_split(weights, n_blocks))]
 
 
 class Field:
@@ -81,12 +91,15 @@ def chart_expr_field(backend, exprs):
 
 
 def const_matrix_field(backend, mat):
+    """The constant ``mat`` at every node: its coefficients are a read-only
+    broadcast of one (ncoeff, 1, *mat.shape) array over the points, so the
+    zeros above order 0 are not stored per node."""
     m = np.asarray(mat, dtype=float)
 
     def fn(batch: NodeBatch, order: int) -> Jet:
-        j = Jet.const(0.0, backend.dim, order, (batch.size,) + m.shape)
-        j.coeffs[0] = m
-        return j
+        c = np.zeros((jets.table(backend.dim, order).ncoeff, 1) + m.shape)
+        c[0] = m
+        return Jet(backend.dim, order, np.broadcast_to(c, (len(c), batch.size) + m.shape))
 
     return Field(fn)
 
@@ -98,7 +111,6 @@ def const_matrix_field(backend, mat):
 class Backend:
     kind = "abstract"
     dim = 0
-    n_charts = 1
 
     def __init__(self):
         self._check_memo: dict = {}
@@ -106,7 +118,7 @@ class Backend:
     def quad_nodes(self) -> NodeSet:
         raise NotImplementedError
 
-    def check_nodes(self, seed: int, count: int = 200) -> NodeSet:
+    def check_nodes(self, seed: int, count: int) -> NodeSet:
         """Seeded random check batches, the same read-only objects on every
         call in a process, so that caches keyed by the batch token (flows)
         serve every check that draws the same nodes."""
@@ -138,22 +150,16 @@ class Torus(Backend):
         self.dim = dim
         self.kind = f"Torus{dim}"
         self.grid = grid
-        self.n_charts = 1
         self._quad = None
 
     def quad_nodes(self) -> NodeSet:
-        """The uniform tensor grid in lexicographic order, split into
-        ceil(n / QUAD_BLOCK) consecutive blocks of near-equal size."""
+        """The uniform tensor grid in lexicographic order, in blocks."""
         if self._quad is None:
             axes = [np.arange(self.grid) / self.grid for _ in range(self.dim)]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
             w = np.full(pts.shape[0], self.grid ** (-self.dim), dtype=float)
-            n_blocks = math.ceil(pts.shape[0] / QUAD_BLOCK)
-            self._quad = tuple(
-                NodeBatch(0, p, wb)
-                for p, wb in zip(np.array_split(pts, n_blocks), np.array_split(w, n_blocks))
-            )
+            self._quad = tuple(_blocks(0, pts, w))
         return self._quad
 
     def _draw_check_nodes(self, seed: int, count: int) -> NodeSet:
@@ -167,7 +173,6 @@ class CP1(Backend):
 
     dim = 2
     kind = "CP1"
-    n_charts = 2
 
     def __init__(self, n_theta: int = 32, n_phi: int = 64):
         super().__init__()
@@ -176,6 +181,7 @@ class CP1(Backend):
         self._quad = None
 
     def quad_nodes(self) -> NodeSet:
+        """The chart-0 nodes in blocks, then the chart-1 nodes in blocks."""
         if self._quad is None:
             u, gw = np.polynomial.legendre.leggauss(self.n_theta)
             phi = (np.arange(self.n_phi) + 0.5) * TWO_PI / self.n_phi
@@ -188,7 +194,7 @@ class CP1(Backend):
                 pts = self._angles_to_chart(U[mask], PHI[mask], chart)
                 r2 = np.sum(pts**2, axis=1)
                 w_leb = W[mask] * (1.0 + r2) ** 2 / 4.0
-                batches.append(NodeBatch(chart, pts, w_leb))
+                batches += _blocks(chart, pts, w_leb)
             self._quad = tuple(batches)
         return self._quad
 
@@ -284,7 +290,7 @@ class Fixture:
     def quad_nodes(self) -> NodeSet:
         return self.backend.quad_nodes()
 
-    def check_nodes(self, seed: int, count: int = 200) -> NodeSet:
+    def check_nodes(self, seed: int, count: int) -> NodeSet:
         return self.backend.check_nodes(seed, count)
 
     @property

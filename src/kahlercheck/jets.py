@@ -351,10 +351,6 @@ def tintegral(a: Jet) -> Jet:
 # only ever adds into a leading slice.  One gather at the end restores the
 # table's coefficient order.
 
-# Largest number of gathered elements per operand held at once; a
-# convolution above it runs as several groups of consecutive ranks.
-_GATHER_BUDGET = 1 << 20
-
 
 class _RankPlan(NamedTuple):
     src_i: np.ndarray       # rank-major gather indices into the first factor
@@ -392,44 +388,25 @@ def _rank_plan(dim: int, order: int, q: int, low_a: int = 0, low_b: int = 0) -> 
     )
 
 
-@lru_cache(maxsize=None)
-def _rank_groups(widths: tuple, step: int) -> tuple:
-    """Consecutive ranks, grouped so each group gathers at most ``step``
-    coefficients (a single rank may exceed it): per group, the range of the
-    plan's gather indices and each rank's (width, offset) within it."""
-    groups, cur, size, lo = [], [], 0, 0
-    for w in widths:
-        if cur and size + w > step:
-            groups.append((lo, lo + size, tuple(cur)))
-            cur, lo, size = [], lo + size, 0
-        cur.append((w, size))
-        size += w
-    groups.append((lo, lo + size, tuple(cur)))
-    return tuple(groups)
-
-
 def _convolve(dim: int, order: int, q: int, a: np.ndarray, b: np.ndarray, contract,
-              per_coeff: int, lows: tuple = (0, 0)) -> np.ndarray:
+              lows: tuple = (0, 0)) -> np.ndarray:
     """Rank-ordered convolution of coefficient arrays ``a`` and ``b``.
 
     ``contract(x, y)`` maps stacks of coefficients to stacks of products and
-    may overwrite ``x``, which is always a fresh copy.  ``per_coeff`` bounds
-    the elements of one coefficient of any operand or of the result.
-    ``lows`` are the lowest total degrees at which ``a`` and ``b`` can be
-    non-zero (see :func:`_rank_plan`).  The result is in rank order; see
+    may overwrite ``x``, which is always a fresh copy.  ``lows`` are the
+    lowest total degrees at which ``a`` and ``b`` can be non-zero (see
+    :func:`_rank_plan`).  The result is in rank order; see
     :func:`_table_order`.
     """
     plan = _rank_plan(dim, order, q, *lows)
-    acc = None
-    for lo, hi, ranks in _rank_groups(plan.widths, max(1, _GATHER_BUDGET // max(per_coeff, 1))):
-        prods = contract(a.take(plan.src_i[lo:hi], 0), b.take(plan.src_j[lo:hi], 0))
-        for w, at in ranks:
-            if acc is None:
-                acc = prods[:w]
-                acc += 0.0                  # 0.0 + p: the sum starts at 0.0
-            else:
-                lead = acc[:w]              # a view: += writes in place
-                lead += prods[at:at + w]
+    prods = contract(a.take(plan.src_i, 0), b.take(plan.src_j, 0))
+    acc = prods[:plan.widths[0]]
+    acc += 0.0                              # 0.0 + p: the sum starts at 0.0
+    at = plan.widths[0]
+    for w in plan.widths[1:]:
+        lead = acc[:w]                      # a view: += writes in place
+        lead += prods[at:at + w]
+        at += w
     return acc
 
 
@@ -458,8 +435,7 @@ def _mul(a: Jet, b: Jet, lows: tuple = (0, 0)) -> Jet:
     constant term) pass their degrees here."""
     a, b = _pair(a, b)
     k, q = a.order, a.q
-    per_coeff = max(a.coeffs[0].size, b.coeffs[0].size)
-    acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs, _multiply, per_coeff, lows)
+    acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs, _multiply, lows)
     return Jet(a.dim, k, _table_order(a.dim, k, q, acc, lows))
 
 
@@ -473,7 +449,6 @@ class _Contraction(NamedTuple):
     shape_a: tuple          # size of each label group
     shape_b: tuple
     kernel: object
-    per_coeff: int
     natural: tuple          # result sizes per label, (batch, free-a, free-b)
     to_out: tuple | None    # transpose of the natural result into the spec's
 
@@ -501,7 +476,7 @@ def _contraction(spec: str, batch_a: tuple, batch_b: tuple) -> _Contraction | No
     def size(group):
         return math.prod(sizes[c] for c in group)
 
-    nb, m, k, n = size(batch), size(free_a), size(contracted), size(free_b)
+    m, k, n = size(free_a), size(contracted), size(free_b)
     if k == 1 or (m > 1 and n > 1):
         # with nothing contracted, (m, 1) times (1, n) is a plain product
         kernel = _multiply if k == 1 else np.matmul
@@ -527,8 +502,7 @@ def _contraction(spec: str, batch_a: tuple, batch_b: tuple) -> _Contraction | No
     natural = batch + free_a + free_b
     return _Contraction(
         perm(s1, groups_a), perm(s2, groups_b), tuple(size(g) for g in groups_a),
-        tuple(size(g) for g in groups_b), kernel,
-        nb * max(m * k, k * n, m * n), tuple(sizes[c] for c in natural),
+        tuple(size(g) for g in groups_b), kernel, tuple(sizes[c] for c in natural),
         _perm_or_none((0,) + tuple(1 + natural.index(c) for c in rhs)))
 
 
@@ -558,12 +532,11 @@ def _einsum(spec: str, a: Jet, b: Jet, lows: tuple = (0, 0)) -> Jet:
         s1, s2 = lhs.split(",")
         stacked = f"Y{s1},Y{s2}->Y{rhs}"
         acc = _convolve(a.dim, k, q, a.coeffs, b.coeffs,
-                        lambda x, y: np.einsum(stacked, x, y),
-                        max(a.coeffs[0].size, b.coeffs[0].size), lows)
+                        lambda x, y: np.einsum(stacked, x, y), lows)
         return Jet(a.dim, k, _table_order(a.dim, k, q, acc, lows))
     x = _arrange(a.coeffs, c.perm_a, c.shape_a)
     y = _arrange(b.coeffs, c.perm_b, c.shape_b)
-    acc = _convolve(a.dim, k, q, x, y, c.kernel, c.per_coeff, lows)
+    acc = _convolve(a.dim, k, q, x, y, c.kernel, lows)
     acc = acc.reshape(acc.shape[:1] + c.natural)
     if c.to_out is not None:
         acc = acc.transpose(c.to_out)

@@ -19,7 +19,7 @@ def test_torus_quadrature_exact_for_trig():
     assert abs(t.integrate_chart([np.ones(batch.size)], t.quad_nodes()) - 1.0) < 1e-13
 
 
-def test_torus_grids_come_in_lexicographic_blocks_of_at_most_the_cap():
+def test_torus_grids_come_in_lexicographic_blocks_of_at_most_the_cap(monkeypatch):
     for kind in ("FLAT2", "PERT2", "RIEM4", "KAH4", "FS"):
         nodes = bk.make_fixture(kind).quad_nodes()
         assert all(b.size <= bk.QUAD_BLOCK for b in nodes), kind
@@ -31,6 +31,29 @@ def test_torus_grids_come_in_lexicographic_blocks_of_at_most_the_cap():
     assert np.array_equal(np.concatenate([b.pts for b in nodes]), grid)
     assert np.array_equal(np.concatenate([b.weights for b in nodes]),
                           np.full(10**4, 10 ** (-4)))
+    # a finer FS rule is blocked chart by chart: 2 x 4096 nodes, four blocks
+    fx = bk.make_fixture({"kind": "FS", "n_theta": 64, "n_phi": 128})
+    nodes = fx.quad_nodes()
+    assert [(b.chart, b.size) for b in nodes] == [(0, 2048), (0, 2048), (1, 2048), (1, 2048)]
+    assert abs(fx.integrate([np.ones(b.size) for b in nodes]) - 1.0) < 1e-12
+    monkeypatch.setattr(bk, "QUAD_BLOCK", 10**6)
+    whole = bk.CP1(64, 128).quad_nodes()
+    assert [b.chart for b in whole] == [0, 1]
+    for w in whole:
+        blocks = [b for b in nodes if b.chart == w.chart]
+        assert np.array_equal(np.concatenate([b.pts for b in blocks]), w.pts)
+        assert np.array_equal(np.concatenate([b.weights for b in blocks]), w.weights)
+
+
+def test_constant_matrix_fields_store_one_node():
+    # the coefficients broadcast one node's over the points, read-only
+    fx = bk.make_fixture("KAH4")
+    batch = fx.quad_nodes()[0]
+    J = fx.J(batch, 2)
+    assert J.coeffs.shape == (15, batch.size, 4, 4) and J.coeffs.strides[1] == 0
+    assert np.array_equal(J.value[7], bk.standard_J(4)) and not np.any(J.coeffs[1:])
+    with pytest.raises(ValueError):
+        J.coeffs[0, 0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("grid", [8, 10])

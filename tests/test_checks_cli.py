@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
 import weakref
 import subprocess
 import sys
@@ -139,6 +140,26 @@ def test_compare_reports_script(tmp_path, fields, code):
         assert [ln.split(":")[0] for ln in lines[1:]] == \
             [f"({last['check_id']}, PERT2, {f})" for f in sorted(fields)]
         assert "worst" not in out.stdout
+
+
+def test_calibrate_lichnerowicz_script_recovers_the_manifest_coefficient():
+    # the script reads the Bochner routes and the curvature helpers by name;
+    # on every curved fixture its best (cR, cRic) is the manifest's cR and 0
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(bk.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(root / "scripts" / "calibrate_lichnerowicz.py")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    fixtures = [ln.split(":")[0] for ln in lines if not ln.startswith(" ")]
+    best = [ln.split() for ln in lines if ln.startswith("  best:")]
+    assert fixtures == ["FS", "KAH4", "PERT2"] and len(best) == 3
+    cR = MANIFEST["lichnerowicz_cR"]
+    for words in best:
+        assert words[-2:] == [f"cR={cR:+.1f}", "cRic=+0.0"], words
+        assert float(words[2]) < 1e-8, words
 
 
 def test_scale_reads_the_sides_of_the_shrinker_and_mc_helpers():

@@ -299,14 +299,6 @@ def test_jet_mul_bit_identical_to_scatter(dim, order, dtype):
     assert jets.jet_mul(z, z).coeffs.tobytes() == _scatter_mul(z, z).tobytes()
 
 
-def test_jet_mul_bit_identical_across_rank_groups(monkeypatch):
-    # a tiny gather budget splits the ranks into many groups
-    rng = np.random.default_rng(5)
-    a, b = _random_jet(rng, 4, 4, (9, 2)), _random_jet(rng, 4, 4, (9, 2))
-    monkeypatch.setattr(jets, "_GATHER_BUDGET", 40)
-    assert jets.jet_mul(a, b).coeffs.tobytes() == _scatter_mul(a, b).tobytes()
-
-
 ENGINE_SPECS = [
     ("pik,pkj->pij", (6, 4, 4), (6, 4, 4)),           # matrix product
     ("pki,pkj->pij", (6, 4, 4), (6, 4, 4)),           # transposed operand
@@ -460,14 +452,24 @@ def _vanishing_below(rng, dim, order, q, shape, low):
     return Jet(dim, order, c)
 
 
-@pytest.mark.parametrize("budget", [None, 40], ids=["one-group", "many-groups"])
+@pytest.mark.parametrize("groups", [1], ids=["one-group"])
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("q", [0, 2])
-def test_zero_block_products_match_the_full_products(monkeypatch, dim, q, budget):
+def test_zero_block_products_match_the_full_products(monkeypatch, dim, q, groups):
     # the degrees _compose (0, 1), _recompose (|beta|, 1) and the powers of
-    # inverse_and_logdet (k - 1, 1) pass; the last pair leaves no pair at all
-    if budget:
-        monkeypatch.setattr(jets, "_GATHER_BUDGET", budget)
+    # inverse_and_logdet (k - 1, 1) pass; the last pair leaves no pair at all.
+    # Each product runs its ranks as one group: the kernel sees every pair of
+    # the rank plan in a single call.
+    gathered = []
+    convolve = jets._convolve
+
+    def counted(dim, order, q, a, b, contract, lows=(0, 0)):
+        def kernel(x, y):
+            gathered.append(len(x))
+            return contract(x, y)
+        return convolve(dim, order, q, a, b, kernel, lows)
+
+    monkeypatch.setattr(jets, "_convolve", counted)
     order = 3
     rng = np.random.default_rng(10 * dim + q)
     for lows in [(0, 1), (1, 1), (2, 1), (3, 1), (2, 2), (order + q, 1)]:
@@ -481,8 +483,12 @@ def test_zero_block_products_match_the_full_products(monkeypatch, dim, q, budget
         # a label summed on one side only (the np.einsum fallback)
         for spec, y in (("pij,pjk->pik", B), ("pij,pj->pi", v), ("pij,pji->p", B),
                         ("pij,pj->p", v)):
+            gathered.clear()
             got = jets._einsum(spec, A, y, lows).coeffs
             assert got.tobytes() == jets.jet_einsum(spec, A, y).coeffs.tobytes(), (spec, lows)
+            pairs = [len(jets._rank_plan(dim, order, q, *lo).src_i) for lo in (lows, (0, 0))]
+            assert len(gathered) == groups * len(pairs) and sum(gathered) == sum(pairs), \
+                (spec, lows)
     tb = jets.table(dim, order, q)
     assert len(jets._rank_plan(dim, order, q, 1, 1).src_i) < len(tb.mul_i)
 
