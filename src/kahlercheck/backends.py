@@ -114,9 +114,20 @@ class Backend:
 
     def __init__(self):
         self._check_memo: dict = {}
+        self._owned: set = set()
 
     def quad_nodes(self) -> NodeSet:
         raise NotImplementedError
+
+    def owns(self, batch: NodeBatch) -> bool:
+        """Whether ``batch`` is one of this backend's own batches, a
+        ``quad_nodes()`` block or a ``check_nodes()`` batch: the batches that
+        are evaluated again, so the only ones worth a cache entry."""
+        return batch.token in self._owned
+
+    def _own(self, batches) -> NodeSet:
+        self._owned.update(b.token for b in batches)
+        return tuple(batches)
 
     def check_nodes(self, seed: int, count: int) -> NodeSet:
         """Seeded random check batches, the same read-only objects on every
@@ -127,7 +138,7 @@ class Backend:
             batches = self._draw_check_nodes(seed, count)
             for b in batches:
                 b.pts.flags.writeable = False
-            self._check_memo[key] = batches
+            self._check_memo[key] = self._own(batches)
         return self._check_memo[key]
 
     def _draw_check_nodes(self, seed: int, count: int) -> NodeSet:
@@ -159,7 +170,7 @@ class Torus(Backend):
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
             w = np.full(pts.shape[0], self.grid ** (-self.dim), dtype=float)
-            self._quad = tuple(_blocks(0, pts, w))
+            self._quad = self._own(_blocks(0, pts, w))
         return self._quad
 
     def _draw_check_nodes(self, seed: int, count: int) -> NodeSet:
@@ -195,7 +206,7 @@ class CP1(Backend):
                 r2 = np.sum(pts**2, axis=1)
                 w_leb = W[mask] * (1.0 + r2) ** 2 / 4.0
                 batches += _blocks(chart, pts, w_leb)
-            self._quad = tuple(batches)
+            self._quad = self._own(batches)
         return self._quad
 
     @staticmethod
@@ -593,37 +604,29 @@ def ambient_coordinates(chart: int, xs):
     return X, Y, Z
 
 
-def ambient_poly_scalar(backend, rng, degree=2, amp=1.0):
-    """Seeded polynomial in the ambient coordinates; globally smooth.
+# The monomials X^i Y^j Z^k of an ambient table, as exponents (i, j, k):
+# X, Y, Z, then those of degree two in lexicographic order.
+AMBIENT_MONOMIALS = ((1, 0, 0), (0, 1, 0), (0, 0, 1)) + tuple(
+    e for e in itertools.product(range(3), repeat=3) if sum(e) == 2)
 
-    Each monomial is one jet product of an earlier monomial (its first
-    exponent lowered by one) and a coordinate, and enters the sum scaled by
-    its coefficient: one product per monomial of degree two or more."""
-    monos = [
-        (i, j, k)
-        for i in range(degree + 1)
-        for j in range(degree + 1)
-        for k in range(degree + 1)
-        if 0 < i + j + k <= degree
-    ]
-    coeffs = rng.normal(size=len(monos)) * amp / len(monos)
 
-    def expr_for(chart):
-        def expr(x, y):
-            coords = ambient_coordinates(chart, (x, y))
-            acc = Jet.const(0.0, 2, x.order, x.batch_shape)
-            built: dict = {}
-            for mono, c in zip(monos, coeffs):
-                a = next(n for n, e in enumerate(mono) if e)
-                parent = mono[:a] + (mono[a] - 1,) + mono[a + 1:]
-                built[mono] = (built[parent] * coords[a] if any(parent)
-                               else coords[a])
-                acc = acc + built[mono] * c
-            return acc
+def ambient_parent(mono: tuple) -> tuple[tuple, int]:
+    """The monomial that ``mono`` extends by one coordinate factor, and that
+    factor's axis: its first non-zero exponent, lowered by one."""
+    a = next(n for n, e in enumerate(mono) if e)
+    return mono[:a] + (mono[a] - 1,) + mono[a + 1:], a
 
-        return expr
 
-    return chart_expr_field(backend, {0: expr_for(0), 1: expr_for(1)})
+def ambient_table(batch: NodeBatch, order: int) -> tuple:
+    """Jets of ``AMBIENT_MONOMIALS`` at the batch's nodes: X, Y, Z by
+    ``ambient_coordinates``, and each monomial of degree two the product of
+    its parent and a coordinate."""
+    coords = ambient_coordinates(batch.chart, Jet.coordinates(batch.pts, 2, order))
+    built = dict(zip(AMBIENT_MONOMIALS, coords))
+    for mono in AMBIENT_MONOMIALS[3:]:
+        parent, a = ambient_parent(mono)
+        built[mono] = built[parent] * coords[a]
+    return tuple(built[mono] for mono in AMBIENT_MONOMIALS)
 
 
 def holomorphic_basis(backend) -> list[Field]:

@@ -162,9 +162,10 @@ def run_quadrature(fixture, seed, opts) -> Sides:
     u = fl.seeded_scalar(geom, seed, mean_zero=True)
     s.add("projected_mean", fixture.integrate([u(b, 0).value for b in nodes]), 0.0)
     if fixture.name == "FLAT2":
-        (batch,) = nodes
-        s.add("odd_mode", fixture.integrate([np.sin(2 * np.pi * batch.pts[:, 0])]), 0.0)
-        dirichlet = fixture.integrate([4 * np.pi**2 * np.cos(2 * np.pi * batch.pts[:, 0]) ** 2])
+        s.add("odd_mode", fixture.integrate([np.sin(2 * np.pi * b.pts[:, 0]) for b in nodes]),
+              0.0)
+        dirichlet = fixture.integrate([4 * np.pi**2 * np.cos(2 * np.pi * b.pts[:, 0]) ** 2
+                                       for b in nodes])
         s.add("dirichlet_closed_form", dirichlet, 2 * np.pi**2)
     return s
 

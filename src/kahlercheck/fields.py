@@ -16,7 +16,7 @@ from . import backends as bk
 from . import tensorcalc as tc
 from .backends import Field
 from .geometry import GeometryState
-from .jets import jet_einsum
+from .jets import Jet, jet_einsum
 
 
 def _rng(seed, *salt) -> np.random.Generator:
@@ -46,11 +46,42 @@ def _torus_field(fx, shape, slots, amp: float = 1.0) -> Field:
     return bk.trig_field(modes, amps, const)
 
 
+def ambient_poly_scalar(geom: GeometryState, rng, degree=2, amp=1.0) -> Field:
+    """Seeded polynomial in the ambient coordinates; globally smooth.
+
+    Each monomial is one jet product of an earlier monomial (its first
+    exponent lowered by one) and a coordinate, and enters the sum scaled by
+    its coefficient.  Those of degree at most two come from ``geom.ambient``,
+    built once per batch and order."""
+    monos = [
+        (i, j, k)
+        for i in range(degree + 1)
+        for j in range(degree + 1)
+        for k in range(degree + 1)
+        if 0 < i + j + k <= degree
+    ]
+    coeffs = rng.normal(size=len(monos)) * amp / len(monos)
+
+    def fn(batch, order):
+        table = geom.ambient(batch, order)
+        coords = table[:3]
+        built = dict(zip(bk.AMBIENT_MONOMIALS, table))
+        acc = Jet.const(0.0, 2, order, (batch.size,))
+        for mono, c in zip(monos, coeffs):
+            if mono not in built:
+                parent, a = bk.ambient_parent(mono)
+                built[mono] = built[parent] * coords[a]
+            acc = acc + built[mono] * c
+        return acc
+
+    return Field(fn)
+
+
 def seeded_scalar(geom: GeometryState, seed: int, mean_zero: bool = False,
                   amp: float = 1.0) -> Field:
     fx = geom.fixture
     if fx.backend.kind == "CP1":
-        raw = bk.ambient_poly_scalar(fx.backend, _rng(seed, "scalar"), degree=2, amp=amp)
+        raw = ambient_poly_scalar(geom, _rng(seed, "scalar"), degree=2, amp=amp)
     else:
         raw = _torus_field(fx, (), [(seed, [()])], amp)
     if not mean_zero:

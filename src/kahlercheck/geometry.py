@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .backends import NodeBatch
+from .backends import NodeBatch, ambient_table
 from .errors import OrderExhaustedError, UnsupportedGeometryError
 from .jets import Jet, _einsum, jet_einsum, jet_linear, jet_map
 
@@ -286,6 +286,20 @@ class GeometryState:
             return d2 - corr
 
         return self._get(key, batch, order, build)
+
+    # -- chart data ------------------------------------------------------------
+
+    def ambient(self, batch: NodeBatch, order: int) -> tuple:
+        """The jets of ``backends.AMBIENT_MONOMIALS`` of the unit-sphere
+        embedding, which every chart polynomial on CP1 reads.  Only the
+        backend's own batches are stored: a fresh batch, such as an RK4
+        stage's, is evaluated once."""
+        backend = self.fixture.backend
+        if backend.kind != "CP1":
+            raise UnsupportedGeometryError(f"{self.fixture.name} has no sphere embedding")
+        if not backend.owns(batch):
+            return ambient_table(batch, order)
+        return self._get("ambient", batch, order, lambda: ambient_table(batch, order))
 
     # -- symplectic form -------------------------------------------------------
 

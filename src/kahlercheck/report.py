@@ -1,6 +1,7 @@
 """Report artifacts: JSON (array of check records), CSV summary, and a
 human-readable table.  Records are sorted deterministically; the only
 fields that vary between identical runs are the runtime measurements.
+The JSON is strict: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 from .conventions import manifest_hash
@@ -37,9 +39,22 @@ def report_dict(records: list[dict]) -> dict:
     }
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth of dicts
+    and lists, replaced by None: JSON has no NaN or infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json(records: list[dict], path: Path) -> dict:
     rep = report_dict(records)
-    path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_or_null(rep), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return rep
 
 

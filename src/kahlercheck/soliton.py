@@ -107,14 +107,13 @@ def divergence_kernel_function(geom, xi_field: Field) -> Field:
     return Field(fn)
 
 
-def _closed_form_kernel_functions(backend) -> list[Field]:
+def _closed_form_kernel_functions(geom: GeometryState) -> list[Field]:
     """Degree-1 ambient harmonics X + iY, Z, -X + iY; these are what the
     divergence construction produces on the round fixture (cross-checked)."""
 
     def make(combine):
         def fn(batch, order):
-            xs = Jet.coordinates(batch.pts, 2, order)
-            X, Y, Z = bk.ambient_coordinates(batch.chart, xs)
+            X, Y, Z = geom.ambient(batch, order)[:3]
             return combine(X, Y, Z)
 
         return Field(fn)
@@ -130,7 +129,7 @@ def lambda_basis(geom: GeometryState) -> LambdaBasis:
     if geom.fixture.backend.kind != "CP1":
         raise UnsupportedGeometryError("the holomorphic-field kernel needs the Fano fixture")
     gens = bk.holomorphic_basis(geom.fixture.backend)
-    funcs = _closed_form_kernel_functions(geom.fixture.backend)
+    funcs = _closed_form_kernel_functions(geom)
     # the closed forms must reproduce the divergence route pointwise
     for xi_field, f in zip(gens, funcs):
         div_route = divergence_kernel_function(geom, xi_field)

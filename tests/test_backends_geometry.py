@@ -6,6 +6,7 @@ import pytest
 
 from kahlercheck import backends as bk
 from kahlercheck import catalog as cat
+from kahlercheck import fields as fl
 from kahlercheck.geometry import FixtureScope, GeometryState, by_order, inverse_and_logdet
 from kahlercheck.jets import Jet
 
@@ -387,9 +388,12 @@ def test_geometry_truncates_to_the_lower_order_build(name):
     from kahlercheck.errors import (OrderExhaustedError, UnsupportedGeometryError,
                                     UnsupportedOrderError)
 
+    # a tuple (the ambient table) is compared entry by entry
     checked = 0
     for kind, fresh, batch in _geometries():
-        if name in ("J", "omega") and not fresh().is_kahler:
+        geom = fresh()
+        if ((name in ("J", "omega") and not geom.is_kahler)
+                or (name == "ambient" and geom.fixture.backend.kind != "CP1")):
             with pytest.raises(UnsupportedGeometryError):
                 getattr(fresh(), name)(batch, 0)
             continue
@@ -401,10 +405,13 @@ def test_geometry_truncates_to_the_lower_order_build(name):
                 continue
         for k in range(top):
             low = getattr(fresh(), name)(batch, k)
-            cut = high.truncate(k)
-            assert cut.coeffs.shape == low.coeffs.shape, (kind, k)
-            assert cut.coeffs.tobytes() == low.coeffs.tobytes(), (kind, k)
-            checked += 1
+            highs, lows = (high, low) if isinstance(high, tuple) else ((high,), (low,))
+            assert len(highs) == len(lows), (kind, k)
+            for h, l in zip(highs, lows):
+                cut = h.truncate(k)
+                assert cut.coeffs.shape == l.coeffs.shape, (kind, k)
+                assert cut.coeffs.tobytes() == l.coeffs.tobytes(), (kind, k)
+                checked += 1
     assert checked
 
 
@@ -504,8 +511,9 @@ def _ambient_monomial_loop(chart, xs, degree, coeffs):
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("degree", [2, 3])
 def test_ambient_poly_scalar_matches_the_monomial_loop(order, degree):
-    backend = bk.CP1()
-    fld = bk.ambient_poly_scalar(backend, np.random.default_rng(4), degree=degree)
+    fs = bk.make_fixture("FS")
+    backend = fs.backend
+    fld = fl.ambient_poly_scalar(GeometryState(fs), np.random.default_rng(4), degree=degree)
     nmonos = math.comb(degree + 3, 3) - 1
     coeffs = np.random.default_rng(4).normal(size=nmonos) / nmonos
     for batch in backend.check_nodes(3, 40):
@@ -513,6 +521,57 @@ def test_ambient_poly_scalar_matches_the_monomial_loop(order, degree):
                                      degree, coeffs).coeffs
         got = fld(batch, order).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _ambient_products(chart, xs):
+    """X, Y, Z by ``ambient_coordinates`` and the monomials of degree two,
+    each the product of the monomial with its first exponent lowered by one
+    and that coordinate, keyed by exponents."""
+    coords = bk.ambient_coordinates(chart, xs)
+    built = {}
+    for mono in itertools.product(range(3), repeat=3):
+        if not 0 < sum(mono) <= 2:
+            continue
+        a = next(n for n, e in enumerate(mono) if e)
+        parent = mono[:a] + (mono[a] - 1,) + mono[a + 1:]
+        built[mono] = built[parent] * coords[a] if any(parent) else coords[a]
+    return built
+
+
+def test_ambient_table_is_the_coordinates_and_their_products_bit_for_bit():
+    # quadrature blocks and check batches of both charts; each state builds
+    # order 4 first, so the lower orders are its truncations
+    fs = bk.make_fixture("FS")
+    batches = fs.quad_nodes() + fs.check_nodes(3, 40)
+    assert {b.chart for b in fs.quad_nodes()} == {b.chart for b in fs.check_nodes(3, 40)} == {0, 1}
+    for batch in batches:
+        geom = GeometryState(fs)
+        for order in (4, 0, 1, 2, 3):
+            table = geom.ambient(batch, order)
+            ref = _ambient_products(batch.chart, Jet.coordinates(batch.pts, 2, order))
+            assert len(table) == len(bk.AMBIENT_MONOMIALS) == len(ref)
+            for mono, jet in zip(bk.AMBIENT_MONOMIALS, table):
+                assert jet.order == order
+                assert jet.coeffs.tobytes() == ref[mono].coeffs.tobytes(), (mono, order)
+
+
+def test_the_ambient_table_is_stored_only_for_the_backends_own_batches(monkeypatch):
+    from kahlercheck import geometry
+
+    fs = bk.make_fixture("FS")
+    batch = fs.check_nodes(5, 20)[0]
+    assert all(fs.backend.owns(b) for b in fs.quad_nodes() + fs.check_nodes(5, 20))
+    assert not fs.backend.owns(bk.NodeBatch(batch.chart, batch.pts))
+    seen = []
+    table = geometry.ambient_table
+    monkeypatch.setattr(geometry, "ambient_table", lambda b, k: seen.append(b) or table(b, k))
+    with FixtureScope(fs) as scope:
+        cat.make_kahler_family(fs, 2).flow_jets(batch, 0.05, 1)
+        stored = {key[1] for key in scope.geometry._cache if key[0] == "ambient"}
+    # the RK4 stages evaluate the Hamiltonian on fresh batches; only the
+    # quadrature blocks of its mean are stored
+    assert any(not fs.backend.owns(b) for b in seen)
+    assert stored and stored == {b.token for b in seen if fs.backend.owns(b)}
 
 
 @pytest.mark.parametrize("kind", ["jet", "tuple", "list"])

@@ -322,6 +322,42 @@ def test_run_check_turns_unexpected_exceptions_into_failures(monkeypatch, tmp_pa
     assert status == {"ID-SHARP": "fail", "ID-CONTR": "pass"}
 
 
+def test_reports_are_strict_json_with_null_for_non_finite_numbers(monkeypatch, tmp_path):
+    def broken(fixture, seed, opts):
+        raise ZeroDivisionError("boom")
+
+    def unbounded_detail(fixture, seed, opts):
+        s = cat.Sides()
+        s.add("identity", np.zeros(2), 0.0)
+        s.details["spread"] = float("inf")
+        return s
+
+    for cid, runner in (("ID-SHARP", broken), ("ID-CONTR", unbounded_detail)):
+        monkeypatch.setitem(ck.REGISTRY, cid, dataclasses.replace(ck.REGISTRY[cid], runner=runner))
+    assert main(["run", "--check", "ID-SHARP,ID-CONTR", "--fixture", "FLAT2",
+                 "--out", str(tmp_path), "--quiet"]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    rep = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+    rec = {r["check_id"]: r for r in rep["results"]}
+    assert rec["ID-SHARP"]["status"] == "fail"
+    assert rec["ID-SHARP"]["residual_sup"] is None and rec["ID-SHARP"]["residual_l2"] is None
+    assert rec["ID-CONTR"]["status"] == "pass" and rec["ID-CONTR"]["details"]["spread"] is None
+    assert "nan" in (tmp_path / "summary.csv").read_text()
+
+
+def test_id_quad_integrates_a_multi_block_flat2_grid():
+    fx = bk.make_fixture({"kind": "FLAT2", "grid": 48})
+    assert len(fx.quad_nodes()) == 2
+    s = ck.run_quadrature(fx, 0, RunOptions())
+    sup, _, details = s.measure()
+    tol = ck.REGISTRY["ID-QUAD"].tol_for("FLAT2")
+    pairs = ("unit_mass", "projected_mean", "odd_mode", "dirichlet_closed_form")
+    assert all(details[p] <= tol for p in pairs) and sup <= tol
+
+
 @pytest.mark.parametrize("config,argv", [
     ({"fd": {"base_step": 0.01}}, []),
     ({"seed": "x"}, []),
