@@ -292,8 +292,8 @@ class GeometryState:
     def ambient(self, batch: NodeBatch, order: int) -> tuple:
         """The jets of ``backends.AMBIENT_MONOMIALS`` of the unit-sphere
         embedding, which every chart polynomial on CP1 reads.  Only the
-        backend's own batches are stored: a fresh batch, such as an RK4
-        stage's, is evaluated once."""
+        backend's own batches are stored: a fresh batch, such as a
+        Runge-Kutta stage's, is evaluated once."""
         backend = self.fixture.backend
         if backend.kind != "CP1":
             raise UnsupportedGeometryError(f"{self.fixture.name} has no sphere embedding")

@@ -10,8 +10,9 @@ of degree q in t - t0 (see :mod:`jets`), so t-derivatives are exact too:
 g + t v is its own series, exp(tS) has a closed one, and a flow's series is
 the Picard iteration of its generating field (the Taylor method for an ODE).
 
-A flow to a finite t is integrated in RK4 steps of at most
-``HamiltonianFlowCurve.step``, continuing a cached flow on the same step;
+A flow to a finite t is integrated by Butcher's sixth-order Runge-Kutta
+method, in steps of at most ``HamiltonianFlowCurve.step`` and shorter where
+the field's gradient is steep, continuing a cached flow on the same step;
 the series around t start from that flow.  Curve terms, flows and flow
 series are cached by ``geometry.by_order``: a lower order is served by
 truncating a build at a higher one.
@@ -254,21 +255,45 @@ class LinearCurve:
                        Field(rho_fn), None, base.tags, base.descriptor)
 
 
+# Butcher's rational 7-stage explicit Runge-Kutta method of order 6 (J. C.
+# Butcher, "On Runge-Kutta processes of high order", J. Austral. Math. Soc. 4,
+# 1964), nodes c = (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1).  Stage i is evaluated at
+# pos + h sum_j a_ij k_j, the step is pos + h sum_j b_j k_j; only the non-zero
+# (j, a_ij) and (j, b_j) are listed, each sum taken in this order.
+_RK6_A = (
+    (),
+    ((0, 1 / 3),),
+    ((1, 2 / 3),),
+    ((0, 1 / 12), (1, 1 / 3), (2, -1 / 12)),
+    ((0, -1 / 16), (1, 9 / 8), (2, -3 / 16), (3, -3 / 8)),
+    ((1, 9 / 8), (2, -3 / 8), (3, -3 / 4), (4, 1 / 2)),
+    ((0, 9 / 44), (1, -9 / 11), (2, 63 / 44), (3, 18 / 11), (5, -16 / 11)),
+)
+_RK6_B = ((0, 11 / 120), (2, 27 / 40), (3, 27 / 40), (4, -4 / 15), (5, -4 / 15),
+          (6, 11 / 120))
+
+
 class HamiltonianFlowCurve:
-    """Pullback along the flow of -(1/2) omega^{-1} du, integrated in jets."""
+    """Pullback along the flow of -(1/2) omega^{-1} du, integrated in jets:
+    to a finite t by Butcher's sixth-order Runge-Kutta method in steps sized
+    by the field (``flow_jets``), around a centre t0 as a t-series by Picard
+    iteration (``flow_series``)."""
 
     t_max = 0.2
-    step = 0.0125       # the longest RK4 step; a flow to t takes _steps(t)
+    step = 0.05         # the longest Runge-Kutta step
+    kappa = 0.4         # the largest h |grad xi| of a step; see _steps
+    max_steps = 10_000  # a flow that needs more has left the fixture's scale
 
     def __init__(self, fixture: Fixture, u_field: Field):
         self.base = fixture
         self.u = u_field
         self._flows: dict = {}
+        self._lipschitz: dict = {}
         self._series: dict = {}
 
         def xi_fn(batch, order):
-            # every RK4 stage evaluates xi on a fresh batch: caching the
-            # fixture data under its token would only grow the cache
+            # every Runge-Kutta stage evaluates xi on a fresh batch: caching
+            # the fixture data under its token would only grow the cache
             du = u_field(batch, order + 1).gradient()
             om = symplectic_form(fixture.J(batch, order), fixture.g(batch, order))
             om_inv, _ = inverse_and_logdet(om)
@@ -279,21 +304,43 @@ class HamiltonianFlowCurve:
     def flow_jets(self, batch: NodeBatch, t: float, order: int) -> list[Jet]:
         """The flow to t of the batch's points, as position jets of ``order``.
 
-        Computed at t rounded to 12 digits, in n = ``_steps(t)`` RK4 steps of
-        h = t / n, and cached under (batch token, h) and n, so each flow is a
-        function of its key alone."""
+        Computed at t rounded to 12 digits, in n = ``_steps(batch, t)``
+        sixth-order Runge-Kutta steps of h = t / n, and cached under (batch
+        token, h) and n, so each flow is a function of its key alone."""
         t = round(t, 12)
-        n = self._steps(t)
+        n = self._steps(batch, t)
         h = t / n
         runs = self._flows.setdefault((batch.token, h), {})
         return by_order(runs, n, order, lambda: self._integrate(batch, runs, n, h, order))
 
-    def _steps(self, t: float) -> int:
-        return max(4, int(math.ceil(abs(t) / self.step)))
+    def _steps(self, batch: NodeBatch, t: float) -> int:
+        """max(ceil(|t| / step), ceil(|t| L / kappa)), at least 1, where L is
+        the largest Frobenius norm of grad xi over the batch's points: a
+        smooth flow takes steps of ``step``, a steep one steps of h with
+        h L <= kappa.  t = 0 is the identity, one step of 0.  A field too
+        steep for ``max_steps`` raises ``FlowDivergedError``."""
+        if t == 0.0:
+            return 1
+        n = max(int(math.ceil(abs(t) / self.step)),
+                int(math.ceil(abs(t) * self._lipschitz_bound(batch) / self.kappa)))
+        if n > self.max_steps:
+            raise FlowDivergedError(f"the flow to t={t} would take {n} steps")
+        return n
+
+    def _lipschitz_bound(self, batch: NodeBatch) -> float:
+        """max over the batch's points of |grad xi|_F, from one order-1
+        evaluation of xi, kept under the batch token."""
+        if batch.token not in self._lipschitz:
+            grad = self.xi(batch, 1).gradient().value         # (m, i, a)
+            bound = float(np.max(np.sqrt(np.sum(grad * grad, axis=(-2, -1)))))
+            if not math.isfinite(bound):
+                raise FlowDivergedError("the flow's field has a non-finite gradient")
+            self._lipschitz[batch.token] = bound
+        return self._lipschitz[batch.token]
 
     def _integrate(self, batch: NodeBatch, runs: dict, n: int, h: float,
                    order: int) -> list[Jet]:
-        """The flow of n RK4 steps of h; h = 0 is the identity, the coordinate
+        """The flow of n steps of h; h = 0 is the identity, the coordinate
         jets.  The flow continues the one in ``runs`` (the flows on step h, by
         steps taken) of the most steps below n and an order at least
         ``order``: its truncation equals the flow integrated at ``order``, so
@@ -307,33 +354,40 @@ class HamiltonianFlowCurve:
         if done:
             pos = [p.truncate(order) for p in runs[done][max(runs[done])]]
         for _ in range(done, n):
-            pos = self._rk4_step(batch.chart, pos, h, order)
+            pos = self._rk6_step(batch.chart, pos, h, order)
         if not all(np.all(np.isfinite(p.coeffs)) for p in pos):
             raise FlowDivergedError("flow integration produced non-finite jets")
         return pos
 
-    def _rk4_step(self, chart, pos, h, order):
-        def f(state):
-            xi = compose_field(self.xi, chart, state, order)
-            return [Jet(xi.dim, xi.order, xi.coeffs[..., i]) for i in range(len(pos))]
+    def _rk6_step(self, chart, pos, h, order):
+        """One step of ``_RK6_A`` and ``_RK6_B``; positions and stages are
+        stacked as (coordinate, coefficient, point)."""
+        dim = pos[0].dim
+        P = np.stack([p.coeffs for p in pos])
 
-        k1 = f(pos)
-        k2 = f([p + k * (h / 2) for p, k in zip(pos, k1)])
-        k3 = f([p + k * (h / 2) for p, k in zip(pos, k2)])
-        k4 = f([p + k * h for p, k in zip(pos, k3)])
-        return [
-            p + (a + b * 2.0 + c * 2.0 + d) * (h / 6.0)
-            for p, a, b, c, d in zip(pos, k1, k2, k3, k4)
-        ]
+        def combine(weights):
+            inc = None
+            for j, w in weights:
+                term = ks[j] * w
+                inc = term if inc is None else inc + term
+            return P + inc * h
+
+        ks = []
+        for row in _RK6_A:
+            stage = combine(row) if row else P
+            xi = compose_field(self.xi, chart, [Jet(dim, order, c) for c in stage], order)
+            ks.append(np.moveaxis(xi.coeffs, -1, 0))
+        return [Jet(dim, order, c) for c in combine(_RK6_B)]
 
     def flow_series(self, batch: NodeBatch, t0: float, order: int, q: int) -> list[Jet]:
         """The flow to t0 + s of the batch's points, as position jets of
         ``order`` that are series of degree ``q`` in s.
 
         Picard iteration around the flow to t0 (t0 = 0 is the identity, any
-        other t0 the RK4 flow): psi_t0 plus the integral of xi(psi) is exact
-        to s^(n+1) when psi is exact to s^n.  xi is expanded once, at the
-        points psi_t0, and recomposed with each iterate.  Cached under
+        other t0 the Runge-Kutta flow of ``flow_jets``): psi_t0 plus the
+        integral of xi(psi) is exact to s^(n+1) when psi is exact to s^n.  xi
+        is expanded once, at the points psi_t0, and recomposed with each
+        iterate.  Cached under
         (batch token, t0 rounded to 12 digits, q) by ``by_order``."""
         t0 = round(t0, 12)
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +283,25 @@ def test_make_fixture_guards():
         bk.make_fixture({"kind": "KLEIN"})
     with pytest.raises(err.DegenerateMetricError):
         bk.make_fixture({"kind": "PERT2", "epsilon": 3.0})
+
+
+def test_the_spd_guard_takes_the_median_from_a_sort():
+    rng = np.random.default_rng(0)
+    for shape in ((1,), (2,), (5, 2), (6, 2), (101, 4)):
+        ev = rng.standard_normal(shape)
+        assert bk._median(ev) == np.median(ev), shape
+
+
+def test_building_the_fixtures_never_loads_numpy_ma():
+    # np.median imports numpy.ma, about 13 ms and 1.25 MiB in every process
+    child = ("import sys\n"
+             "from kahlercheck import backends as bk\n"
+             "for kind in bk.FIXTURE_KINDS:\n"
+             "    bk.make_fixture(kind)\n"
+             "print(len(bk._cache), 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["5", "False"]
 
 
 def test_make_fixture_rejects_descriptor_values_of_the_wrong_type():
@@ -568,8 +589,9 @@ def test_the_ambient_table_is_stored_only_for_the_backends_own_batches(monkeypat
     with FixtureScope(fs) as scope:
         cat.make_kahler_family(fs, 2).flow_jets(batch, 0.05, 1)
         stored = {key[1] for key in scope.geometry._cache if key[0] == "ambient"}
-    # the RK4 stages evaluate the Hamiltonian on fresh batches; only the
-    # quadrature blocks of its mean are stored
+    # the Runge-Kutta stages evaluate the Hamiltonian on fresh batches; only
+    # the quadrature blocks of its mean and the check batch, whose gradient
+    # bound sizes the steps, are stored
     assert any(not fs.backend.owns(b) for b in seen)
     assert stored and stored == {b.token for b in seen if fs.backend.owns(b)}
 

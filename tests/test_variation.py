@@ -333,8 +333,9 @@ def test_flow_initial_speed_is_lie_derivative():
 
 
 def test_flow_field_matches_the_cached_geometry():
-    # xi is evaluated on each RK4 stage's fresh batch without a geometry
-    # cache; it must equal the formula through GeometryState bit for bit
+    # xi is evaluated on each Runge-Kutta stage's fresh batch without a
+    # geometry cache; it must equal the formula through GeometryState bit for
+    # bit
     fx = bk.make_fixture("FS")
     ham = fl.seeded_scalar(GeometryState(fx), 6, mean_zero=True, amp=0.5)
     curve = va.HamiltonianFlowCurve(fx, ham)
@@ -365,13 +366,16 @@ def _count_compose(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("orbit,steps", [((0.05, -0.05, 0.1), (4, 4, 4)),
-                                         ((0.1, -0.05, 0.05), (8, 4, 4))],
+STAGES = 7      # compose calls, evaluations of xi, per Runge-Kutta step
+
+
+@pytest.mark.parametrize("orbit,steps", [((0.05, -0.05, 0.1), (1, 1, 1)),
+                                         ((0.1, -0.05, 0.05), (2, 1, 1))],
                          ids=["gauge-order", "reversed"])
 def test_each_flow_is_integrated_alone(monkeypatch, orbit, steps):
     # S-GAUGE's orbit points, asked for in either order; 0.1 continues a
-    # cached 0.05, which takes the same steps of 0.0125, and nothing else
-    # is shared
+    # cached 0.05, which takes the same step of 0.05, and nothing else is
+    # shared
     fx, ham, batch = _flow_setup()
     refs = {t: va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, t, 1) for t in orbit}
     curve = va.HamiltonianFlowCurve(fx, ham)
@@ -379,13 +383,13 @@ def test_each_flow_is_integrated_alone(monkeypatch, orbit, steps):
     for t, n in zip(orbit, steps):
         del sizes[:]
         got = curve.flow_jets(batch, t, 1)
-        # the RK4 steps not yet taken, on the batch's own points
-        assert sizes == [batch.size] * (4 * n)
+        # the steps not yet taken, on the batch's own points
+        assert sizes == [batch.size] * (STAGES * n)
         for g, r in zip(got, refs[t]):
             assert g.coeffs.tobytes() == r.coeffs.tobytes()
     # one flow per (step, steps taken)
     assert {(h, n) for (_, h), runs in curve._flows.items() for n in runs} == \
-        {(t / curve._steps(t), curve._steps(t)) for t in orbit}
+        {(t / curve._steps(batch, t), curve._steps(batch, t)) for t in orbit}
     del sizes[:]
     pos0 = curve.flow_jets(batch, 0.0, 2)
     assert sizes == []
@@ -393,22 +397,22 @@ def test_each_flow_is_integrated_alone(monkeypatch, orbit, steps):
         assert p.coeffs.tobytes() == Jet.coordinate(i, batch.pts, 2, 2).coeffs.tobytes()
 
 
-@pytest.mark.parametrize("prefix_order,order,steps", [(1, 1, 4), (3, 3, 4), (3, 1, 4),
-                                                       (1, 3, 8)])
+@pytest.mark.parametrize("prefix_order,order,steps", [(1, 1, 1), (3, 3, 1), (3, 1, 1),
+                                                       (1, 3, 2)])
 def test_a_flow_continues_a_cached_flow_on_its_step(monkeypatch, prefix_order, order, steps):
-    # V-KURSYM asks for 0.05 and then 0.1, both in steps of 0.0125; a cached
+    # V-KURSYM asks for 0.05 and then 0.1, both in steps of 0.05; a cached
     # flow of lower order than the one asked for cannot serve
     fx, ham, _ = _flow_setup()
     curve = va.HamiltonianFlowCurve(fx, ham)
     batches = fx.check_nodes(2, 20)
     assert {b.chart for b in batches} == {0, 1}
-    assert curve._steps(0.05) == 4 and curve._steps(0.1) == 8
     for batch in batches:
+        assert curve._steps(batch, 0.05) == 1 and curve._steps(batch, 0.1) == 2
         curve.flow_jets(batch, 0.05, prefix_order)
         sizes = _count_compose(monkeypatch)
         got = curve.flow_jets(batch, 0.1, order)
         monkeypatch.undo()
-        assert sizes == [batch.size] * (4 * steps)
+        assert sizes == [batch.size] * (STAGES * steps)
         ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, 0.1, order)
         for g, r in zip(got, ref):
             assert g.order == order and g.coeffs.tobytes() == r.coeffs.tobytes()
@@ -417,17 +421,20 @@ def test_a_flow_continues_a_cached_flow_on_its_step(monkeypatch, prefix_order, o
 @pytest.mark.parametrize("orbit", [(0.04000000000000001, -0.04000000000000001, 0.05),
                                    (-0.04, 0.05, 0.04)])
 def test_flows_on_other_steps_never_continue_each_other(monkeypatch, orbit):
-    # V-NJ's +-0.04 take steps of +-0.01, V-KURSYM's 0.05 steps of 0.0125
+    # V-NJ's +-0.04 take one step of +-0.04 each, V-KURSYM's 0.05 one of 0.05
     fx, ham, batch = _flow_setup()
     curve = va.HamiltonianFlowCurve(fx, ham)
     sizes = _count_compose(monkeypatch)
     for t in orbit:
         del sizes[:]
         got = curve.flow_jets(batch, t, 2)
-        assert sizes == [batch.size] * (4 * curve._steps(t))
+        assert curve._steps(batch, t) == 1
+        assert sizes == [batch.size] * (STAGES * curve._steps(batch, t))
         ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, t, 2)
         for g, r in zip(got, ref):
             assert g.coeffs.tobytes() == r.coeffs.tobytes()
+    # each under a key of its own
+    assert sorted(h for _, h in curve._flows) == sorted(round(t, 12) for t in orbit)
 
 
 def test_lower_order_flow_reuses_a_higher_order_one(monkeypatch):
@@ -444,16 +451,121 @@ def test_lower_order_flow_reuses_a_higher_order_one(monkeypatch):
 
 
 def test_flow_is_integrated_at_its_canonical_t():
-    # a t one ulp above 0.05 shares the key of 0.05 but would take 5 steps
+    # a t one ulp above 0.05 shares the key of 0.05 but would take 2 steps
     fx, ham, batch = _flow_setup()
     t = float(np.nextafter(0.05, 1.0))
     curve = va.HamiltonianFlowCurve(fx, ham)
-    assert curve._steps(t) == 5 and curve._steps(0.05) == 4
+    assert curve._steps(batch, t) == 2 and curve._steps(batch, 0.05) == 1
     got = curve.flow_jets(batch, t, 2)
-    assert list(curve._flows) == [(batch.token, 0.05 / 4)]
+    assert list(curve._flows) == [(batch.token, 0.05)]
+    assert list(curve._flows[(batch.token, 0.05)]) == [1]
     ref = va.HamiltonianFlowCurve(fx, ham).flow_jets(batch, 0.05, 2)
     for g, r in zip(got, ref):
         assert g.coeffs.tobytes() == r.coeffs.tobytes()
+
+
+def _rk6(f, y, h):
+    ks = []
+    for row in va._RK6_A:
+        ks.append(f(y + h * sum(w * ks[j] for j, w in row)))
+    return y + h * sum(w * ks[j] for j, w in va._RK6_B)
+
+
+def test_the_runge_kutta_tableau_has_order_six():
+    nodes = (0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1)
+    assert len(va._RK6_A) == len(nodes) == STAGES
+    for row, c in zip(va._RK6_A, nodes):
+        assert math.isclose(sum(w for _, w in row), c, abs_tol=1e-15)
+    assert math.isclose(sum(w for _, w in va._RK6_B), 1.0)
+
+    # the pendulum y'' = -sin y to t = 2: halving h cuts the error by about
+    # 2^6 (the classical RK4 by 16)
+    def run(n):
+        y = np.array([1.0, 0.0])
+        for _ in range(n):
+            y = _rk6(lambda v: np.array([v[1], -np.sin(v[0])]), y, 2.0 / n)
+        return y
+
+    ref = run(512)
+    errs = [np.max(np.abs(run(n) - ref)) for n in (4, 8, 16)]
+    assert errs[0] / errs[1] >= 50 and errs[1] / errs[2] >= 50
+
+
+def _flow(curve, batch, t, n, order):
+    """The flow to t in n steps from the identity, stacked by coordinate."""
+    pos = Jet.coordinates(batch.pts, curve.base.backend.dim, order)
+    for _ in range(n):
+        pos = curve._rk6_step(batch.chart, pos, t / n, order)
+    return np.stack([p.coeffs for p in pos])
+
+
+def _flow_error(curve, batch, t, order, ref_steps):
+    got = np.stack([p.coeffs for p in curve.flow_jets(batch, t, order)])
+    return np.max(np.abs(got - _flow(curve, batch, t, ref_steps, order)))
+
+
+def test_a_flow_step_has_order_six():
+    # an FS flow to t = 1, far beyond the suite's, so that the error of one
+    # step stands above roundoff
+    fx, ham, batch = _flow_setup(30)
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    ref = _flow(curve, batch, 1.0, 64, 2)
+    errs = [np.max(np.abs(_flow(curve, batch, 1.0, n, 2) - ref)) for n in (1, 2, 4)]
+    assert errs[0] / errs[1] >= 50 and errs[1] / errs[2] >= 50
+
+
+def test_the_fs_flows_match_a_converged_reference():
+    # V-NJ's +-0.04 and V-KURSYM's 0.05 and 0.1 on the family, and S-GAUGE's
+    # orbit on its 40-node check batch (where RK4 in steps of 0.0125 was up
+    # to 2e-13 off), at order 3: one step each to +-0.05
+    fs = bk.make_fixture("FS")
+    gauge = fl.seeded_scalar(GeometryState(fs), 0 + 59, mean_zero=True, amp=0.5)
+    flows = [(cat.make_kahler_family(fs, 0), fs.check_nodes(0, 120), (0.04, -0.04, 0.05, 0.1)),
+             (va.HamiltonianFlowCurve(fs, gauge), fs.check_nodes(0, 40), (0.05, -0.05, 0.1))]
+    for curve, batches, ts in flows:
+        for batch in batches:
+            assert curve._steps(batch, 0.05) == 1
+            for t in ts:
+                assert _flow_error(curve, batch, t, 3, 16) <= 1e-14
+
+
+def test_the_steep_pert2_flow_takes_more_steps_and_matches_a_converged_reference():
+    # S-GAUGE/PERT2 at seed 3, as run_gauge builds it: the flow to 0.08 on
+    # its check batch at order 3, where RK4 in steps of 0.0125 was 5.6e-4 off
+    fx = bk.make_fixture("PERT2")
+    ham = fl.seeded_scalar(GeometryState(fx), 3 + 59, mean_zero=True, amp=0.15)
+    curve = va.HamiltonianFlowCurve(fx, ham)
+    (batch,) = fx.check_nodes(3, 60)
+    n = curve._steps(batch, 0.08)
+    assert n >= 3
+    assert _flow_error(curve, batch, 0.08, 3, 8 * n) <= 5.6e-4
+
+
+def _nan_gradient(field):
+    def fn(batch, order):
+        jet = field(batch, order)
+        coeffs = jet.coeffs.copy()
+        coeffs[1:] = np.nan
+        return Jet(jet.dim, jet.order, coeffs)
+
+    return bk.Field(fn)
+
+
+def test_a_non_finite_or_too_steep_field_ends_in_flow_diverged(monkeypatch):
+    from kahlercheck.errors import FlowDivergedError
+
+    fx, ham, batch = _flow_setup()
+    with pytest.raises(FlowDivergedError, match="non-finite gradient"):
+        va.HamiltonianFlowCurve(fx, _nan_gradient(ham)).flow_jets(batch, 0.05, 1)
+    steep = bk.Field(lambda b, k: ham(b, k) * 1e6)
+    with pytest.raises(FlowDivergedError, match="steps"):
+        va.HamiltonianFlowCurve(fx, steep).flow_jets(batch, 0.05, 1)
+    # through a registered check it is a failed record, not a traceback
+    seeded = fl.seeded_scalar
+    monkeypatch.setattr(ck.fl, "seeded_scalar",
+                        lambda *a, **kw: _nan_gradient(seeded(*a, **kw)))
+    rec = ck.run_check("S-GAUGE", "PERT2", 0, OPTS)
+    assert rec.status == "fail" and rec.reason.startswith("flow-diverged:")
 
 
 def test_one_flow_curve_per_fixture_and_seed():
