@@ -751,8 +751,9 @@ def run_phi(fixture, seed, opts) -> Sides:
         basis = so.lambda_basis(geom)
         for k in range(10):
             A = fl.seeded_antilinear(geom, seed + 3 * k)
-            direct = so.phi_functional(geom, A, basis.functions)
-            bridge = so.phi_functional_bridge(geom, A, basis.functions)
+            blocks = list(so.phi_blocks(geom, A, 2))
+            direct = so.phi_functional(geom, A, basis.functions, blocks)
+            bridge = so.phi_functional_bridge(geom, A, basis.functions, blocks)
             for v, b in zip(direct, bridge):
                 s.add("max_value", v, 0.0)
                 s.add("two_route_gap", v, b)

@@ -10,8 +10,15 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread per process, set before anything imports numpy: with
+# ``--jobs`` each worker would otherwise start a BLAS thread per core, and
+# the workers would contend for the cores.  A value the user set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import backends as bk
 from . import checks as ck

@@ -137,8 +137,10 @@ def seeded_sym2(geom, seed, trace_part: float = 1.0) -> Field:
         u = seeded_scalar(geom, seed + 31)
 
         def fn(batch, order):
-            g = geom.g(batch, order)
             hz = tc.hessian_scalar(geom, batch, u(batch, order + 2)).truncate(order)
+            if trace_part == 0.0:
+                return hz
+            g = geom.g(batch, order)
             return jet_einsum("p,pij->pij", s(batch, order), g) * trace_part + hz
 
         return Field(fn)

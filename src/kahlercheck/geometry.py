@@ -10,7 +10,12 @@ fixture density with respect to chart Lebesgue measure.
 Each quantity is built at the order its reader asks for, and no higher:
 Gamma Gamma products run at the curvature's order, and Ricci is contracted
 straight from Gamma and its first derivatives, so the 4-index tensor is
-built only for ``riemann`` itself (read by ``riemann_cov``).  A state keeps
+built only for ``riemann`` itself (read by ``riemann_cov``).  The curvature
+reads Gamma one order up for those derivatives from a stored build, or
+builds it and drops it, so Gamma is stored only at the orders its readers
+ask for.  log det g takes its derivatives from Jacobi's formula,
+tr(g^-1 dg), so the inverse is read one order below log det g, at no more
+than the order Gamma needs.  A state keeps
 one build per quantity and node batch and answers any lower order from it
 by truncation (``by_order``), which is bit-identical to a build at that
 order because every jet table is a prefix of the higher-order ones.
@@ -183,27 +188,44 @@ class GeometryState:
         return self._inverse(batch, order)[0]
 
     def logdetg(self, batch: NodeBatch, order: int) -> Jet:
-        return self._inverse(batch, order)[1]
+        """log det g: its value from the order-0 inverse, its derivatives by
+        Jacobi's formula d_a log det g = tr(g^-1 d_a g), so the inverse is
+        read one order below this one.  Not stored: ``f`` stores it."""
+        if order == 0:
+            return self._inverse(batch, 0)[1]
+        # g first, at the top order, so that the inverse and the value below
+        # are built from its truncations
+        dg = self.g(batch, order).gradient()
+        dlog = jet_einsum("pij,pjia->pa", self.ginv(batch, order - 1), dg)
+        return jets.antigradient(self._inverse(batch, 0)[1], dlog)
+
+    def _christoffel(self, batch: NodeBatch, order: int) -> Jet:
+        """Gamma at ``order``, built and not stored."""
+        self._guard(order, 1, "connection")
+        g = self.g(batch, order + 1)
+        dg = jet_map("pijd->pdij", g.gradient())
+        S = jet_map("pikj->pkij", dg) + jet_map("pjki->pkij", dg) - dg
+        ginv = self.ginv(batch, order)
+        return jet_einsum("plk,pkij->plij", ginv, S) * 0.5
 
     def gamma(self, batch: NodeBatch, order: int) -> Jet:
         """Christoffel jets Gamma[p, i, j, k] = Gamma^i_{jk}."""
-
-        def build():
-            self._guard(order, 1, "connection")
-            g = self.g(batch, order + 1)
-            dg = jet_map("pijd->pdij", g.gradient())
-            S = jet_map("pikj->pkij", dg) + jet_map("pjki->pkij", dg) - dg
-            ginv = self.ginv(batch, order)
-            return jet_einsum("plk,pkij->plij", ginv, S) * 0.5
-
-        return self._get("gamma", batch, order, build)
+        return self._get("gamma", batch, order, lambda: self._christoffel(batch, order))
 
     def _connection_jets(self, batch: NodeBatch, order: int) -> tuple[Jet, Jet]:
         """Gamma and dG[p, d, i, j, k] = d_d Gamma^i_{jk}, both at ``order``:
-        every coefficient of a Gamma Gamma product above it would be dropped."""
+        every coefficient of a Gamma Gamma product above it would be dropped.
+        Gamma one order up, which only its derivatives read, is truncated
+        from a stored build when there is one, and otherwise built here and
+        not stored; its truncation is stored when Gamma at ``order`` is
+        not."""
         self._guard(order, 2, "curvature")
-        G = self.gamma(batch, order + 1)
-        return G.truncate(order), jet_map("pijkd->pdijk", G.gradient())
+        built = self._cache.get(("gamma", batch.token), {})
+        top = max(built, default=-1)
+        G = (built[top].truncate(order + 1) if top > order
+             else self._christoffel(batch, order + 1))
+        low = self._get("gamma", batch, order, lambda: G.truncate(order).copy())
+        return low, jet_map("pijkd->pdijk", G.gradient())
 
     def riemann(self, batch: NodeBatch, order: int) -> Jet:
         """R[p, i, j, k, l] = R^i_{jkl}."""

@@ -272,6 +272,38 @@ class Jet:
         return Jet(self.dim, self.order - 1, np.stack(parts, axis=-1))
 
 
+@lru_cache(maxsize=None)
+def _antigradient_plan(dim: int, order: int, q: int) -> tuple:
+    """For every coefficient of spatial degree >= 1 of the order-``order``
+    table: the first axis a with alpha_a > 0, the index of alpha - e_a in the
+    table one order lower, and alpha_a."""
+    tb, low = table(dim, order, q), table(dim, order - 1, q)
+    axes, src, fac = [], [], []
+    for alpha in tb.alphas[q + 1:].tolist():
+        a = next(i for i in range(dim) if alpha[i])
+        beta = list(alpha)
+        beta[a] -= 1
+        axes.append(a)
+        src.append(low.index[tuple(beta)])
+        fac.append(float(alpha[a]))
+    return np.array(axes, dtype=np.intp), np.array(src, dtype=np.intp), np.array(fac)
+
+
+def antigradient(base: Jet, grad: Jet) -> Jet:
+    """The jet one order above ``grad`` whose spatial-degree-0 coefficients
+    (all t-coefficients of a series of ``grad``'s t-degree) are those of
+    ``base`` and whose gradient is ``grad``: the inverse of
+    :meth:`Jet.gradient` for a ``grad`` that is one.  A coefficient alpha is
+    read off the derivative along the first axis a with alpha_a > 0, as
+    grad_a[alpha - e_a] / alpha_a, so each coefficient depends only on lower
+    ones and the result truncates to the one built from ``grad`` truncated."""
+    order = grad.order + 1
+    axes, src, fac = _antigradient_plan(grad.dim, order, grad.q)
+    body = np.moveaxis(grad.coeffs, -1, 0)[axes, src]
+    body = body / fac.reshape((-1,) + (1,) * (body.ndim - 1))
+    return Jet(grad.dim, order, np.concatenate([base.truncate(0).coeffs, body]))
+
+
 def _common(*js: Jet) -> list[Jet]:
     """The jets at their lowest spatial order and a common t-degree: a jet
     constant in t takes the series' degree, series meet at the lowest."""

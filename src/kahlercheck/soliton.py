@@ -6,7 +6,7 @@ chains, the stability identity and the obstruction functional.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,15 +285,27 @@ def stability_identity_sides(geom, batch, A: Jet) -> tuple[np.ndarray, np.ndarra
 # the obstruction functional
 
 
-def phi_functional(geom, A_field: Field, u_fields: Sequence[Field]) -> list[float]:
+def phi_blocks(geom, A_field: Field, order: int) -> Iterator[tuple]:
+    """``(batch, A, drift terms)`` per quadrature block: ``A_field`` at
+    ``order``, checked J-anti-linear, and the ``drift_terms`` of A to order
+    1.  Both routes of the obstruction functional read these; the list of
+    them at order 2 serves the two routes with one evaluation of A."""
+    for b in geom.fixture.quad_nodes():
+        A = A_field(b, order)
+        A1 = A.truncate(1)
+        kh._check_antilinear(geom, b, A1)
+        yield b, A, drift_terms(geom, b, A1)
+
+
+def phi_functional(geom, A_field: Field, u_fields: Sequence[Field],
+                   blocks: Sequence[tuple] | None = None) -> list[float]:
     """Integral of 2 Re(u) <Hess f, A^2> - <(J grad f) hook cd A, i conj(u) x_J A>,
-    one value per u in ``u_fields``."""
-    nodes = geom.fixture.quad_nodes()
+    one value per u in ``u_fields``; ``blocks``, from ``phi_blocks``, stand
+    in for the evaluation of ``A_field``."""
     vals = [[] for _ in u_fields]
-    for b in nodes:
-        A = A_field(b, 1)
-        kh._check_antilinear(geom, b, A)
-        hessA2, hookA, hookJA = drift_terms(geom, b, A)
+    if blocks is None:
+        blocks = phi_blocks(geom, A_field, 1)
+    for b, _, (hessA2, hookA, hookJA) in blocks:
         for out, u_field in zip(vals, u_fields):
             u = u_field(b, 0).value
             u1, u2 = np.real(u), np.imag(u)
@@ -302,15 +314,16 @@ def phi_functional(geom, A_field: Field, u_fields: Sequence[Field]) -> list[floa
     return [geom.fixture.integrate(v) for v in vals]
 
 
-def phi_functional_bridge(geom, A_field: Field, u_fields: Sequence[Field]) -> list[float]:
+def phi_functional_bridge(geom, A_field: Field, u_fields: Sequence[Field],
+                          blocks: Sequence[tuple] | None = None) -> list[float]:
     """Second route: (1/2) integral u1 [4 <Hess f, A^2> - 2 <hook, JA>
     - (lap_w - 2)|A|^2], one value per u; equals the direct route for kernel
-    arguments."""
-    nodes = geom.fixture.quad_nodes()
+    arguments.  ``blocks``, from ``phi_blocks`` at order 2, stand in for the
+    evaluation of ``A_field``."""
     vals = [[] for _ in u_fields]
-    for b in nodes:
-        A = A_field(b, 2)
-        hessA2, _, hookJA = drift_terms(geom, b, A)
+    if blocks is None:
+        blocks = phi_blocks(geom, A_field, 2)
+    for b, A, (hessA2, _, hookJA) in blocks:
         norm2 = tc.pair_endos(geom, b, A, A)
         lapN = tc.laplacian_scalar(geom, b, norm2) - norm2.truncate(norm2.order - 2) * 2.0
         weight = hessA2 * 4.0 - hookJA * 2.0 - lapN.value

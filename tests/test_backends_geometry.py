@@ -455,6 +455,50 @@ def test_geometry_serves_a_lower_order_from_its_cached_build(monkeypatch):
     assert [G.order for G in calls] == [3]
 
 
+def _logdet_geometries():
+    """``(fixture, top order)``: each fixture to order 4, then the t-series
+    geometries of KAH4's linear metric curve and of FS's Hamiltonian
+    pullback at t-degrees 1 and 2 (the flow's jet order 6 caps the latter
+    at order 3)."""
+    from kahlercheck.catalog import _linear_family, make_kahler_family
+
+    out = [(bk.make_fixture(kind), 4) for kind in ("FLAT2", "PERT2", "RIEM4", "KAH4", "FS")]
+    *_, at = _linear_family(bk.make_fixture("KAH4"), 3)
+    family = make_kahler_family(bk.make_fixture("FS"), 3)
+    for q in (1, 2):
+        out += [(at.series(0.0, q).fixture, 4), (family.series_at(0.0, q), 5 - q)]
+    return out
+
+
+def test_logdetg_by_jacobi_matches_the_neumann_log_determinant():
+    worst = 0.0
+    for fx, top in _logdet_geometries():
+        batch = fx.check_nodes(4, 6)[-1]
+        for k in range(top + 1):
+            got = GeometryState(fx).logdetg(batch, k)
+            ref = inverse_and_logdet(GeometryState(fx).g(batch, k))[1]
+            assert got.coeffs.shape == ref.coeffs.shape, (fx.name, k)
+            gap, scale = np.max(np.abs(got.coeffs - ref.coeffs)), np.max(np.abs(ref.coeffs))
+            assert gap <= 1e-15 * scale, (fx.name, k)
+            worst = max(worst, gap / scale) if scale else worst
+    assert worst > 0.0          # the two routes are different sums
+
+
+def test_the_shared_kah4_state_keeps_no_inverse_or_connection_above_its_readers():
+    # H reads f at order 2 and Ricci at order 0: log det g by Jacobi's formula
+    # reads the inverse at order 1, Ricci builds Gamma at order 1 without
+    # storing it, and the Hessian of f reads Gamma at order 0
+    from kahlercheck import soliton as so
+
+    fx = bk.make_fixture("KAH4")
+    with FixtureScope(fx) as scope:
+        so.PerelmanData(GeometryState(fx))
+        cache = scope.geometry._cache
+        for b in fx.quad_nodes():
+            assert max(cache[("inverse", b.token)]) == 1
+            assert max(cache[("gamma", b.token)]) == 0
+
+
 def test_ricci_from_gamma_is_the_trace_of_riemann():
     from kahlercheck.jets import jet_map
 
@@ -469,30 +513,46 @@ def test_ricci_from_gamma_is_the_trace_of_riemann():
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_curvature_products_run_at_the_curvature_order(monkeypatch, k):
-    # the connection is built first, so every convolution recorded below is
-    # a Gamma Gamma product of riemann or ric; none may run above order k,
-    # and ric never builds the 4-index tensor
+    # Gamma one order up is built inside the curvature, unrecorded, unless a
+    # build of it is stored, which is then read instead; so every
+    # convolution recorded below is a Gamma Gamma product of riemann or ric.
+    # None may run above order k, and ric never builds the 4-index tensor
     from kahlercheck import jets
 
     fx = bk.make_fixture("KAH4")
     batch = fx.check_nodes(4, 6)[0]
-    orders = []
+    orders, built, inside = [], [], []
     convolve = jets._convolve
+    christoffel = GeometryState._christoffel
 
     def recording(dim, order, *args, **kwargs):
-        orders.append(order)
+        if not inside:
+            orders.append(order)
         return convolve(dim, order, *args, **kwargs)
 
-    for name in ("riemann", "ric"):
-        geom = GeometryState(fx)
-        geom.gamma(batch, k + 1)
-        with monkeypatch.context() as m:
-            m.setattr(jets, "_convolve", recording)
-            if name == "ric":
-                m.setattr(GeometryState, "riemann", None)
-            getattr(geom, name)(batch, k)
-        assert orders and max(orders) == k, name
-        orders.clear()
+    def unrecorded(self, batch, order):
+        built.append(order)
+        inside.append(order)
+        try:
+            return christoffel(self, batch, order)
+        finally:
+            inside.pop()
+
+    for stored in (k, k + 1):
+        for name in ("riemann", "ric"):
+            geom = GeometryState(fx)
+            geom.gamma(batch, stored)
+            with monkeypatch.context() as m:
+                m.setattr(jets, "_convolve", recording)
+                m.setattr(GeometryState, "_christoffel", unrecorded)
+                if name == "ric":
+                    m.setattr(GeometryState, "riemann", None)
+                getattr(geom, name)(batch, k)
+            assert orders and max(orders) == k, (name, stored)
+            assert built == ([k + 1] if stored == k else []), (name, stored)
+            assert max(geom._cache[("gamma", batch.token)]) == stored, (name, stored)
+            orders.clear()
+            built.clear()
 
 
 def test_integrate_evaluates_the_density_once_per_batch():

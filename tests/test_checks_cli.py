@@ -296,6 +296,26 @@ def test_console_entry_point():
     assert "ID-DIV-TR" in proc.stdout
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_the_cli_pins_blas_threads_before_numpy_unless_the_user_did(preset):
+    # a fresh process: the package loads no numpy, so the CLI module sets
+    # the thread counts before numpy (and its BLAS) is first imported
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    child = ("import os, sys\n"
+             "import kahlercheck\n"
+             "before = 'numpy' in sys.modules\n"
+             "import kahlercheck.cli\n"
+             f"print(before, *(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", preset or "1", "1", "1"]
+
+
 def test_cli_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

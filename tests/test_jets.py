@@ -521,3 +521,15 @@ def test_compose_scales_by_its_first_coefficient_bit_for_bit(dim, order, q, dtyp
     got, ref = jets._compose(a, outer), _horner_with_products(a, outer)
     assert got.coeffs.dtype == ref.coeffs.dtype
     assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("dim,order,q", [(1, 4, 0), (2, 3, 0), (4, 4, 0), (2, 3, 2), (4, 2, 1)])
+def test_antigradient_rebuilds_a_jet_from_its_value_and_gradient(dim, order, q):
+    rng = np.random.default_rng(7 * dim + order + q)
+    ncoeff = jets.table(dim, order, q).ncoeff
+    a = Jet(dim, order, rng.normal(size=(ncoeff, 5, 3)))
+    assert a.q == q
+    back = jets.antigradient(a.truncate(0), a.gradient())
+    assert back.order == order and back.q == q
+    # the gradient scales a coefficient by alpha_a and this divides it back
+    np.testing.assert_array_max_ulp(back.coeffs, a.coeffs, maxulp=1)

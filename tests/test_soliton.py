@@ -257,6 +257,31 @@ def test_phi_sequence_and_drift_terms_are_bit_identical():
             assert np.array_equal(cross.value, terms[2]), kind
 
 
+def test_phi_routes_share_one_evaluation_of_each_argument_on_fs(monkeypatch):
+    # S-PHI on FS evaluates each seeded argument once per quadrature block,
+    # at order 2, and both routes read one run of the drift terms
+    from collections import Counter
+
+    from kahlercheck import checks as ck
+
+    evals, drifts = Counter(), Counter()
+    make, drift = fl.seeded_antilinear, so.drift_terms
+
+    def counted(geom, seed):
+        A = make(geom, seed)
+        return Field(lambda b, k: evals.update([(seed, b.token, k)]) or A(b, k))
+
+    monkeypatch.setattr(fl, "seeded_antilinear", counted)
+    monkeypatch.setattr(so, "drift_terms",
+                        lambda geom, b, A: drifts.update([b.token]) or drift(geom, b, A))
+    rec = ck.run_check("S-PHI", "FS", 0)
+    assert rec.status == "pass"
+    quad = [b.token for b in bk.make_fixture("FS").quad_nodes()]
+    assert sorted(evals) == sorted((s, tok, 2) for s in range(0, 30, 3) for tok in quad)
+    assert set(evals.values()) == {1}
+    assert drifts == Counter({tok: 10 for tok in quad})
+
+
 def test_integral_identity_on_fs(fs):
     geom, pdata, _ = fs
     A = fl.seeded_antilinear(geom, 17)
