@@ -109,7 +109,6 @@ def const_matrix_field(backend, mat):
 
 
 class Backend:
-    kind = "abstract"
     dim = 0
 
     def __init__(self):
@@ -159,7 +158,6 @@ class Torus(Backend):
     def __init__(self, dim: int, grid: int):
         super().__init__()
         self.dim = dim
-        self.kind = f"Torus{dim}"
         self.grid = grid
         self._quad = None
 
@@ -183,7 +181,6 @@ class CP1(Backend):
     """Two stereographic charts with transition w = 1/z; Gauss x uniform grid."""
 
     dim = 2
-    kind = "CP1"
 
     def __init__(self, n_theta: int = 32, n_phi: int = 64):
         super().__init__()
@@ -285,6 +282,26 @@ def chart_transition(components: np.ndarray, valence: str, pts: np.ndarray):
 # fixtures
 
 
+@dataclass(frozen=True)
+class Capabilities:
+    """What holds on a fixture.  The registry's requirements and every branch
+    of a runner read this record; a fixture's name is only a label."""
+
+    dim: int
+    kahler: bool = False    # a complex structure J compatible with g
+    flat: bool = False      # constant metric and density, so f = 0 and h = -g,
+                            # with the closed forms of the unit square torus
+    periodic: bool = False  # one torus chart; seeded fields are trig polynomials
+    sphere: bool = False    # the stereographic atlas of CP1, its holomorphic
+                            # fields and its ambient unit-sphere embedding
+    shrinker: bool = False  # Ric + Hess f = g
+
+    def satisfies(self, requires) -> bool:
+        """Whether every value of one of the alternatives ``requires`` (a
+        tuple of dicts of field values) holds here."""
+        return any(all(getattr(self, k) == v for k, v in alt.items()) for alt in requires)
+
+
 @dataclass
 class Fixture:
     name: str
@@ -292,7 +309,7 @@ class Fixture:
     g: Field
     omega_density: Field
     J: Field | None
-    tags: frozenset
+    caps: Capabilities
     descriptor: dict
     # density values per batch token, read-only, as Backend._check_memo
     _density_memo: dict = dc_field(default_factory=dict, init=False, repr=False,
@@ -459,7 +476,7 @@ def _flat2(desc):
     g = const_matrix_field(backend, np.eye(2))
     rho = chart_expr_field(backend, lambda x, y: Jet.const(1.0, 2, x.order, x.batch_shape))
     J = const_matrix_field(backend, standard_J(2))
-    return Fixture("FLAT2", backend, g, rho, J, frozenset({"riemannian", "kahler", "flat"}), desc)
+    return Fixture("FLAT2", backend, g, rho, J, CAPABILITIES["FLAT2"], desc)
 
 
 def _pert2(desc):
@@ -475,7 +492,7 @@ def _pert2(desc):
     raw = chart_expr_field(backend, lambda x, y: jets.exp(jets.sin(TWO_PI * y)))
     rho = _normalized_density(backend, raw, "PERT2-density")
     J = const_matrix_field(backend, J0)
-    fx = Fixture("PERT2", backend, g, rho, J, frozenset({"riemannian", "kahler"}), desc)
+    fx = Fixture("PERT2", backend, g, rho, J, CAPABILITIES["PERT2"], desc)
     _check_spd(fx)
     _check_unit_mass(fx)
     return fx
@@ -497,7 +514,7 @@ def _riem4(desc):
     g = trig_field(modes, amps, np.eye(4))
     raw = trig_field(*trig_modes(rng, 4, band=1, nmodes=2, amp=0.3), 1.0)
     rho = _normalized_density(backend, raw, "RIEM4-density")
-    fx = Fixture("RIEM4", backend, g, rho, None, frozenset({"riemannian"}), desc)
+    fx = Fixture("RIEM4", backend, g, rho, None, CAPABILITIES["RIEM4"], desc)
     _check_spd(fx)
     _check_unit_mass(fx)
     return fx
@@ -514,7 +531,7 @@ def _kah4(desc):
     raw = trig_field(*trig_modes(rng, 4, band=1, nmodes=2, amp=0.25), 1.0)
     rho = _normalized_density(backend, raw, "KAH4-density")
     J = const_matrix_field(backend, J0)
-    fx = Fixture("KAH4", backend, g, rho, J, frozenset({"riemannian", "kahler"}), desc)
+    fx = Fixture("KAH4", backend, g, rho, J, CAPABILITIES["KAH4"], desc)
     _check_spd(fx)
     _check_unit_mass(fx)
     return fx
@@ -536,15 +553,23 @@ def _fs(desc):
     g = chart_expr_field(backend, g_expr)
     rho = chart_expr_field(backend, rho_expr)
     J = const_matrix_field(backend, standard_J(2))
-    fx = Fixture(
-        "FS", backend, g, rho, J, frozenset({"riemannian", "kahler", "fano_soliton"}), desc
-    )
+    fx = Fixture("FS", backend, g, rho, J, CAPABILITIES["FS"], desc)
     _check_spd(fx)
     _check_unit_mass(fx)
     return fx
 
 
 _MAKERS = {"FLAT2": _flat2, "PERT2": _pert2, "RIEM4": _riem4, "KAH4": _kah4, "FS": _fs}
+
+# What holds on every fixture of each kind, whatever its descriptor: the one
+# place where a kind decides which checks run on it and how.
+CAPABILITIES = {
+    "FLAT2": Capabilities(dim=2, kahler=True, flat=True, periodic=True),
+    "PERT2": Capabilities(dim=2, kahler=True, periodic=True),
+    "RIEM4": Capabilities(dim=4, periodic=True),
+    "KAH4": Capabilities(dim=4, kahler=True, periodic=True),
+    "FS": Capabilities(dim=2, kahler=True, sphere=True, shrinker=True),
+}
 
 # Every key a descriptor of each kind may set, with its default.
 _DEFAULTS = {

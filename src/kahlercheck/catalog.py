@@ -413,7 +413,7 @@ def run_v_hess_f(fixture, seed, opts) -> Sides:
         f = geom.f(batch, order)
         s = jet_einsum("p,p->p", f + 1.0, jmath.exp(f)) * scale
         extra = Jet.const(0.0, geom.dim, order, (batch.size, geom.dim, geom.dim))
-        if "flat" in fixture.tags:
+        if fixture.caps.flat:
             d = np.zeros((geom.dim, geom.dim))
             d[0, 0], d[1, 1] = 0.7, -0.7
             extra.coeffs[0] += d
@@ -462,7 +462,7 @@ def make_structure_curve(fixture: Fixture, seed: int):
     """Pointwise conjugation curves on tori (not integrable for t != 0 in
     two complex dimensions, which is what the torsion-variation check
     wants), Hamiltonian pullbacks on the projective line."""
-    if fixture.backend.kind == "CP1":
+    if fixture.caps.sphere:
         # the same Hamiltonian as the Kahler family, so the same curve
         return make_kahler_family(fixture, seed)
     A = fl.seeded_antilinear(GeometryState(fixture), seed + 7)
@@ -480,7 +480,7 @@ def make_kahler_family(fixture: Fixture, seed: int):
     scope = FixtureScope.on(fixture)
     families = scope.families if scope else {}
     if seed not in families:
-        amp = 0.5 if fixture.backend.kind == "CP1" else 0.15
+        amp = 0.15 if fixture.caps.periodic else 0.5
         ham = fl.seeded_scalar(GeometryState(fixture), seed + 7, mean_zero=True, amp=amp)
         families[seed] = HamiltonianFlowCurve(fixture, ham)
     return families[seed]
@@ -521,7 +521,7 @@ def run_v_nj(fixture, seed, opts) -> Sides:
         # consequence, on the same batch: along the curve the structure
         # variation stays del-bar closed whenever the structures remain
         # integrable
-        if fixture.backend.kind == "CP1" or fixture.backend.dim == 2:
+        if fixture.caps.dim == 2:
             for tt in (0.0, 0.5 * at.curve.t_max * 0.4, -0.5 * at.curve.t_max * 0.4):
                 gt = at(tt)
                 Jd_t = _tder(at, lambda gs: gs.J(batch, 2), t0=tt)

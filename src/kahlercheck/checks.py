@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,19 @@ from .geometry import GeometryState
 from .jets import Jet, jet_einsum, jet_linear, jet_map
 from .variation import HamiltonianFlowCurve, LinearCurve, compose_field
 
-TORI = ("FLAT2", "PERT2", "RIEM4", "KAH4")
-KAHLER_FIXTURES = ("FLAT2", "PERT2", "KAH4", "FS")
+# Requirements: a check runs on every fixture whose ``Capabilities`` meet
+# one of its alternatives, each a dict of capability values.
+ANY = ({},)
+KAHLER = ({"kahler": True},)
+PERIODIC = ({"periodic": True},)
+# the rows that read the sphere's closed forms: its chart transition or its
+# holomorphic fields as the eigenvalue-2 kernel
+SPHERE = ({"sphere": True},)
+SHRINKER = ({"shrinker": True},)
+# S-GAUGE's orbit on a weighted curved surface
+CURVED_KAHLER2 = ({"kahler": True, "flat": False, "dim": 2},)
+# S-PHI and S-INT: the statement on the shrinker, their plumbing on a 4-torus
+SHRINKER_OR_KAHLER4 = ({"shrinker": True}, {"kahler": True, "dim": 4})
 
 
 @dataclass
@@ -81,14 +92,19 @@ class CheckDef:
     suite: str
     formula: str
     tag: str
-    fixtures: tuple
+    requires: tuple
     tolerance: float
     runner: object
     flat_tolerance: float | None = None
     notes: str = ""
 
-    def tol_for(self, fixture_name: str) -> float:
-        if self.flat_tolerance is not None and fixture_name == "FLAT2":
+    @property
+    def fixtures(self) -> tuple:
+        """The fixture kinds whose capabilities meet ``requires``."""
+        return tuple(k for k in FIXTURE_KINDS if bk.CAPABILITIES[k].satisfies(self.requires))
+
+    def tol_for(self, caps: bk.Capabilities) -> float:
+        if self.flat_tolerance is not None and caps.flat:
             return self.flat_tolerance
         return self.tolerance
 
@@ -161,7 +177,7 @@ def run_quadrature(fixture, seed, opts) -> Sides:
     s.add("unit_mass", fixture.integrate([np.ones(b.size) for b in nodes]), 1.0)
     u = fl.seeded_scalar(geom, seed, mean_zero=True)
     s.add("projected_mean", fixture.integrate([u(b, 0).value for b in nodes]), 0.0)
-    if fixture.name == "FLAT2":
+    if fixture.caps.flat:
         s.add("odd_mode", fixture.integrate([np.sin(2 * np.pi * b.pts[:, 0]) for b in nodes]),
               0.0)
         dirichlet = fixture.integrate([4 * np.pi**2 * np.cos(2 * np.pi * b.pts[:, 0]) ** 2
@@ -403,7 +419,7 @@ def _bidegree(geom, b, seed):
 
 def run_bidegree(fixture, seed, opts) -> Sides:
     s = _bidegree(fixture, seed, opts)
-    if fixture.backend.kind == "CP1":
+    if fixture.caps.sphere:
         # the holomorphic generators lie in the kernel of del-bar
         geom = GeometryState(fixture)
         basis = bk.holomorphic_basis(fixture.backend)
@@ -554,7 +570,7 @@ def run_perelman(fixture, seed, opts) -> Sides:
     s = Sides()
     s.add("mean_F", fixture.integrate(pdata.F(b, 0).value for b in nodes), 0.0)
     s.add("mean_H_bar", fixture.integrate(pdata.H_bar(b, 0).value for b in nodes), 0.0)
-    if fixture.name == "FLAT2":
+    if fixture.caps.flat:
         for b in fixture.check_nodes(seed, opts.node_count):
             s.add("flat_h_plus_g", pdata.h(b, 0), geom.g(b, 0) * (-1.0))
             s.add("flat_H_plus_one", so.H_scalar(geom, b, 0), -1.0)
@@ -600,8 +616,8 @@ def run_characterization(fixture, seed, opts) -> Sides:
         bump = jmath.sin(x * 3.0) * 0.2 + 1.0
         return jet_einsum("p,p->p", base, bump)
 
-    bad = bk.Fixture("FS-offfamily", fixture.backend, fixture.g,
-                     Field(rho_bad), fixture.J, fixture.tags, fixture.descriptor)
+    bad = bk.Fixture(f"{fixture.name}-offfamily", fixture.backend, fixture.g, Field(rho_bad),
+                     fixture.J, replace(fixture.caps, shrinker=False), fixture.descriptor)
     control = Sides()
     _characterization(control, "negative_control", GeometryState(bad),
                       fixture.check_nodes(seed, 40))
@@ -704,14 +720,18 @@ def run_tangent_cone(fixture, seed, opts) -> Sides:
     psi = fl.seeded_complex_scalar(geom, seed + 17)
     v_f, Vs_f = so.eta_direction_fields(geom, psi)
     s, control = Sides(), Sides()
+    # V* before v on each batch: it reads the weight two orders up, and v
+    # and the control's g then read truncations
     for b in fixture.check_nodes(seed + 19, 120):
-        anti, dbar, closed = so.tangent_cone_sides(geom, b, v_f(b, 2), Vs_f(b, 2))
+        Vs = Vs_f(b, 2)
+        anti, dbar, closed = so.tangent_cone_sides(geom, b, v_f(b, 2), Vs)
         s.add("anti_invariance_and_dbar", *anti)
         s.add("anti_invariance_and_dbar", *dbar)
         s.add("density_closedness", *closed)
     # negative control: the J-invariant metric in place of v is rejected
     for b in fixture.check_nodes(seed + 23, 120):
-        anti, dbar, _ = so.tangent_cone_sides(geom, b, geom.g(b, 2), Vs_f(b, 2))
+        Vs = Vs_f(b, 2)
+        anti, dbar, _ = so.tangent_cone_sides(geom, b, geom.g(b, 2), Vs)
         control.add("anti_invariance_and_dbar", *anti)
         control.add("anti_invariance_and_dbar", *dbar)
     s.details["negative_control"] = control.sup
@@ -747,7 +767,7 @@ def run_stability(fixture, seed, opts) -> Sides:
 def run_phi(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     s = Sides()
-    if fixture.backend.kind == "CP1":
+    if fixture.caps.shrinker:
         basis = so.lambda_basis(geom)
         for k in range(10):
             A = fl.seeded_antilinear(geom, seed + 3 * k)
@@ -786,7 +806,7 @@ def run_integral_identity(fixture, seed, opts) -> Sides:
     defect = hw_norm.sup
     s = Sides()
     s.details.update(drift_side=abs(rhs), harmonicity_defect=defect)
-    if fixture.backend.kind == "CP1":
+    if fixture.caps.shrinker:
         s.add("cone_integral", lhs, 0.0)
     else:
         # the hypothesis fails off the shrinker: the gap is reported, not gated
@@ -845,10 +865,10 @@ def run_dh_map(fixture, seed, opts) -> Sides:
 def run_gauge(fixture, seed, opts) -> Sides:
     geom = GeometryState(fixture)
     ham = fl.seeded_scalar(geom, seed + 59, mean_zero=True,
-                           amp=0.5 if fixture.backend.kind == "CP1" else 0.15)
+                           amp=0.15 if fixture.caps.periodic else 0.5)
     curve = HamiltonianFlowCurve(fixture, ham)
     s = Sides()
-    if "fano_soliton" in fixture.tags:
+    if fixture.caps.shrinker:
         for t in (0.05, -0.05, 0.1):
             pt = so.PerelmanData(GeometryState(curve.fixture_at(t)))
             for b in fixture.check_nodes(seed, 60):
@@ -896,149 +916,149 @@ def run_gauge(fixture, seed, opts) -> Sides:
 REGISTRY: dict = {d.id: d for d in [
     CheckDef("ID-FIXTURE", "identity", "fixture invariants: unit mass, SPD, J algebra, "
              "integrability, closedness, parallel J", "fixture-plumbing",
-             FIXTURE_KINDS, 1e-8, run_fixture_invariants, flat_tolerance=1e-12),
+             ANY, 1e-8, run_fixture_invariants, flat_tolerance=1e-12),
     CheckDef("ID-QUAD", "identity", "quadrature exactness and normalization",
-             "Glb-Rm-m", FIXTURE_KINDS, 1e-8, run_quadrature, flat_tolerance=1e-12),
+             "Glb-Rm-m", ANY, 1e-8, run_quadrature, flat_tolerance=1e-12),
     CheckDef("ID-COMPAT", "identity", "cd(g) = 0", "levi-civita",
-             FIXTURE_KINDS, 1e-8, run_metric_compat, flat_tolerance=1e-13),
+             ANY, 1e-8, run_metric_compat, flat_tolerance=1e-13),
     CheckDef("ID-DIVLAP", "identity", "div_w(grad u) = -lap_w(u)", "divlap",
-             FIXTURE_KINDS, 1e-8, run_div_lap, flat_tolerance=1e-12),
+             ANY, 1e-8, run_div_lap, flat_tolerance=1e-12),
     CheckDef("ID-DIVINT", "identity", "integral of div_w(xi) vanishes", "no-boundary",
-             FIXTURE_KINDS, 1e-8, run_div_integral, flat_tolerance=1e-12),
+             ANY, 1e-8, run_div_integral, flat_tolerance=1e-12),
     CheckDef("ID-DIV-UA", "identity", "adj(u A) = -A grad u + u adj(A)", "div-scalar-endo",
-             FIXTURE_KINDS, 1e-8, run_div_ua, flat_tolerance=1e-12),
+             ANY, 1e-8, run_div_ua, flat_tolerance=1e-12),
     CheckDef("ID-DIV-UXI", "identity", "div_w(u xi) = <grad u, xi> + u div_w(xi)",
-             "div-scalar-vf", FIXTURE_KINDS, 1e-8, run_div_uxi, flat_tolerance=1e-12),
+             "div-scalar-vf", ANY, 1e-8, run_div_uxi, flat_tolerance=1e-12),
     CheckDef("ID-DIV-A2", "identity", "adj(A^2) = -Tr_g(cd A . A) + A adj(A)",
-             "div-square", FIXTURE_KINDS, 1e-8, run_div_a2, flat_tolerance=1e-12),
+             "div-square", ANY, 1e-8, run_div_a2, flat_tolerance=1e-12),
     CheckDef("ID-DIV-EV", "identity", "div_w(A xi) = -<adj A, xi> + <A, cd xi>",
-             "div-Ev", FIXTURE_KINDS, 1e-8, run_div_ev, flat_tolerance=1e-12),
+             "div-Ev", ANY, 1e-8, run_div_ev, flat_tolerance=1e-12),
     CheckDef("ID-DIV-TR", "identity", "div_w Tr_g(cd A . A) = -<adj(hat cd A), A> + "
-             "<hat cd A, cd A>", "div-Tr", FIXTURE_KINDS, 1e-8, run_div_tr, flat_tolerance=1e-12),
+             "<hat cd A, cd A>", "div-Tr", ANY, 1e-8, run_div_tr, flat_tolerance=1e-12),
     CheckDef("ID-MG", "identity", "M(v,v) = 2 v adj(v*) - 2 g adj(v*^2) + d|v|^2 / 2",
-             "m-form", FIXTURE_KINDS, 1e-8, run_m_identity, flat_tolerance=1e-12),
+             "m-form", ANY, 1e-8, run_m_identity, flat_tolerance=1e-12),
     CheckDef("ID-FRAME", "identity", "frame independence of the frame-summed 1-form",
-             "frame-sums", FIXTURE_KINDS, 1e-8, run_frame_independence, flat_tolerance=1e-12),
+             "frame-sums", ANY, 1e-8, run_frame_independence, flat_tolerance=1e-12),
     CheckDef("ID-ADJ-SYM2", "identity", "duality of adj on symmetric 2-tensors",
-             "weighted-adjoint", FIXTURE_KINDS, 1e-9, run_adj_sym2_duality, flat_tolerance=1e-12),
+             "weighted-adjoint", ANY, 1e-9, run_adj_sym2_duality, flat_tolerance=1e-12),
     CheckDef("ID-ADJ-ENDO", "identity", "duality of adj on endomorphisms",
-             "weighted-adjoint", FIXTURE_KINDS, 1e-9, run_adj_endo_duality, flat_tolerance=1e-12),
+             "weighted-adjoint", ANY, 1e-9, run_adj_endo_duality, flat_tolerance=1e-12),
     CheckDef("ID-LAP-SYM", "identity", "symmetry of lap_w", "weighted-laplacian",
-             FIXTURE_KINDS, 1e-9, run_lap_symmetry, flat_tolerance=1e-12),
+             ANY, 1e-9, run_lap_symmetry, flat_tolerance=1e-12),
     CheckDef("ID-LAP-POS", "identity", "Dirichlet identity and positivity of lap_w",
-             "weighted-laplacian", FIXTURE_KINDS, 1e-9, run_lap_positivity, flat_tolerance=1e-12),
+             "weighted-laplacian", ANY, 1e-9, run_lap_positivity, flat_tolerance=1e-12),
     CheckDef("ID-SHARP", "identity", "g(v* x, y) = v(x, y)", "sharp",
-             FIXTURE_KINDS, 1e-11, run_sharp, flat_tolerance=1e-12),
+             ANY, 1e-11, run_sharp, flat_tolerance=1e-12),
     CheckDef("ID-CONTR", "identity", "contraction algebra: fixed points and linearity",
-             "alt-contraction", FIXTURE_KINDS, 1e-12, run_contraction_algebra),
+             "alt-contraction", ANY, 1e-12, run_contraction_algebra),
     CheckDef("ID-CHART", "identity", "chart transition round trip and overlap agreement",
-             "stereographic", ("FS",), 1e-10, run_chart_transition),
+             "stereographic", SPHERE, 1e-10, run_chart_transition),
     # complex-structure layer
     CheckDef("ID-BIDEG", "identity", "bidegree split reconstructs cd and is typed",
-             "bidegree", KAHLER_FIXTURES, 1e-9, run_bidegree, flat_tolerance=1e-12),
+             "bidegree", KAHLER, 1e-9, run_bidegree, flat_tolerance=1e-12),
     CheckDef("ID-DBARSQ", "identity", "del-bar squared vanishes on vector fields",
-             "dbar-complex", KAHLER_FIXTURES, 1e-9, run_dbar_squared, flat_tolerance=1e-12),
+             "dbar-complex", KAHLER, 1e-9, run_dbar_squared, flat_tolerance=1e-12),
     CheckDef("ID-ADJ-DBAR", "identity", "duality of del-bar against the weighted adjoint",
-             "dbar-adjoint", KAHLER_FIXTURES, 1e-9, run_adj_dbar_duality, flat_tolerance=1e-12),
+             "dbar-adjoint", KAHLER, 1e-9, run_adj_dbar_duality, flat_tolerance=1e-12),
     CheckDef("ID-DBAR3", "identity", "three routes to the del-bar adjoint agree",
-             "dbar-three-route", KAHLER_FIXTURES, 1e-10, run_dbar_three_route,
+             "dbar-three-route", KAHLER, 1e-10, run_dbar_three_route,
              flat_tolerance=1e-12),
     CheckDef("ID-HW-REL", "identity", "weighted vs unweighted Hodge-Witten relation",
-             "Om-AntHol-Hdg-Lap", KAHLER_FIXTURES, 1e-9, run_hw_relation, flat_tolerance=1e-12),
+             "Om-AntHol-Hdg-Lap", KAHLER, 1e-9, run_hw_relation, flat_tolerance=1e-12),
     CheckDef("ID-HW-SELFADJ", "identity", "self-adjointness and energy positivity",
-             "L2omOm-prod", KAHLER_FIXTURES, 1e-9, run_hw_self_adjoint, flat_tolerance=1e-12),
+             "L2omOm-prod", KAHLER, 1e-9, run_hw_self_adjoint, flat_tolerance=1e-12),
     CheckDef("ID-B2ROUTE", "identity", "drift operator two routes", "B-drift",
-             KAHLER_FIXTURES, 1e-10, run_b_two_route, flat_tolerance=1e-12),
+             KAHLER, 1e-10, run_b_two_route, flat_tolerance=1e-12),
     CheckDef("ID-BSKEW", "identity", "drift operator is skew", "B-drift",
-             KAHLER_FIXTURES, 1e-9, run_b_skew, flat_tolerance=1e-12),
+             KAHLER, 1e-9, run_b_skew, flat_tolerance=1e-12),
     CheckDef("ID-BCHAIN", "identity", "drift of |A|^2 is twice the hooked pairing",
-             "B-drift", KAHLER_FIXTURES, 1e-9, run_b_chain, flat_tolerance=1e-12),
+             "B-drift", KAHLER, 1e-9, run_b_chain, flat_tolerance=1e-12),
     CheckDef("ID-MC-EQUIV", "identity", "real and complex deformation residues agree",
-             "super-realMCARTAN", KAHLER_FIXTURES, 1e-9, run_mc_equivalence, flat_tolerance=1e-12),
+             "super-realMCARTAN", KAHLER, 1e-9, run_mc_equivalence, flat_tolerance=1e-12),
     CheckDef("ID-MC-EXPL", "identity", "explicit form of the real deformation residue",
-             "super-realMCARTAN", KAHLER_FIXTURES, 1e-9, run_mc_explicit, flat_tolerance=1e-12),
+             "super-realMCARTAN", KAHLER, 1e-9, run_mc_explicit, flat_tolerance=1e-12),
     CheckDef("ID-LIE-EXT", "identity", "exterior bracket through the frame calculus",
-             "exterior-lie", KAHLER_FIXTURES, 1e-9, run_lie_bracket, flat_tolerance=1e-11),
+             "exterior-lie", KAHLER, 1e-9, run_lie_bracket, flat_tolerance=1e-11),
     CheckDef("V-F", "variation", "df/dt = (1/2) tr_g(dg/dt) - dOmega*/dt", "var-f",
-             TORI, 1e-6, vcat.run_v_f),
+             PERIODIC, 1e-6, vcat.run_v_f),
     CheckDef("V-GRAD", "variation", "d/dt grad f = grad(df/dt) - (dg/dt)* grad f",
-             "var-grad", TORI, 1e-6, vcat.run_v_grad),
+             "var-grad", PERIODIC, 1e-6, vcat.run_v_grad),
     CheckDef("V-ADJ", "variation", "2 D(adj)(v,V) u = M(v,u) - 2 u(adj(v*) + grad V*)",
-             "var-adjDer", TORI, 1e-6, vcat.run_v_adj),
+             "var-adjDer", PERIODIC, 1e-6, vcat.run_v_adj),
     CheckDef("V-TRCOV", "variation",
              "2 g^-1 hook D(cd)(v) u = 2 u(adj0 v*) + cd v(u* ., e, e) - cd v(., u* e, e)",
-             "Tr-varCov", TORI, 1e-6, vcat.run_v_trcov),
+             "Tr-varCov", PERIODIC, 1e-6, vcat.run_v_trcov),
     CheckDef("V-DIV1", "variation", "D(div_w)(v,V) a = -<cd a*, v*> + a(adj(v*) + grad V*)",
-             "var-div-oneform", TORI, 1e-6, vcat.run_v_div1,
+             "var-div-oneform", PERIODIC, 1e-6, vcat.run_v_div1,
              notes="coefficient 1 on the drift term, fixed numerically"),
     CheckDef("V-DIV2", "variation", "D(div_w adj)(v,V) v = the five-term assembly",
-             "var-div2", TORI, 1e-6, vcat.run_v_div2),
+             "var-div2", PERIODIC, 1e-6, vcat.run_v_div2),
     CheckDef("V-SUPER", "variation",
              "2 D(adj)(v,V) v* = (1/2) grad |v|^2 - 2 v*(adj(v*) + grad V*)",
-             "super-var-Div", TORI, 1e-6, vcat.run_v_super),
+             "super-var-Div", PERIODIC, 1e-6, vcat.run_v_super),
     CheckDef("V-DH", "variation", "2 dH/dt = (lap_w - 2)V* - div_w(adj v + dV*) - <v, h>",
-             "first-var-H", TORI, 1e-6, vcat.run_v_dh),
+             "first-var-H", PERIODIC, 1e-6, vcat.run_v_dh),
     CheckDef("V-HESS", "variation", "second variation of H with covariant speed correction",
-             "sec-var-H", TORI, 1e-5, vcat.run_v_hess),
+             "sec-var-H", PERIODIC, 1e-5, vcat.run_v_hess),
     CheckDef("V-HESS-F", "variation",
              "constrained second variation on divergence-compatible directions",
-             "corol-sec-varH", TORI, 1e-5, vcat.run_v_hess_f),
+             "corol-sec-varH", PERIODIC, 1e-5, vcat.run_v_hess_f),
     CheckDef("V-GDOT", "variation", "dg*/dt = -J dJ/dt; (d2g*/dt2)^(1,0) = (dg*/dt)^2",
-             "gdot-JJdot", KAHLER_FIXTURES, 1e-6, vcat.run_v_gdot),
+             "gdot-JJdot", KAHLER, 1e-6, vcat.run_v_gdot),
     CheckDef("V-NJ", "variation", "dN/dt = Jdot hook N - Jdot N + del-bar Jdot",
-             "var-nijenhuis", KAHLER_FIXTURES, 1e-6, vcat.run_v_nj),
+             "var-nijenhuis", KAHLER, 1e-6, vcat.run_v_nj),
     CheckDef("V-DBARVAR", "variation", "(d/dt del-bar) g* = -g* hook nabla10 g*",
-             "var-dbar-endo", KAHLER_FIXTURES, 1e-6, vcat.run_v_dbarvar),
+             "var-dbar-endo", KAHLER, 1e-6, vcat.run_v_dbarvar),
     CheckDef("V-SECORD", "variation", "del-bar(d/dt g*) = g* hook nabla10 g*",
-             "sec-ord-Defm", KAHLER_FIXTURES, 1e-5, vcat.run_v_secord),
+             "sec-ord-Defm", KAHLER, 1e-5, vcat.run_v_secord),
     CheckDef("V-DBARVF", "variation",
              "2 d/dt(del-bar xi) = xi hook cd g* - [del xi, g*] + [del-bar xi, g*]",
-             "var-dbar-vf", KAHLER_FIXTURES, 1e-6, vcat.run_v_dbarvf),
+             "var-dbar-vf", KAHLER, 1e-6, vcat.run_v_dbarvf),
     CheckDef("V-TRANS", "variation", "d/dt A^T = [A^T, dg*/dt]",
-             "var-transpose", KAHLER_FIXTURES, 1e-6, vcat.run_v_trans),
+             "var-transpose", KAHLER, 1e-6, vcat.run_v_trans),
     CheckDef("V-KURSYM", "variation",
              "del-bar adj(dg*/dt) is g-symmetric along compatible families",
-             "basic-kuranishSym", ("FS",), 1e-7, vcat.run_v_kursym),
+             "basic-kuranishSym", SHRINKER, 1e-7, vcat.run_v_kursym),
     CheckDef("V-KUR1", "variation",
              "symmetry of del-bar adj(d/dt dg*/dt) under the divergence constraint",
-             "first-kur-sm", ("FS",), 1e-6, vcat.run_v_kur1,
+             "first-kur-sm", SHRINKER, 1e-6, vcat.run_v_kur1,
              notes="conditional: requires a divergence-compatible initial speed"),
     CheckDef("V-FUNDCX", "variation",
              "symmetry of adj(Jdot hook nabla10 Jdot) for harmonic Jdot",
-             "fund-cx-def-sm", ("FS",), 1e-6, vcat.run_v_fundcx,
+             "fund-cx-def-sm", SHRINKER, 1e-6, vcat.run_v_fundcx,
              notes="conditional: needs a nontrivial harmonic variation"),
     CheckDef("S-PERELMAN", "soliton", "normalizations of the weight and potential",
-             "fundamental-objects", FIXTURE_KINDS, 1e-10, run_perelman, flat_tolerance=1e-12),
+             "fundamental-objects", ANY, 1e-10, run_perelman, flat_tolerance=1e-12),
     CheckDef("S-SOLITON", "soliton", "shrinker residuals and the form identities",
-             "soliton-point", ("FS",), 1e-9, run_soliton_residuals),
+             "soliton-point", SHRINKER, 1e-9, run_soliton_residuals),
     CheckDef("S-CHAR", "soliton", "2 Hbar = -(lap_c - 2) F on the compatible family",
-             "soliton-characterization", ("FS",), 1e-9, run_characterization),
+             "soliton-characterization", SHRINKER, 1e-9, run_characterization),
     CheckDef("S-LAMBDA", "soliton", "holomorphic fields span the eigenvalue-2 kernel",
-             "kernel-basis", ("FS",), 1e-8, run_lambda_basis),
+             "kernel-basis", SPHERE, 1e-8, run_lambda_basis),
     CheckDef("S-PKER", "soliton", "the fourth-order square annihilates the real kernel",
-             "P-kernel", ("FS",), 1e-7, run_p_kernel),
+             "P-kernel", SPHERE, 1e-7, run_p_kernel),
     CheckDef("S-PI2", "soliton", "kernel projection: completeness, idempotency, "
-             "orthogonality", "dec-P-op", ("FS",), 1e-9, run_projector),
+             "orthogonality", "dec-P-op", SPHERE, 1e-9, run_projector),
     CheckDef("S-GMET", "soliton", "induced bilinear form: kernel degeneracy, symmetry, "
-             "positivity", "G-metric", ("FS",), 1e-8, run_g_metric),
+             "positivity", "G-metric", SPHERE, 1e-8, run_g_metric),
     CheckDef("S-TCONE", "soliton", "membership residuals of potential-built directions",
-             "TConeS", ("FS",), 1e-8, run_tangent_cone),
+             "TConeS", SHRINKER, 1e-8, run_tangent_cone),
     CheckDef("S-BOCHNER", "soliton", "curvature chain routes and the Lichnerowicz form",
-             "dec-Lich2", KAHLER_FIXTURES, 1e-8, run_bochner_chain, flat_tolerance=1e-10),
+             "dec-Lich2", KAHLER, 1e-8, run_bochner_chain, flat_tolerance=1e-10),
     CheckDef("S-STAB", "soliton", "defect-corrected stability identity",
-             "stab-harm", KAHLER_FIXTURES, 1e-8, run_stability, flat_tolerance=1e-10),
+             "stab-harm", KAHLER, 1e-8, run_stability, flat_tolerance=1e-10),
     CheckDef("S-GAUGE", "soliton", "gauge invariance along symplectomorphism orbits",
-             "gauge-orbit", ("FS", "PERT2"), 1e-7, run_gauge),
+             "gauge-orbit", CURVED_KAHLER2, 1e-7, run_gauge),
     CheckDef("S-PHI", "obstruction", "the obstruction functional vanishes with the "
-             "two-route bridge", "obstruction-functional", ("FS", "KAH4"), 1e-8,
+             "two-route bridge", "obstruction-functional", SHRINKER_OR_KAHLER4, 1e-8,
              run_phi),
     CheckDef("S-INT", "obstruction", "the cone integral against the drift terms",
-             "integral-identity", ("FS", "KAH4"), 1e-9, run_integral_identity),
+             "integral-identity", SHRINKER_OR_KAHLER4, 1e-9, run_integral_identity),
     CheckDef("S-WBOCH", "obstruction", "weighted complex Bochner step at the shrinker",
-             "div-sec-var-met", ("FS",), 1e-7, run_weighted_bochner),
+             "div-sec-var-met", SPHERE, 1e-7, run_weighted_bochner),
     CheckDef("S-DH", "obstruction", "derivative of normalized H along potential "
              "directions equals a quarter of the fourth-order square", "DH-quarter-P",
-             ("FS",), 1e-5, run_dh_map),
+             SPHERE, 1e-5, run_dh_map),
 ]}
 
 
@@ -1056,12 +1076,14 @@ def checks_for(suites=None, fixtures=None, ids=None):
             if fixtures is None or fx in fixtures]
 
 
-def run_check(check_id: str, fixture_name: str, seed: int,
+def run_check(check_id: str, fixture, seed: int,
               opts: RunOptions | None = None) -> CheckResult:
+    """The record of one check on ``fixture``, a kind name or a descriptor
+    (see ``backends.make_fixture``), labelled with the fixture's name."""
     opts = opts or RunOptions()
     d = REGISTRY[check_id]
-    fixture = bk.make_fixture(fixture_name)
-    tol = d.tol_for(fixture_name)
+    fixture = bk.make_fixture(fixture)
+    tol = d.tol_for(fixture.caps)
     t0 = time.perf_counter()
     try:
         out = d.runner(fixture, seed, opts)
@@ -1075,7 +1097,7 @@ def run_check(check_id: str, fixture_name: str, seed: int,
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             details["raised_at"] = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
         ms = (time.perf_counter() - t0) * 1e3
-        return CheckResult(check_id, fixture_name, seed, float("nan"), float("nan"),
+        return CheckResult(check_id, fixture.name, seed, float("nan"), float("nan"),
                            tol, "fail", reason, ms, manifest_hash(), details)
     ms = (time.perf_counter() - t0) * 1e3
     sup, l2, details = out.measure()
@@ -1087,5 +1109,5 @@ def run_check(check_id: str, fixture_name: str, seed: int,
         status = "fail"
         reason = out.reason or (f"residual_sup {sup:.3e} of {details['worst']} "
                                 f"exceeds tolerance {tol:.3e}")
-    return CheckResult(check_id, fixture_name, seed, sup, l2, tol,
+    return CheckResult(check_id, fixture.name, seed, sup, l2, tol,
                        status, reason, ms, manifest_hash(), details)

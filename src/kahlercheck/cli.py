@@ -8,7 +8,6 @@ Exit codes: 0 all executed checks passed (skips are counted separately),
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -175,8 +174,10 @@ def cmd_run(args) -> int:
     groups = _fixture_groups(tasks, cfg["jobs"])
     workers = min(cfg["jobs"], len(groups))
     if workers > 1:
-        # the pool forks all its workers at once, so it starts no more than
-        # there are groups
+        # imported here, so that a serial run never loads it; the pool forks
+        # all its workers at once, so it starts no more than there are groups
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             done = list(ex.map(_run_group, groups))
     else:

@@ -80,10 +80,10 @@ def ambient_poly_scalar(geom: GeometryState, rng, degree=2, amp=1.0) -> Field:
 def seeded_scalar(geom: GeometryState, seed: int, mean_zero: bool = False,
                   amp: float = 1.0) -> Field:
     fx = geom.fixture
-    if fx.backend.kind == "CP1":
-        raw = ambient_poly_scalar(geom, _rng(seed, "scalar"), degree=2, amp=amp)
-    else:
+    if fx.caps.periodic:
         raw = _torus_field(fx, (), [(seed, [()])], amp)
+    else:
+        raw = ambient_poly_scalar(geom, _rng(seed, "scalar"), degree=2, amp=amp)
     if not mean_zero:
         return raw
     mean = fx.integrate([raw(b, 0).value for b in fx.quad_nodes()])
@@ -107,7 +107,7 @@ def seeded_complex_scalar(geom, seed) -> Field:
 
 def seeded_vector(geom, seed) -> Field:
     fx = geom.fixture
-    if fx.backend.kind == "CP1":
+    if not fx.caps.periodic:
         u1 = seeded_scalar(geom, seed)
         u2 = seeded_scalar(geom, seed + 77)
 
@@ -132,7 +132,7 @@ def seeded_oneform(geom, seed) -> Field:
 
 def seeded_sym2(geom, seed, trace_part: float = 1.0) -> Field:
     fx = geom.fixture
-    if fx.backend.kind == "CP1":
+    if not fx.caps.periodic:
         s = seeded_scalar(geom, seed)
         u = seeded_scalar(geom, seed + 31)
 

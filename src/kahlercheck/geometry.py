@@ -292,7 +292,10 @@ class GeometryState:
         key = "gradf0" if self.weightless else "gradf"
 
         def build():
-            return jet_einsum("pij,pj->pi", self.ginv(batch, order), self.df(batch, order))
+            # df first: it reads f, and so g, one order up, and the inverse
+            # below is then built from the truncation of that g
+            df = self.df(batch, order)
+            return jet_einsum("pij,pj->pi", self.ginv(batch, order), df)
 
         return self._get(key, batch, order, build)
 
@@ -316,10 +319,9 @@ class GeometryState:
         embedding, which every chart polynomial on CP1 reads.  Only the
         backend's own batches are stored: a fresh batch, such as a
         Runge-Kutta stage's, is evaluated once."""
-        backend = self.fixture.backend
-        if backend.kind != "CP1":
+        if not self.fixture.caps.sphere:
             raise UnsupportedGeometryError(f"{self.fixture.name} has no sphere embedding")
-        if not backend.owns(batch):
+        if not self.fixture.backend.owns(batch):
             return ambient_table(batch, order)
         return self._get("ambient", batch, order, lambda: ambient_table(batch, order))
 

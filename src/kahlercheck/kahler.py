@@ -128,8 +128,11 @@ def b_operator_divergence_route(geom, batch, u: Jet) -> Jet:
 
 
 def complex_laplacian(geom, batch, u: Jet) -> Jet:
-    """Weighted complex Laplacian lap_w(u) - i B(u) on complex scalars."""
-    return tc.laplacian_scalar(geom, batch, u) + b_operator(geom, batch, u) * (-1j)
+    """Weighted complex Laplacian lap_w(u) - i B(u) on complex scalars.  The
+    drift first: it reads grad f one order above the Laplacian, which then
+    reads its truncation."""
+    drift = b_operator(geom, batch, u)
+    return tc.laplacian_scalar(geom, batch, u) + drift * (-1j)
 
 
 def conj_jet(a: Jet) -> Jet:

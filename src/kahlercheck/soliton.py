@@ -126,8 +126,9 @@ def _closed_form_kernel_functions(geom: GeometryState) -> list[Field]:
 
 
 def lambda_basis(geom: GeometryState) -> LambdaBasis:
-    if geom.fixture.backend.kind != "CP1":
-        raise UnsupportedGeometryError("the holomorphic-field kernel needs the Fano fixture")
+    if not geom.fixture.caps.sphere:
+        raise UnsupportedGeometryError("the holomorphic-field kernel needs the sphere's "
+                                       "holomorphic fields")
     gens = bk.holomorphic_basis(geom.fixture.backend)
     funcs = _closed_form_kernel_functions(geom)
     # the closed forms must reproduce the divergence route pointwise
@@ -361,11 +362,12 @@ def grad_J(geom, batch, psi: Jet) -> Jet:
 
 def weighted_complex_bochner_sides(geom, batch, psi: Jet) -> tuple[Jet, Jet]:
     """``(lhs, rhs)``: adjoint(del-bar(grad_J conj(psi))) and
-    (1/2) grad_J conj((lap_c - 2) psi)."""
+    (1/2) grad_J conj((lap_c - 2) psi).  The Laplacian first: it reads the
+    weight one order above the adjoint, which then reads its truncation."""
+    lam = kh.complex_laplacian(geom, batch, psi) - psi.truncate(psi.order - 2) * 2.0
     vec = grad_J(geom, batch, kh.conj_jet(psi))
     B = kh.dbar_vector(geom, batch, vec)
     lhs = tc.adjoint_endo(geom, batch, B)
-    lam = kh.complex_laplacian(geom, batch, psi) - psi.truncate(psi.order - 2) * 2.0
     rhs = grad_J(geom, batch, kh.conj_jet(lam)) * 0.5
     return lhs, rhs.truncate(lhs.order)
 

@@ -252,7 +252,7 @@ class LinearCurve:
             return line(rho, jet_einsum("p,p->p", rho, Vs))
 
         return Fixture(f"{base.name}+t*dir", base.backend, Field(g_fn),
-                       Field(rho_fn), None, base.tags, base.descriptor)
+                       Field(rho_fn), None, base.caps, base.descriptor)
 
 
 # Butcher's rational 7-stage explicit Runge-Kutta method of order 6 (J. C.
@@ -439,7 +439,7 @@ class HamiltonianFlowCurve:
                               dpsi_inv, jet_einsum("pik,pkj->pij", JY, dpsi))
 
         return Fixture(f"{base.name}@flow", base.backend, Field(g_fn),
-                       Field(rho_fn), Field(J_fn), base.tags,
+                       Field(rho_fn), Field(J_fn), base.caps,
                        base.descriptor)
 
     def pullback_scalar_values(self, field: Field, batch: NodeBatch, t: float):
@@ -511,4 +511,4 @@ class StructureConjugationCurve:
             return jet_einsum("pai,paj->pij", Jt, om) * (-1.0)
 
         return Fixture(f"{base.name}@conj", base.backend, Field(g_fn),
-                       base.omega_density, Field(J_fn), base.tags, base.descriptor)
+                       base.omega_density, Field(J_fn), base.caps, base.descriptor)

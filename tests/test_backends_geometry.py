@@ -414,7 +414,7 @@ def test_geometry_truncates_to_the_lower_order_build(name):
     for kind, fresh, batch in _geometries():
         geom = fresh()
         if ((name in ("J", "omega") and not geom.is_kahler)
-                or (name == "ambient" and geom.fixture.backend.kind != "CP1")):
+                or (name == "ambient" and not geom.fixture.caps.sphere)):
             with pytest.raises(UnsupportedGeometryError):
                 getattr(fresh(), name)(batch, 0)
             continue
@@ -563,7 +563,7 @@ def test_integrate_evaluates_the_density_once_per_batch():
         tokens.append(batch.token)
         return fs.omega_density(batch, order)
 
-    fx = bk.Fixture(fs.name, fs.backend, fs.g, bk.Field(counted), fs.J, fs.tags,
+    fx = bk.Fixture(fs.name, fs.backend, fs.g, bk.Field(counted), fs.J, fs.caps,
                     fs.descriptor)
     quad = fx.quad_nodes()
     vals = [np.cos(b.pts[:, 0]) for b in quad]

@@ -48,6 +48,64 @@ def test_run_check_pass_and_fail_gating(monkeypatch):
     assert "exceeds tolerance" in tight.reason
 
 
+# The rows of each fixture set that the registry listed by name before the
+# capability requirements: the requirements select the same pairs.
+_NAMED_SELECTION = {
+    ("FLAT2", "PERT2", "RIEM4", "KAH4", "FS"): [
+        "ID-FIXTURE", "ID-QUAD", "ID-COMPAT", "ID-DIVLAP", "ID-DIVINT", "ID-DIV-UA",
+        "ID-DIV-UXI", "ID-DIV-A2", "ID-DIV-EV", "ID-DIV-TR", "ID-MG", "ID-FRAME",
+        "ID-ADJ-SYM2", "ID-ADJ-ENDO", "ID-LAP-SYM", "ID-LAP-POS", "ID-SHARP", "ID-CONTR",
+        "S-PERELMAN"],
+    ("FLAT2", "PERT2", "KAH4", "FS"): [
+        "ID-BIDEG", "ID-DBARSQ", "ID-ADJ-DBAR", "ID-DBAR3", "ID-HW-REL", "ID-HW-SELFADJ",
+        "ID-B2ROUTE", "ID-BSKEW", "ID-BCHAIN", "ID-MC-EQUIV", "ID-MC-EXPL", "ID-LIE-EXT",
+        "V-GDOT", "V-NJ", "V-DBARVAR", "V-SECORD", "V-DBARVF", "V-TRANS", "S-BOCHNER",
+        "S-STAB"],
+    ("FLAT2", "PERT2", "RIEM4", "KAH4"): [
+        "V-F", "V-GRAD", "V-ADJ", "V-TRCOV", "V-DIV1", "V-DIV2", "V-SUPER", "V-DH", "V-HESS",
+        "V-HESS-F"],
+    ("FS",): [
+        "ID-CHART", "V-KURSYM", "V-KUR1", "V-FUNDCX", "S-SOLITON", "S-CHAR", "S-LAMBDA",
+        "S-PKER", "S-PI2", "S-GMET", "S-TCONE", "S-WBOCH", "S-DH"],
+    ("FS", "PERT2"): ["S-GAUGE"],
+    ("FS", "KAH4"): ["S-PHI", "S-INT"],
+}
+
+
+def test_capability_requirements_select_the_pairs_that_named_fixtures_did():
+    expected = {cid: set(fxs) for fxs, ids in _NAMED_SELECTION.items() for cid in ids}
+    assert {cid: set(d.fixtures) for cid, d in ck.REGISTRY.items()} == expected
+    assert len(ck.checks_for()) == 234
+    # derived in FIXTURE_KINDS order
+    assert ck.REGISTRY["S-GAUGE"].fixtures == ("PERT2", "FS")
+    assert ck.REGISTRY["S-PHI"].fixtures == ("KAH4", "FS")
+
+
+# A descriptor of each kind that is not its default, cheap to run
+_OTHER_DESCRIPTORS = [{"kind": "FLAT2", "grid": 32}, {"kind": "PERT2", "epsilon": 0.16},
+                      {"kind": "RIEM4", "seed": 8}, {"kind": "KAH4", "seed": 12},
+                      {"kind": "FS", "n_theta": 24, "n_phi": 48}]
+
+
+@pytest.mark.parametrize("desc", _OTHER_DESCRIPTORS, ids=lambda d: d["kind"])
+def test_every_row_runs_on_a_non_default_descriptor(desc):
+    # what a row reads of a fixture is its capabilities, never its name:
+    # each row passes, fails on its own residual, or skips with a reason
+    fx = bk.make_fixture(desc)
+    assert fx is not bk.make_fixture(desc["kind"])
+    rows = [cid for cid, d in ck.REGISTRY.items() if fx.caps.satisfies(d.requires)]
+    assert rows == [cid for cid, kind in ck.checks_for(ids=list(ck.REGISTRY))
+                    if kind == desc["kind"]]
+    with FixtureScope(fx):
+        records = [ck.run_check(cid, desc, 0) for cid in rows]
+    for r in records:
+        assert r.fixture == desc["kind"]
+        assert not r.reason.startswith("internal-error"), (r.check_id, r.reason)
+        assert (r.status in ("pass", "skipped-with-reason")
+                or (r.status == "fail" and np.isfinite(r.residual_sup))), (r.check_id, r.reason)
+        assert r.status != "skipped-with-reason" or r.reason, r.check_id
+
+
 def test_registry_holds_every_variation_check():
     ids = {cid for cid, d in ck.REGISTRY.items() if d.suite == "variation"}
     assert ids == {
@@ -316,6 +374,20 @@ def test_the_cli_pins_blas_threads_before_numpy_unless_the_user_did(preset):
     assert out.stdout.split() == ["False", preset or "1", "1", "1"]
 
 
+def test_a_serial_run_never_imports_the_process_pool(tmp_path):
+    # a fresh process: only a run with two or more workers loads
+    # concurrent.futures (and the logging it imports)
+    child = ("import sys\n"
+             "from kahlercheck.cli import main\n"
+             "loaded = 'concurrent.futures' in sys.modules\n"
+             f"code = main(['run', '--check', 'ID-SHARP', '--fixture', 'FLAT2', '--quiet', "
+             f"'--out', {str(tmp_path)!r}])\n"
+             "print(loaded, code, 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "0", "False"]
+
+
 def test_cli_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -373,7 +445,7 @@ def test_id_quad_integrates_a_multi_block_flat2_grid():
     assert len(fx.quad_nodes()) == 2
     s = ck.run_quadrature(fx, 0, RunOptions())
     sup, _, details = s.measure()
-    tol = ck.REGISTRY["ID-QUAD"].tol_for("FLAT2")
+    tol = ck.REGISTRY["ID-QUAD"].tol_for(fx.caps)
     pairs = ("unit_mass", "projected_mean", "odd_mode", "dirichlet_closed_form")
     assert all(details[p] <= tol for p in pairs) and sup <= tol
 

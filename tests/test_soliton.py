@@ -306,6 +306,28 @@ def test_weighted_complex_bochner_on_fs(fs):
         assert sup((lhs - rhs).value) < 1e-7
 
 
+def test_the_bochner_sides_build_each_weight_quantity_once_per_batch(monkeypatch):
+    # the top-order readers run first, so f, rho, df, grad f and g are each
+    # built once on the batch and read below that order by truncation
+    from collections import Counter
+
+    from kahlercheck import geometry
+
+    geom = geom_for("FS")
+    batch = geom.fixture.check_nodes(21, 30)[0]
+    psi = fl.seeded_complex_scalar(geom, 22)(batch, 4)
+    builds = Counter()
+    by_order = geometry.by_order
+
+    def counted(store, key, order, build):
+        return by_order(store, key, order, lambda: builds.update([key[0]]) or build())
+
+    monkeypatch.setattr(geometry, "by_order", counted)
+    so.weighted_complex_bochner_sides(geom, batch, psi)
+    weight = ("f", "rho", "df", "gradf", "g")
+    assert {k: builds[k] for k in weight} == dict.fromkeys(weight, 1)
+
+
 def test_soliton_characterization(fs):
     geom, pdata, _ = fs
     for b in geom.fixture.check_nodes(21, 40):

@@ -711,7 +711,7 @@ def test_v_hess_f_does_not_sit_on_a_stencil_floor():
     sups = []
     for eps in (0.0, 4e-16, -4e-16):
         g = bk.Field(lambda b, k, eps=eps: fx.g(b, k) * (1.0 + eps))
-        scaled = bk.Fixture(fx.name, fx.backend, g, fx.omega_density, fx.J, fx.tags,
+        scaled = bk.Fixture(fx.name, fx.backend, g, fx.omega_density, fx.J, fx.caps,
                             fx.descriptor)
         sups.append(cat.run_v_hess_f(scaled, 0, RunOptions()).sup)
     assert max(abs(s - sups[0]) for s in sups) < 1e-12
