@@ -15,10 +15,14 @@ reads Gamma one order up for those derivatives from a stored build, or
 builds it and drops it, so Gamma is stored only at the orders its readers
 ask for.  log det g takes its derivatives from Jacobi's formula,
 tr(g^-1 dg), so the inverse is read one order below log det g, at no more
-than the order Gamma needs.  A state keeps
-one build per quantity and node batch and answers any lower order from it
-by truncation (``by_order``), which is bit-identical to a build at that
-order because every jet table is a prefix of the higher-order ones.
+than the order Gamma needs.  The metric follows Gamma's rule: Gamma and
+log det g differentiate g one order above the inverse they read, and take
+that g from a stored build, or build it, store its truncation one order down
+for the inverse and drop it, so g is stored only at the orders that its
+other readers ask for.  A state keeps one build per quantity and node batch
+and answers any lower order from it by truncation (``by_order``), which is
+bit-identical to a build at that order because every jet table is a prefix
+of the higher-order ones.
 
 Inside a ``FixtureScope`` every state on the scope's fixture shares one
 cache, so the checks of one fixture group build each quantity once; outside
@@ -69,21 +73,34 @@ def inverse_and_logdet(G: Jet) -> tuple[Jet, Jet]:
 def by_order(store: dict, key, order: int, build):
     """``store[key]`` at ``order``: truncated from its build at the next
     higher order when there is one, else ``build()``, a jet or a sequence of
-    them.  Every jet table is a prefix of the higher-order ones, so the
-    truncation is bit-identical to a build at ``order``; this one rule serves
-    the geometry states, the curve terms, the flows and the flow series.
+    them, whose truncations then replace every lower entry, so a store keeps
+    one build per key.  Every jet table is a prefix of the higher-order ones,
+    so the truncation is bit-identical to a build at ``order``; this one rule
+    serves the geometry states, the curve terms, the flows and the flow
+    series.
     Stored coefficients are read-only: a write into them would reach every
     later reader of the store."""
     built = store.setdefault(key, {})
     if order not in built:
         above = [k for k in built if k > order]
-        value = built[min(above)] if above else build()
-        single = isinstance(value, Jet)
-        for j in [value] if single else value:
-            j.coeffs.flags.writeable = False
-        built[order] = (value.truncate(order) if single
-                        else type(value)(j.truncate(order) for j in value))
+        if above:
+            value = built[min(above)]
+        else:
+            value = build()
+            for j in [value] if isinstance(value, Jet) else value:
+                j.coeffs.flags.writeable = False
+            # the new build supersedes every lower one
+            for k in [k for k in built if k < order]:
+                built[k] = _truncate(value, k)
+        built[order] = _truncate(value, order)
     return built[order]
+
+
+def _truncate(value, order: int):
+    """A jet, or a sequence of jets entry by entry, truncated to ``order``."""
+    if isinstance(value, Jet):
+        return value.truncate(order)
+    return type(value)(j.truncate(order) for j in value)
 
 
 def symplectic_form(J: Jet, g: Jet) -> Jet:
@@ -154,6 +171,19 @@ class GeometryState:
         """The quantity ``name`` on ``batch`` at ``order`` (see ``by_order``)."""
         return by_order(self._cache, (name, batch.token), order, builder)
 
+    def _for_gradient(self, name: str, batch: NodeBatch, order: int, builder) -> Jet:
+        """``name`` at ``order`` for a reader that only takes its gradient:
+        truncated from a stored build at or above ``order`` when there is
+        one, and otherwise built here and not stored.  Its truncation one
+        order down is then stored, as a copy, when that order is not."""
+        built = self._cache.get((name, batch.token), {})
+        top = max(built, default=-1)
+        if top >= order:
+            return built[top].truncate(order)
+        up = builder()
+        self._get(name, batch, order - 1, lambda: up.truncate(order - 1).copy())
+        return up
+
     def _guard(self, order: int, depth: int, what: str):
         if order + depth > MAX_FIELD_ORDER:
             raise OrderExhaustedError(
@@ -165,6 +195,12 @@ class GeometryState:
     def g(self, batch: NodeBatch, order: int) -> Jet:
         self._guard(order, 0, "metric")
         return self._get("g", batch, order, lambda: self.fixture.g(batch, order))
+
+    def _metric_up(self, batch: NodeBatch, order: int) -> Jet:
+        """g at ``order`` for Gamma and log det g, which only differentiate
+        it and read the inverse one order down (see ``_for_gradient``)."""
+        self._guard(order, 0, "metric")
+        return self._for_gradient("g", batch, order, lambda: self.fixture.g(batch, order))
 
     def rho(self, batch: NodeBatch, order: int) -> Jet:
         self._guard(order, 0, "density")
@@ -193,18 +229,19 @@ class GeometryState:
         read one order below this one.  Not stored: ``f`` stores it."""
         if order == 0:
             return self._inverse(batch, 0)[1]
-        # g first, at the top order, so that the inverse and the value below
-        # are built from its truncations
-        dg = self.g(batch, order).gradient()
+        # g first: the inverse below reads the truncation that it stores
+        dg = self._metric_up(batch, order).gradient()
         dlog = jet_einsum("pij,pjia->pa", self.ginv(batch, order - 1), dg)
         return jets.antigradient(self._inverse(batch, 0)[1], dlog)
 
     def _christoffel(self, batch: NodeBatch, order: int) -> Jet:
         """Gamma at ``order``, built and not stored."""
         self._guard(order, 1, "connection")
-        g = self.g(batch, order + 1)
-        dg = jet_map("pijd->pdij", g.gradient())
+        # g one order up first: the inverse below reads the truncation that
+        # it stores.  g and dg go before the contraction, which sets the peak
+        dg = jet_map("pijd->pdij", self._metric_up(batch, order + 1).gradient())
         S = jet_map("pikj->pkij", dg) + jet_map("pjki->pkij", dg) - dg
+        del dg
         ginv = self.ginv(batch, order)
         return jet_einsum("plk,pkij->plij", ginv, S) * 0.5
 
@@ -215,17 +252,12 @@ class GeometryState:
     def _connection_jets(self, batch: NodeBatch, order: int) -> tuple[Jet, Jet]:
         """Gamma and dG[p, d, i, j, k] = d_d Gamma^i_{jk}, both at ``order``:
         every coefficient of a Gamma Gamma product above it would be dropped.
-        Gamma one order up, which only its derivatives read, is truncated
-        from a stored build when there is one, and otherwise built here and
-        not stored; its truncation is stored when Gamma at ``order`` is
-        not."""
+        Gamma one order up, which only its derivatives read, comes from
+        ``_for_gradient``."""
         self._guard(order, 2, "curvature")
-        built = self._cache.get(("gamma", batch.token), {})
-        top = max(built, default=-1)
-        G = (built[top].truncate(order + 1) if top > order
-             else self._christoffel(batch, order + 1))
-        low = self._get("gamma", batch, order, lambda: G.truncate(order).copy())
-        return low, jet_map("pijkd->pdijk", G.gradient())
+        G = self._for_gradient("gamma", batch, order + 1,
+                               lambda: self._christoffel(batch, order + 1))
+        return self.gamma(batch, order), jet_map("pijkd->pdijk", G.gradient())
 
     def riemann(self, batch: NodeBatch, order: int) -> Jet:
         """R[p, i, j, k, l] = R^i_{jkl}."""
@@ -292,8 +324,8 @@ class GeometryState:
         key = "gradf0" if self.weightless else "gradf"
 
         def build():
-            # df first: it reads f, and so g, one order up, and the inverse
-            # below is then built from the truncation of that g
+            # df first: log det g reads g one order up and stores its
+            # truncation, which the inverse below then reads
             df = self.df(batch, order)
             return jet_einsum("pij,pj->pi", self.ginv(batch, order), df)
 

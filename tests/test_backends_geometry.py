@@ -8,7 +8,9 @@ import pytest
 
 from kahlercheck import backends as bk
 from kahlercheck import catalog as cat
+from kahlercheck import checks as ck
 from kahlercheck import fields as fl
+from kahlercheck.checks import run_check
 from kahlercheck.geometry import FixtureScope, GeometryState, by_order, inverse_and_logdet
 from kahlercheck.jets import Jet
 
@@ -497,6 +499,109 @@ def test_the_shared_kah4_state_keeps_no_inverse_or_connection_above_its_readers(
         for b in fx.quad_nodes():
             assert max(cache[("inverse", b.token)]) == 1
             assert max(cache[("gamma", b.token)]) == 0
+
+
+def _count_metric_builds(monkeypatch, fx):
+    """The orders of every ``fixture.g`` build, per batch token."""
+    calls: dict = {}
+    g = fx.g
+    monkeypatch.setattr(fx, "g", bk.Field(
+        lambda b, k: calls.setdefault(b.token, []).append(k) or g(b, k)))
+    return calls
+
+
+def test_the_shared_kah4_state_stores_the_metric_at_order_one_at_most(monkeypatch):
+    # Ricci at order 0 differentiates g at order 2 inside Gamma at order 1,
+    # and log det g at order 2 differentiates g at order 2: each builds it,
+    # stores its truncation to order 1 for the inverse and drops it
+    fx = bk.make_fixture("KAH4")
+    blocks = list(fx.quad_nodes())
+    refs = []
+    for b in blocks:
+        geom = GeometryState(fx)
+        geom.g(b, 2)
+        refs.append((geom.ric(b, 0), geom.f(b, 2)))
+    calls = _count_metric_builds(monkeypatch, fx)
+    with FixtureScope(fx) as scope:
+        geom = GeometryState(fx)
+        for b, (ric, f) in zip(blocks, refs):
+            assert geom.ric(b, 0).coeffs.tobytes() == ric.coeffs.tobytes()
+            assert geom.f(b, 2).coeffs.tobytes() == f.coeffs.tobytes()
+            assert max(scope.geometry._cache[("g", b.token)]) == 1
+            assert calls[b.token] == [2, 2]
+
+
+def test_the_kah4_shrinker_group_builds_the_metric_at_most_twice_per_block(monkeypatch):
+    fx = bk.make_fixture("KAH4")
+    calls = _count_metric_builds(monkeypatch, fx)
+    with FixtureScope(fx):
+        for cid in ("S-PERELMAN", "S-BOCHNER", "S-STAB", "S-PHI", "S-INT"):
+            run_check(cid, "KAH4", 0)
+    for b in fx.quad_nodes():
+        assert 1 <= len(calls[b.token]) <= 2
+
+
+def test_connection_and_log_det_read_a_stored_metric_one_order_up(monkeypatch):
+    fx = bk.make_fixture("KAH4")
+    batch = fx.check_nodes(4, 6)[0]
+    calls = _count_metric_builds(monkeypatch, fx)
+    geom = GeometryState(fx)
+    geom.g(batch, 3)
+    geom.gamma(batch, 2)
+    geom.logdetg(batch, 3)
+    geom.ric(batch, 1)
+    assert calls[batch.token] == [3]
+    # with no g stored, log det g builds it one order above the inverse and
+    # stores the truncation that the inverse then reads
+    calls.clear()
+    geom = GeometryState(fx)
+    geom.logdetg(batch, 2)
+    geom.ginv(batch, 1)
+    geom.gamma(batch, 0)
+    assert calls[batch.token] == [2]
+    assert max(geom._cache[("g", batch.token)]) == 1
+
+
+@pytest.mark.parametrize("kind", ["jet", "tuple"])
+def test_a_build_above_the_stored_orders_replaces_them(kind):
+    fx = bk.make_fixture("KAH4")
+    batch = fx.check_nodes(0, 10)[0]
+
+    def build(order):
+        g = fx.g(batch, order)
+        return g if kind == "jet" else inverse_and_logdet(g)
+
+    store: dict = {}
+    for order in (0, 1, 3):
+        by_order(store, "key", order, lambda: build(order))
+    built = store["key"]
+    assert sorted(built) == [0, 1, 3]
+    top = [built[3]] if kind == "jet" else built[3]
+    for k in (0, 1):
+        low = [built[k]] if kind == "jet" else built[k]
+        ref = [build(k)] if kind == "jet" else build(k)
+        for a, t, r in zip(low, top, ref):
+            assert np.shares_memory(a.coeffs, t.coeffs)
+            assert a.coeffs.tobytes() == r.coeffs.tobytes()
+
+
+def test_the_flow_selection_pulls_each_field_back_once(monkeypatch):
+    # a metric dropped on a curve fixture must never cost a second pullback
+    from kahlercheck import variation as va
+
+    calls = []
+    compose = va.compose_field
+
+    def counted(*args):
+        calls.append(args[3])
+        return compose(*args)
+
+    monkeypatch.setattr(va, "compose_field", counted)
+    monkeypatch.setattr(ck, "compose_field", counted)
+    with FixtureScope(bk.make_fixture("FS")):
+        for cid in ("V-NJ", "V-DBARVAR", "V-SECORD", "V-DBARVF", "V-KURSYM"):
+            assert run_check(cid, "FS", 0).status == "pass"
+    assert len(calls) == 126
 
 
 def test_ricci_from_gamma_is_the_trace_of_riemann():
