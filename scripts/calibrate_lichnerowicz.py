@@ -26,7 +26,7 @@ def main():
         print(f"{kind}: route equivalence "
               f"{np.max(np.abs((route1 - route2).value)):.2e}")
         v = tc.flat_endo(geom, batch, A)
-        lap = tc.rough_laplacian_sym2(geom, batch, v)
+        lap = tc.adjoint(geom, batch, tc.cd(geom, batch, v, "ll"), "lll")
         Rv = tc.curvature_action_sym2(geom, batch, v)
         vs = tc.sharp_sym2(geom, batch, v.truncate(2))
         ric = geom.ric(batch, 2)

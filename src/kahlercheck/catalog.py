@@ -200,14 +200,15 @@ def run_v_adj(fixture, seed, opts) -> Sides:
         return tc.m_form(geom, batch, v(batch, 2), uj) \
             - jet_einsum("pi,pij->pj", w, uj.truncate(w.order)) * 2.0
 
-    return _tder_check(at, seed, opts, tc.adjoint_sym2, rhs, factor=2.0,
+    return _tder_check(at, seed, opts, lambda gt, batch, uj: tc.adjoint(gt, batch, uj, "ll"),
+                        rhs, factor=2.0,
                         inputs=lambda batch: (u(batch, 1),))
 
 
 def _gauge_vector(geom, batch, v: Field, Vs: Field, order: int = 1) -> Jet:
     """adj(v*) + grad(V*), the vector controlling every first variation."""
     vstar = tc.sharp_sym2(geom, batch, v(batch, order + 1))
-    w = tc.adjoint_endo(geom, batch, vstar)
+    w = tc.adjoint(geom, batch, vstar, "ul")
     return w + tc.grad_scalar(geom, batch, Vs(batch, order + 1))
 
 
@@ -224,14 +225,14 @@ def run_v_trcov(fixture, seed, opts) -> Sides:
     u = fl.seeded_sym2(geom, seed + 57)
 
     def lhs(gt, batch, uj):
-        return jet_einsum("pab,pabj->pj", geom.ginv(batch, 0), tc.cd_sym2(gt, batch, uj))
+        return jet_einsum("pab,pabj->pj", geom.ginv(batch, 0), tc.cd(gt, batch, uj, "ll"))
 
     def rhs(batch, uj):
         vj = v(batch, 2)
         vstar = tc.sharp_sym2(geom, batch, vj)
-        w_unw = tc.adjoint_endo(geom.unweighted(), batch, vstar)
+        w_unw = tc.adjoint(geom.unweighted(), batch, vstar, "ul")
         t1 = jet_einsum("pi,pij->pj", w_unw, uj.truncate(w_unw.order)) * 2.0
-        cdv = tc.cd_sym2(geom, batch, vj)
+        cdv = tc.cd(geom, batch, vj, "ll")
         ustar = tc.sharp_sym2(geom, batch, uj)
         X = jet_einsum("pbc,pabc->pa", geom.ginv(batch, 1), cdv)
         t2 = jet_einsum("pa,paj->pj", X, ustar.truncate(X.order))
@@ -249,12 +250,12 @@ def run_v_div1(fixture, seed, opts) -> Sides:
 
     def rhs(batch, aj):
         sharp_a = tc.sharp_oneform(geom, batch, aj)
-        cd_sharp = tc.cd_vector(geom, batch, sharp_a)
+        cd_sharp = tc.cd(geom, batch, sharp_a, "u")
         pairing = _pair_cd_with_sym2(geom, batch, cd_sharp, v(batch, 1))
         w = _gauge_vector(geom, batch, v, Vs, order=0)
         return pairing * (-1.0) + jet_einsum("pi,pi->p", aj.truncate(w.order), w)
 
-    return _tder_check(at, seed, opts, tc.div_omega_oneform, rhs,
+    return _tder_check(at, seed, opts, lambda gt, batch, aj: -tc.adjoint(gt, batch, aj, "l"), rhs,
                         inputs=lambda batch: (al(batch, 1),))
 
 
@@ -262,7 +263,7 @@ def run_v_div2(fixture, seed, opts) -> Sides:
     geom, v, Vs, at = _linear_family(fixture, seed)
 
     def lhs(gt, batch, vj2):
-        return tc.div_omega_oneform(gt, batch, tc.adjoint_sym2(gt, batch, vj2))
+        return -tc.adjoint(gt, batch, tc.adjoint(gt, batch, vj2, "ll"), "l")
 
     return _tder_check(at, seed, opts, lhs,
                         lambda batch, _: _v_div2_rhs(geom, batch, v, Vs),
@@ -272,19 +273,19 @@ def run_v_div2(fixture, seed, opts) -> Sides:
 def _v_div2_rhs(geom, batch, v: Field, Vs: Field) -> Jet:
     vj = v(batch, 3)
     norm2 = tc.pair_2tensors(geom, batch, vj, vj)
-    r1 = tc.laplacian_scalar(geom, batch, norm2.truncate(2)) * (-0.25)
+    r1 = tc.adjoint(geom, batch, norm2.truncate(2).gradient(), "l") * (-0.25)
     vstar = tc.sharp_sym2(geom, batch, vj)
-    cdvs = tc.cd_endo(geom, batch, vstar)
+    cdvs = tc.cd(geom, batch, vstar, "ul")
     hat = jet_map("pjia->piaj", cdvs)
-    adj_hat = tc.adjoint_slots2(geom, batch, hat)
+    adj_hat = tc.adjoint(geom, batch, hat, "ull")
     r2 = tc.pair_endos(geom, batch, adj_hat, vstar.truncate(adj_hat.order)) * (-1.0)
     r3 = tc.pair_slots2(geom, batch, hat.truncate(1), jet_map("paij->piaj", cdvs.truncate(1)))
-    alpha = tc.adjoint_sym2(geom, batch, vj)
+    alpha = tc.adjoint(geom, batch, vj, "ll")
     w = _gauge_vector(geom, batch, v, Vs, order=1)
     r4 = jet_einsum("pi,pi->p", alpha.truncate(w.order), w) * 2.0
-    adj_vs = tc.adjoint_endo(geom, batch, vstar)
+    adj_vs = tc.adjoint(geom, batch, vstar, "ul")
     W2 = adj_vs * 2.0 + tc.grad_scalar(geom, batch, Vs(batch, 2))
-    cdW = tc.cd_vector(geom, batch, W2)
+    cdW = tc.cd(geom, batch, W2, "u")
     r5 = _pair_cd_with_sym2(geom, batch, cdW, vj.truncate(cdW.order)) * (-1.0)
     k = min(r1.order, r2.order, r3.order, r4.order, r5.order)
     return r1.truncate(k) + r2.truncate(k) + r3.truncate(k) + r4.truncate(k) + r5.truncate(k)
@@ -302,7 +303,8 @@ def run_v_super(fixture, seed, opts) -> Sides:
             "pij,pj->pi", vstar0.truncate(w.order), w
         ) * 2.0
 
-    return _tder_check(at, seed, opts, tc.adjoint_endo, rhs, factor=2.0,
+    return _tder_check(at, seed, opts, lambda gt, batch, vs: tc.adjoint(gt, batch, vs, "ul"),
+                        rhs, factor=2.0,
                         inputs=lambda batch: (tc.sharp_sym2(geom, batch, v(batch, 1)),))
 
 
@@ -315,26 +317,26 @@ def run_v_dh(fixture, seed, opts) -> Sides:
 
 def _dh_formula(geom, batch, vj: Jet, Vsj: Jet) -> Jet:
     """2 dH/dt = (lap_w - 2) V* - div_w(adj(v) + dV*) - <v, h>."""
-    lapV = tc.laplacian_scalar(geom, batch, Vsj) - Vsj.truncate(Vsj.order - 2) * 2.0
-    alpha = tc.adjoint_sym2(geom, batch, vj) + Vsj.gradient().truncate(vj.order - 1)
-    div = tc.div_omega_oneform(geom, batch, alpha)
+    lapV = tc.adjoint(geom, batch, Vsj.gradient(), "l") - Vsj.truncate(Vsj.order - 2) * 2.0
+    alpha = tc.adjoint(geom, batch, vj, "ll") + Vsj.gradient().truncate(vj.order - 1)
+    adj = tc.adjoint(geom, batch, alpha, "l")           # -div_w(alpha)
     h = so.h_tensor(geom, batch, min(vj.order, 1))
     pair = tc.pair_2tensors(geom, batch, vj.truncate(h.order), h)
-    k = min(lapV.order, div.order, pair.order)
-    return lapV.truncate(k) - div.truncate(k) - pair.truncate(k)
+    k = min(lapV.order, adj.order, pair.order)
+    return lapV.truncate(k) + adj.truncate(k) - pair.truncate(k)
 
 
 def _hess_rhs(geom, batch, vj, Vsj, vstar, norm2, Vs2, w, kappa):
     L = so.lichnerowicz_sym2(geom, batch, vj)
     r1 = tc.pair_2tensors(geom, batch, L, vj.truncate(L.order)) * (-0.5)
     inner = norm2 * 0.25 + Vs2
-    r2 = tc.laplacian_scalar(geom, batch, inner.truncate(2)) * (-1.0)
+    r2 = tc.adjoint(geom, batch, inner.truncate(2).gradient(), "l") * (-1.0)
     r3 = norm2 * 0.5 + Vs2 + (-0.5 * kappa)
     r4 = tc.pair_vectors(geom, batch, w, w) * (-2.0)
-    adj_vs = tc.adjoint_endo(geom, batch, vstar)
+    adj_vs = tc.adjoint(geom, batch, vstar, "ul")
     gradV = tc.grad_scalar(geom, batch, Vsj)
     W2 = adj_vs * 2.0 + gradV.truncate(adj_vs.order) * 3.0
-    cdW = tc.cd_vector(geom, batch, W2)
+    cdW = tc.cd(geom, batch, W2, "u")
     r5 = _pair_cd_with_sym2(geom, batch, cdW, vj.truncate(cdW.order))
     r6 = tc.pair_vectors(
         geom, batch, adj_vs, adj_vs + gradV.truncate(adj_vs.order) * 2.0
@@ -437,14 +439,14 @@ def run_v_hess_f(fixture, seed, opts) -> Sides:
 
 def _hess_f_rhs(geom, batch, vj: Jet, Vsj: Jet, *_) -> Jet:
     L = so.lichnerowicz_sym2(geom, batch, vj)
-    alpha = tc.adjoint_sym2(geom, batch, vj)
-    grad_adj = tc.cd_oneform(geom, batch, alpha)
+    alpha = tc.adjoint(geom, batch, vj, "ll")
+    grad_adj = tc.cd(geom, batch, alpha, "l")
     r1 = (tc.pair_2tensors(geom, batch, L, vj.truncate(L.order)) +
           tc.pair_2tensors(geom, batch, grad_adj, vj.truncate(grad_adj.order)) * 2.0) * (-0.5)
     norm2 = tc.pair_2tensors(geom, batch, vj, vj)
     Vs2 = jet_einsum("p,p->p", Vsj, Vsj)
     inner = norm2 * 0.5 + Vs2
-    lap_inner = tc.laplacian_scalar(geom, batch, inner.truncate(2)) \
+    lap_inner = tc.adjoint(geom, batch, inner.truncate(2).gradient(), "l") \
         - inner.truncate(0) * 2.0
     r2 = lap_inner * (-0.5)
     h = so.h_tensor(geom, batch, 1)
@@ -544,7 +546,7 @@ def run_v_dbarvar(fixture, seed, opts) -> Sides:
         return (jet_einsum("pik,pkj->pij", geom.ginv(batch, 2), gdot),)
 
     def rhs(batch, gs):
-        n10 = jet_map("paij->piaj", kh.nabla10_endo(geom, batch, gs))
+        n10 = jet_map("paij->piaj", kh.nabla_half(geom, batch, gs, "ul", "10"))
         return tc.generalized_contraction(gs.truncate(n10.order), n10, 1, 2) * (-1.0)
 
     return _tder_check(at, seed, opts, kh.dbar_endo, rhs, inputs=gstar0)
@@ -560,7 +562,7 @@ def run_v_secord(fixture, seed, opts) -> Sides:
         gds = jet_einsum("pik,pkj->pij", gi, gdot)
         gdds = jet_einsum("pik,pkj->pij", gi, gddot)
         xi_star = gdds - jet_einsum("pik,pkj->pij", gds, gds)
-        n10 = jet_map("paij->piaj", kh.nabla10_endo(geom, batch, gds))
+        n10 = jet_map("paij->piaj", kh.nabla_half(geom, batch, gds, "ul", "10"))
         s.add("variation", kh.dbar_endo(geom, batch, xi_star),
               tc.generalized_contraction(gds.truncate(n10.order), n10, 1, 2))
     return s
@@ -574,9 +576,9 @@ def run_v_dbarvf(fixture, seed, opts) -> Sides:
     def rhs(batch, xij):
         gdot = _tder(at, lambda gt: gt.g(batch, 1))
         gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 1), gdot)
-        cd_gds = tc.cd_endo(geom, batch, gds)
+        cd_gds = tc.cd(geom, batch, gds, "ul")
         t1 = jet_einsum("pa,paij->pij", xij.truncate(cd_gds.order), cd_gds)
-        p_xi = kh.partial_vector(geom, batch, xij)
+        p_xi = jet_map("pai->pia", kh.nabla_half(geom, batch, xij, "u", "10"))
         db_xi = kh.dbar_vector(geom, batch, xij)
         k = min(p_xi.order, gds.order)
         t2 = tc.commutator(p_xi.truncate(k), gds.truncate(k))
@@ -611,7 +613,7 @@ def run_v_kursym(fixture, seed, opts) -> Sides:
             gt = at(tt)
             gdot = _tder(at, lambda gs: gs.g(batch, 2), t0=tt)
             gds = jet_einsum("pik,pkj->pij", gt.ginv(batch, 2), gdot)
-            W = tc.adjoint_endo(gt, batch, gds)
+            W = tc.adjoint(gt, batch, gds, "ul")
             E = kh.dbar_vector(gt, batch, W)
             s.add("symmetry", E, tc.transpose_endo(gt, batch, E))
     return s
@@ -625,7 +627,7 @@ def run_v_kur1(fixture, seed, opts) -> Sides:
     rho_dot = _tder(at, lambda gt: gt.rho(batch, 2))
     Vstar = jet_einsum("p,p->p", rho_dot, jmath.reciprocal(geom.rho(batch, 2)))
     gds = jet_einsum("pik,pkj->pij", geom.ginv(batch, 1), gdot)
-    w = tc.adjoint_endo(geom, batch, gds) + tc.grad_scalar(geom, batch, Vstar)
+    w = tc.adjoint(geom, batch, gds, "ul") + tc.grad_scalar(geom, batch, Vstar)
     speed = _sup(gds.value)
     if speed < 1e-10:
         return Sides(skip="trivial direction: the curve does not move the metric")

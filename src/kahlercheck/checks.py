@@ -68,7 +68,6 @@ class CheckResult:
             "residual_sup": _num(self.residual_sup),
             "residual_l2": _num(self.residual_l2),
             "tolerance": self.tolerance,
-            "convergence_order": None,      # t-derivatives are exact
             "status": self.status,
             "reason": self.reason,
             "manifest_hash": self.manifest_hash,
@@ -166,7 +165,7 @@ def run_fixture_invariants(fixture, seed, opts) -> Sides:
             dom = jet_map("pijd->pdij", om.gradient()).value
             curl = dom + np.transpose(dom, (0, 3, 1, 2)) + np.transpose(dom, (0, 2, 3, 1))
             s.add("symplectic_closed", curl, 0.0)
-            s.add("parallel_J", tc.cd_endo(geom, batch, J), 0.0)
+            s.add("parallel_J", tc.cd(geom, batch, J, "ul"), 0.0)
     return s
 
 
@@ -188,14 +187,14 @@ def run_quadrature(fixture, seed, opts) -> Sides:
 
 @_pointwise
 def run_metric_compat(geom, b, seed):
-    return tc.cd_sym2(geom, b, geom.g(b, 1)), 0.0
+    return tc.cd(geom, b, geom.g(b, 1), "ll"), 0.0
 
 
 @_pointwise
 def run_div_lap(geom, b, seed):
     uj = fl.seeded_scalar(geom, seed)(b, 3)
     X = tc.grad_scalar(geom, b, uj)
-    return tc.div_omega_vector(geom, b, X), tc.laplacian_scalar(geom, b, uj.truncate(3)) * (-1.0)
+    return tc.div_omega_vector(geom, b, X), tc.adjoint(geom, b, uj.gradient(), "l") * (-1.0)
 
 
 @_duality
@@ -214,10 +213,10 @@ def _identity_inputs(geom, seed, batch):
 def run_div_ua(geom, b, seed):
     u, xi, A = _identity_inputs(geom, seed, b)
     uA = jet_einsum("p,pij->pij", u, A)
-    lhs = tc.adjoint_endo(geom, b, uA)
+    lhs = tc.adjoint(geom, b, uA, "ul")
     gradu = tc.grad_scalar(geom, b, u)
     rhs = jet_einsum("pij,pj->pi", A.truncate(gradu.order), gradu) * (-1.0) + \
-        jet_einsum("p,pi->pi", u.truncate(1), tc.adjoint_endo(geom, b, A))
+        jet_einsum("p,pi->pi", u.truncate(1), tc.adjoint(geom, b, A, "ul"))
     return lhs, rhs
 
 
@@ -234,12 +233,12 @@ def run_div_uxi(geom, b, seed):
 @_pointwise
 def run_div_a2(geom, b, seed):
     _, _, A = _identity_inputs(geom, seed, b)
-    lhs = tc.adjoint_endo(geom, b, tc.endo_mul(A, A))
-    cdA = tc.cd_endo(geom, b, A)
+    lhs = tc.adjoint(geom, b, tc.endo_mul(A, A), "ul")
+    cdA = tc.cd(geom, b, A, "ul")
     W = jet_einsum("paij,pjm->paim", cdA, A.truncate(cdA.order))
     tr = jet_einsum("pam,paim->pi", geom.ginv(b, cdA.order), W)
     rhs = tr * (-1.0) + jet_einsum("pij,pj->pi", A.truncate(1),
-                                   tc.adjoint_endo(geom, b, A))
+                                   tc.adjoint(geom, b, A, "ul"))
     return lhs, rhs
 
 
@@ -248,8 +247,8 @@ def run_div_ev(geom, b, seed):
     _, xi, A = _identity_inputs(geom, seed, b)
     Axi = jet_einsum("pij,pj->pi", A, xi)
     lhs = tc.div_omega_vector(geom, b, Axi)
-    adjA = tc.adjoint_endo(geom, b, A)
-    cdxi = tc.cd_vector(geom, b, xi)
+    adjA = tc.adjoint(geom, b, A, "ul")
+    cdxi = tc.cd(geom, b, xi, "u")
     gA = tc.flat_endo(geom, b, A.truncate(1))
     pairing = jet_einsum("pai,pai->p",
                          jet_einsum("pja,pji->pai", geom.ginv(b, 1), gA),
@@ -261,12 +260,12 @@ def run_div_ev(geom, b, seed):
 @_pointwise
 def run_div_tr(geom, b, seed):
     _, _, A = _identity_inputs(geom, seed, b)
-    cdA = tc.cd_endo(geom, b, A)
+    cdA = tc.cd(geom, b, A, "ul")
     W = jet_einsum("paij,pjm->paim", cdA, A.truncate(cdA.order))
     TrW = jet_einsum("pam,paim->pi", geom.ginv(b, cdA.order), W)
     lhs = tc.div_omega_vector(geom, b, TrW)
     hat = jet_map("pjia->piaj", cdA)
-    adjB = tc.adjoint_slots2(geom, b, hat)
+    adjB = tc.adjoint(geom, b, hat, "ull")
     rhs = tc.pair_endos(geom, b, adjB, A.truncate(adjB.order)) * (-1.0) + \
         tc.pair_slots2(geom, b, hat.truncate(1), jet_map("paij->piaj", cdA.truncate(1)))
     return lhs, rhs
@@ -277,8 +276,8 @@ def run_m_identity(geom, b, seed):
     vj = fl.seeded_sym2(geom, seed + 11)(b, 2)
     M = tc.m_form(geom, b, vj, vj)
     vstar = tc.sharp_sym2(geom, b, vj)
-    adj_vs = tc.adjoint_endo(geom, b, vstar)
-    adj_vs2 = tc.adjoint_endo(geom, b, tc.endo_mul(vstar, vstar))
+    adj_vs = tc.adjoint(geom, b, vstar, "ul")
+    adj_vs2 = tc.adjoint(geom, b, tc.endo_mul(vstar, vstar), "ul")
     normsq = tc.pair_2tensors(geom, b, vj, vj)
     rhs = jet_einsum("pi,pij->pj", adj_vs, vj.truncate(adj_vs.order)) * 2.0 \
         - tc.flat_vector(geom, b, adj_vs2) * 2.0 \
@@ -305,8 +304,8 @@ def run_frame_independence(fixture, seed, opts) -> Sides:
 def run_adj_sym2_duality(geom, b, seed):
     uj = fl.seeded_sym2(geom, seed + 23)(b, 1)
     aj = fl.seeded_oneform(geom, seed + 29)(b, 1)
-    lhs = tc.pair_oneforms(geom, b, tc.adjoint_sym2(geom, b, uj), aj.truncate(0))
-    cda = tc.cd_oneform(geom, b, aj)
+    lhs = tc.pair_oneforms(geom, b, tc.adjoint(geom, b, uj, "ll"), aj.truncate(0))
+    cda = tc.cd(geom, b, aj, "l")
     return lhs.value, jet_einsum("pij,pij->p", tc.raise2(geom, b, uj.truncate(0)), cda).value
 
 
@@ -314,8 +313,8 @@ def run_adj_sym2_duality(geom, b, seed):
 def run_adj_endo_duality(geom, b, seed):
     Aj = fl.seeded_sym_endo(geom, seed + 31)(b, 1)
     Xj = fl.seeded_vector(geom, seed + 37)(b, 1)
-    lhs = tc.pair_vectors(geom, b, tc.adjoint_endo(geom, b, Aj), Xj.truncate(0))
-    cdX = tc.cd_vector(geom, b, Xj)
+    lhs = tc.pair_vectors(geom, b, tc.adjoint(geom, b, Aj, "ul"), Xj.truncate(0))
+    cdX = tc.cd(geom, b, Xj, "u")
     return lhs.value, np.einsum("pij,pia,pab,pbj->p", geom.g(b, 0).value, Aj.value,
                                 geom.ginv(b, 0).value, cdX.value)
 
@@ -324,8 +323,8 @@ def run_adj_endo_duality(geom, b, seed):
 def run_lap_symmetry(geom, b, seed):
     uj = fl.seeded_scalar(geom, seed + 41)(b, 2)
     vj = fl.seeded_scalar(geom, seed + 43)(b, 2)
-    return ((tc.laplacian_scalar(geom, b, uj) * vj.truncate(0)).value,
-            (tc.laplacian_scalar(geom, b, vj) * uj.truncate(0)).value)
+    return ((tc.adjoint(geom, b, uj.gradient(), "l") * vj.truncate(0)).value,
+            (tc.adjoint(geom, b, vj.gradient(), "l") * uj.truncate(0)).value)
 
 
 def run_lap_positivity(fixture, seed, opts) -> Sides:
@@ -334,7 +333,7 @@ def run_lap_positivity(fixture, seed, opts) -> Sides:
     uu, du2 = [], []
     for b in fixture.quad_nodes():
         uj = u(b, 2)
-        uu.append((tc.laplacian_scalar(geom, b, uj) * uj.truncate(0)).value)
+        uu.append((tc.adjoint(geom, b, uj.gradient(), "l") * uj.truncate(0)).value)
         duj = uj.gradient().truncate(0)
         du2.append(tc.pair_oneforms(geom, b, duj, duj).value)
     dirichlet = fixture.integrate(du2)
@@ -409,8 +408,8 @@ def run_chart_transition(fixture, seed, opts) -> Sides:
 @_pointwise
 def _bidegree(geom, b, seed):
     Aj = fl.seeded_antilinear(geom, seed + 73)(b, 2)
-    n10, n01 = kh.bidegree_split_endo(geom, b, Aj)
-    cdA = tc.cd_endo(geom, b, Aj)
+    n10, n01 = (kh.nabla_half(geom, b, Aj, "ul", half) for half in ("10", "01"))
+    cdA = tc.cd(geom, b, Aj, "ul")
     J = geom.J(b, n01.order)
     return {"reconstruction": (n10 + n01, cdA),
             "typed": (jet_einsum("pba,pbij->paij", J, n01),
@@ -441,21 +440,21 @@ def run_adj_dbar_duality(geom, b, seed):
     Xj = fl.seeded_vector(geom, seed + 89)(b, 1)
     db = kh.dbar_vector(geom, b, Xj)
     return (tc.pair_endos(geom, b, db, Aj.truncate(db.order)).value,
-            tc.pair_vectors(geom, b, Xj.truncate(0), tc.adjoint_endo(geom, b, Aj)).value)
+            tc.pair_vectors(geom, b, Xj.truncate(0), tc.adjoint(geom, b, Aj, "ul")).value)
 
 
 @_pointwise
 def run_dbar_three_route(geom, b, seed):
     Aj = fl.seeded_antilinear(geom, seed + 97)(b, 2)
-    r1 = tc.adjoint_endo(geom, b, Aj)
+    r1 = tc.adjoint(geom, b, Aj, "ul")
     free = geom.unweighted()
-    r2 = tc.adjoint_endo(free, b, Aj) + \
+    r2 = tc.adjoint(free, b, Aj, "ul") + \
         jet_einsum("pij,pj->pi", Aj.truncate(1), geom.gradf(b, 1))
     f = geom.f(b, 2)
     ef = jmath.exp(f)
     emf = jmath.exp(f * (-1.0))
     scaled = jet_einsum("p,pij->pij", emf, Aj)
-    r3 = jet_einsum("p,pi->pi", ef.truncate(1), tc.adjoint_endo(free, b, scaled))
+    r3 = jet_einsum("p,pi->pi", ef.truncate(1), tc.adjoint(free, b, scaled, "ul"))
     return {"unweighted_route": (r1, r2), "conjugated_route": (r1, r3)}
 
 
@@ -506,7 +505,7 @@ def run_b_chain(geom, b, seed):
     Aj = fl.seeded_antilinear(geom, seed + 131)(b, 2)
     norm2 = tc.pair_endos(geom, b, Aj, Aj)
     lhs = kh.b_operator(geom, b, norm2)
-    cdA = tc.cd_endo(geom, b, Aj)
+    cdA = tc.cd(geom, b, Aj, "ul")
     J = geom.J(b, cdA.order)
     Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, cdA.order))
     hook = jet_einsum("pa,paij->pij", Jgf, cdA)
@@ -533,8 +532,8 @@ def run_lie_bracket(fixture, seed, opts) -> Sides:
         a = (X(b, 2) + jet_einsum("pij,pj->pi", J, X(b, 2)) * (-1j)) * 0.5
         c = (Y(b, 2) + jet_einsum("pij,pj->pi", J, Y(b, 2)) * (-1j)) * 0.5
         br = kh.lie_bracket_forms(geom, b, a, c, 0, 0)
-        cda = tc.cd_vector(geom, b, a)
-        cdc = tc.cd_vector(geom, b, c)
+        cda = tc.cd(geom, b, a, "u")
+        cdc = tc.cd(geom, b, c, "u")
         k = cda.order
         rhs = jet_einsum("pc,pci->pi", a.truncate(k), cdc) - \
             jet_einsum("pc,pci->pi", c.truncate(k), cda)

@@ -137,7 +137,7 @@ def seeded_sym2(geom, seed, trace_part: float = 1.0) -> Field:
         u = seeded_scalar(geom, seed + 31)
 
         def fn(batch, order):
-            hz = tc.hessian_scalar(geom, batch, u(batch, order + 2)).truncate(order)
+            hz = tc.cd(geom, batch, u(batch, order + 2).gradient(), "l").truncate(order)
             if trace_part == 0.0:
                 return hz
             g = geom.g(batch, order)

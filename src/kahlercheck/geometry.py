@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import jets
+from . import jets, tensorcalc
 from .backends import NodeBatch, ambient_table
 from .errors import OrderExhaustedError, UnsupportedGeometryError
 from .jets import Jet, _einsum, jet_einsum, jet_linear, jet_map
@@ -332,15 +332,15 @@ class GeometryState:
         return self._get(key, batch, order, build)
 
     def hessf(self, batch: NodeBatch, order: int) -> Jet:
-        """Covariant Hessian of f, a symmetric 2-tensor."""
+        """Covariant Hessian of f, a symmetric 2-tensor: ``tensorcalc.cd``
+        of the gradient of f built two orders up, not of a stored df, which
+        would stay cached one order above its readers."""
         key = "hessf0" if self.weightless else "hessf"
 
         def build():
             if self.weightless:
                 return Jet.const(0.0, self.dim, order, (batch.size, self.dim, self.dim))
-            d2 = self.f(batch, order + 2).gradient().gradient()
-            corr = jet_einsum("pcab,pc->pab", self.gamma(batch, order), self.df(batch, order))
-            return d2 - corr
+            return tensorcalc.cd(self, batch, self.f(batch, order + 2).gradient(), "l")
 
         return self._get(key, batch, order, build)
 

@@ -5,10 +5,12 @@ brackets and Maurer-Cartan residuals.
 
 Bidegree conventions.  For a tangent-valued object the (0,1) part of the
 covariant derivative rotates the direction slot and post-composes with J:
-nabla01_xi A = (nabla_xi A + J o nabla_{J xi} A) / 2.  del-bar is the plain
-alternation of nabla01 (no half), which makes the graded identities of the
-bracket calculus hold without stray factors.  On T^{1,0}-valued objects the
-bundle action of J is scalar multiplication by i.
+nabla01_xi A = (nabla_xi A + J o nabla_{J xi} A) / 2, and the (1,0) part
+takes the difference.  ``nabla_half`` builds either half of ``tc.cd`` for
+any valence (``tc`` slot strings); J acts on the first value slot, or, on
+T^{1,0}-valued objects, as scalar multiplication by i.  del-bar is the
+plain alternation of nabla01 (no half), which makes the graded identities
+of the bracket calculus hold without stray factors.
 """
 
 from __future__ import annotations
@@ -16,60 +18,41 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensorcalc as tc
-from .errors import BadInputError, UnsupportedDegreeError
+from .errors import BadInputError, BadValenceError, UnsupportedDegreeError
 from .jets import Jet, jet_einsum, jet_map
 
 # ---------------------------------------------------------------------------
 # bidegree split of covariant derivatives
 
 
-def _rotated_cd_endo(geom, batch, A: Jet):
-    cdA = tc.cd_endo(geom, batch, A)                      # (m, a, i, j)
-    J = geom.J(batch, cdA.order)
-    rot = jet_einsum("pba,pbij->paij", J, cdA)            # direction J-rotation
-    return cdA, rot, J
-
-
-def nabla01_endo(geom, batch, A: Jet) -> Jet:
-    """(0,1) part of cd(A) in the direction slot; layout (m, a, i, j)."""
-    cdA, rot, J = _rotated_cd_endo(geom, batch, A)
-    return (cdA + jet_einsum("pik,pakj->paij", J, rot)) * 0.5
-
-
-def nabla10_endo(geom, batch, A: Jet) -> Jet:
-    cdA, rot, J = _rotated_cd_endo(geom, batch, A)
-    return (cdA - jet_einsum("pik,pakj->paij", J, rot)) * 0.5
-
-
-def bidegree_split_endo(geom, batch, A: Jet) -> tuple[Jet, Jet]:
-    """(nabla10, nabla01) of an endomorphism field; their sum is cd(A)."""
-    cdA, rot, J = _rotated_cd_endo(geom, batch, A)
-    Jrot = jet_einsum("pik,pakj->paij", J, rot)
-    return (cdA - Jrot) * 0.5, (cdA + Jrot) * 0.5
+def nabla_half(geom, batch, T: Jet, slots: str, half: str, value: str = "J") -> Jet:
+    """The (1,0) or (0,1) half of ``tc.cd(T, slots)``, same layout:
+    (nabla_a T -+ J o nabla_{J e_a} T) / 2 for ``half`` "10" or "01".  J acts
+    on T's first, tangent, slot (``value`` "J"), or as i on a
+    T^{1,0}-valued T (``value`` "i").  Only the half asked for is built."""
+    if half not in ("10", "01") or value not in ("J", "i"):
+        raise BadInputError(f"half {half!r} of value action {value!r}")
+    if value == "J" and not slots.startswith("u"):
+        raise BadValenceError(f"J acts on a first tangent slot, not on {slots!r}")
+    cdT = tc.cd(geom, batch, T, slots)                    # (m, a, *slots)
+    J = geom.J(batch, cdT.order)
+    s = "ijkl"[:len(slots)]
+    rot = jet_einsum(f"pba,pb{s}->pa{s}", J, cdT)        # direction J-rotation
+    if value == "i":
+        Jrot = rot * 1j
+    else:
+        Jrot = jet_einsum(f"p{s[0]}z,paz{s[1:]}->pa{s}", J, rot)
+    return (cdT - Jrot) * 0.5 if half == "10" else (cdT + Jrot) * 0.5
 
 
 def dbar_vector(geom, batch, xi: Jet) -> Jet:
     """del-bar of a vector field: the anti-linear part of cd(xi), an endo (m,i,a)."""
-    cdx = tc.cd_vector(geom, batch, xi)                   # (m, a, i)
-    J = geom.J(batch, cdx.order)
-    rot = jet_einsum("pba,pbi->pai", J, cdx)
-    out = (cdx + jet_einsum("pik,pak->pai", J, rot)) * 0.5
-    return jet_map("pai->pia", out)
-
-
-def partial_vector(geom, batch, xi: Jet) -> Jet:
-    """(1,0) part of cd(xi), the complex-linear half; an endo (m,i,a)."""
-    cdx = tc.cd_vector(geom, batch, xi)
-    J = geom.J(batch, cdx.order)
-    rot = jet_einsum("pba,pbi->pai", J, cdx)
-    out = (cdx - jet_einsum("pik,pak->pai", J, rot)) * 0.5
-    return jet_map("pai->pia", out)
+    return jet_map("pai->pia", nabla_half(geom, batch, xi, "u", "01"))
 
 
 def dbar_endo(geom, batch, A: Jet) -> Jet:
     """del-bar of an endomorphism (tangent-valued 1-form): a 2-form (m,i,a,b)."""
-    n01 = nabla01_endo(geom, batch, A)
-    vf = jet_map("paib->piab", n01)
+    vf = jet_map("paib->piab", nabla_half(geom, batch, A, "ul", "01"))
     return vf - jet_map("piab->piba", vf)
 
 
@@ -80,10 +63,10 @@ def dbar_endo(geom, batch, A: Jet) -> Jet:
 def hodge_witten(geom, batch, field: Jet, q: int) -> Jet:
     """Weighted anti-holomorphic Hodge-Witten Laplacian on degree q in {0,1}."""
     if q == 0:
-        return tc.adjoint_endo(geom, batch, dbar_vector(geom, batch, field))
+        return tc.adjoint(geom, batch, dbar_vector(geom, batch, field), "ul")
     if q == 1:
-        t1 = dbar_vector(geom, batch, tc.adjoint_endo(geom, batch, field))
-        t2 = tc.adjoint_slots2(geom, batch, dbar_endo(geom, batch, field))
+        t1 = dbar_vector(geom, batch, tc.adjoint(geom, batch, field, "ul"))
+        t2 = tc.adjoint(geom, batch, dbar_endo(geom, batch, field), "ull")
         return t1 + t2
     raise UnsupportedDegreeError(f"degree {q} not supported")
 
@@ -102,7 +85,7 @@ def hodge_witten_relation_sides(geom, batch, A: Jet) -> tuple[Jet, Jet]:
     weighted = hodge_witten(geom, batch, A, 1)
     free = geom.unweighted()
     unweighted = hodge_witten(free, batch, A, 1)
-    n01 = nabla01_endo(geom, batch, A)
+    n01 = nabla_half(geom, batch, A, "ul", "01")
     hook1 = jet_einsum("pa,paij->pij", geom.gradf(batch, n01.order), n01)
     S = partial10_gradf(geom, batch, weighted.order)
     hook2 = tc.endo_mul(A.truncate(S.order), S)
@@ -132,7 +115,7 @@ def complex_laplacian(geom, batch, u: Jet) -> Jet:
     drift first: it reads grad f one order above the Laplacian, which then
     reads its truncation."""
     drift = b_operator(geom, batch, u)
-    return tc.laplacian_scalar(geom, batch, u) + drift * (-1j)
+    return tc.adjoint(geom, batch, u.gradient(), "l") + drift * (-1j)
 
 
 def conj_jet(a: Jet) -> Jet:
@@ -178,7 +161,7 @@ def _check_antilinear(geom, batch, mu: Jet, tol: float = 1e-8):
 
 def mc_real_residual(geom, batch, mu: Jet) -> Jet:
     """del-bar(mu) + mu hook nabla10(mu), a tangent-valued 2-form."""
-    n10 = jet_map("paij->piaj", nabla10_endo(geom, batch, mu))
+    n10 = jet_map("paij->piaj", nabla_half(geom, batch, mu, "ul", "10"))
     quad = tc.generalized_contraction(mu.truncate(n10.order), n10, 1, 2)
     return dbar_endo(geom, batch, mu) + quad
 
@@ -191,12 +174,9 @@ def cayley_half(geom, batch, mu: Jet) -> Jet:
 
 def mc_complex_residual(geom, batch, theta: Jet) -> Jet:
     """del-bar(theta) + theta hook del^w(theta) for T^{1,0}-valued theta."""
-    cdt, rot, _ = _rotated_cd_endo(geom, batch, theta)
-    n01 = (cdt + rot * 1j) * 0.5
-    n10 = (cdt - rot * 1j) * 0.5
-    dbar = jet_map("paij->piaj", n01)
+    dbar = jet_map("paij->piaj", nabla_half(geom, batch, theta, "ul", "01", value="i"))
     dbar = dbar - jet_map("piab->piba", dbar)
-    pw = jet_map("paij->piaj", n10)
+    pw = jet_map("paij->piaj", nabla_half(geom, batch, theta, "ul", "10", value="i"))
     pw = pw - jet_map("piab->piba", pw)
     quad = tc.generalized_contraction(theta.truncate(pw.order), pw, 1, 2)
     return dbar + quad
@@ -214,7 +194,7 @@ def maurer_cartan_sides(geom, batch, mu: Jet) -> tuple[Jet, Jet]:
 def mc_explicit_sides(geom, batch, mu: Jet) -> tuple[Jet, Jet]:
     """``(lhs, rhs)``: (I + mu) hook J cd(mu) - (I + mu) J hook cd(mu), and
     2 J R_re(mu)."""
-    cdmu = jet_map("paij->piaj", tc.cd_endo(geom, batch, mu))   # value-first
+    cdmu = jet_map("paij->piaj", tc.cd(geom, batch, mu, "ul"))  # value-first
     J = geom.J(batch, cdmu.order)
     Jcd = jet_einsum("pik,pkab->piab", J, cdmu)
     one_plus = mu.truncate(cdmu.order).copy()
@@ -262,14 +242,6 @@ def lie_bracket_complex_vf(a: Jet, b: Jet) -> Jet:
         jet_einsum("pc,pci->pi", b.truncate(k), da)
 
 
-def partial_omega_cvf(geom, batch, b: Jet) -> Jet:
-    """(1,0) covariant derivative of a T^{1,0}-valued vector field, (m,i,a)."""
-    cdb = tc.cd_vector(geom, batch, b)
-    J = geom.J(batch, cdb.order)
-    rot = jet_einsum("pba,pbi->pai", J, cdb)
-    return jet_map("pai->pia", (cdb - rot * 1j) * 0.5)
-
-
 def lie_bracket_forms(geom, batch, alpha: Jet, beta: Jet, p: int, q: int):
     """Graded bracket of T^{1,0}-valued (0, p) and (0, q) forms, p, q in {0, 1}.
 
@@ -310,7 +282,7 @@ def partial_omega_01form(geom, batch, alpha: Jet) -> Jet:
     out = None
     for K in range(dim // 2):
         a = Jet(alpha.dim, aK.order, aK.coeffs[:, :, K])
-        pa = partial_omega_cvf(geom, batch, a)            # (m, i, a)
+        pa = jet_map("pai->pia", nabla_half(geom, batch, a, "u", "10", value="i"))
         term_c = np.einsum("cpia,b->cpiab", pa.coeffs, co[K])
         term = Jet(pa.dim, pa.order, term_c)
         term = term - jet_map("piab->piba", term)

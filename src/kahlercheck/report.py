@@ -14,11 +14,11 @@ from pathlib import Path
 
 from .conventions import manifest_hash
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = [
     "check_id", "fixture", "seed", "status", "residual_sup", "residual_l2",
-    "tolerance", "convergence_order", "runtime_ms",
+    "tolerance", "runtime_ms",
 ]
 
 

@@ -36,7 +36,7 @@ def h_tensor(geom: GeometryState, batch: NodeBatch, order: int) -> Jet:
 def H_scalar(geom, batch, order: int) -> Jet:
     """2H = -lap_w f + tr_g h + 2 f."""
     f = geom.f(batch, order + 2)
-    lap = tc.laplacian_scalar(geom, batch, f)
+    lap = tc.adjoint(geom, batch, f.gradient(), "l")
     tr = jet_einsum("pij,pij->p", geom.ginv(batch, order), h_tensor(geom, batch, order))
     return (lap * (-1.0) + tr + geom.f(batch, order) * 2.0) * 0.5
 
@@ -222,7 +222,7 @@ class KernelProjector:
 
 
 def lichnerowicz_sym2(geom, batch, v: Jet) -> Jet:
-    return tc.rough_laplacian_sym2(geom, batch, v) + \
+    return tc.adjoint(geom, batch, tc.cd(geom, batch, v, "ll"), "lll") + \
         tc.curvature_action_sym2(geom, batch, v) * LICH_CR
 
 
@@ -243,7 +243,7 @@ def bochner_routes(geom, batch, A: Jet):
     lap_w = kh.hodge_witten(geom, batch, A, 1)
     ric = geom.ric_endo(batch, lap_w.order)
     brk = tc.commutator(ric, A.truncate(ric.order))
-    cdA = tc.cd_endo(geom, batch, A)
+    cdA = tc.cd(geom, batch, A, "ul")
     gradf = geom.gradf(batch, cdA.order)
     hook1 = jet_einsum("pa,paij->pij", gradf, cdA)
     route1 = lap_free * 2.0 + brk + hook1
@@ -264,7 +264,7 @@ def drift_terms(geom, batch, A: Jet) -> tuple[np.ndarray, np.ndarray, np.ndarray
                               tc.flat_endo(geom, batch, tc.endo_mul(A0, A0)))
     J = geom.J(batch, 0)
     Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(batch, 0))
-    hook = jet_einsum("pa,paij->pij", Jgf, tc.cd_endo(geom, batch, A.truncate(1)))
+    hook = jet_einsum("pa,paij->pij", Jgf, tc.cd(geom, batch, A.truncate(1), "ul"))
     return (hessA2.value, tc.pair_endos(geom, batch, hook, A0).value,
             tc.pair_endos(geom, batch, hook, tc.endo_mul(J, A0)).value)
 
@@ -326,7 +326,7 @@ def phi_functional_bridge(geom, A_field: Field, u_fields: Sequence[Field],
         blocks = phi_blocks(geom, A_field, 2)
     for b, A, (hessA2, _, hookJA) in blocks:
         norm2 = tc.pair_endos(geom, b, A, A)
-        lapN = tc.laplacian_scalar(geom, b, norm2) - norm2.truncate(norm2.order - 2) * 2.0
+        lapN = tc.adjoint(geom, b, norm2.gradient(), "l") - norm2.truncate(norm2.order - 2) * 2.0
         weight = hessA2 * 4.0 - hookJA * 2.0 - lapN.value
         for out, u_field in zip(vals, u_fields):
             out.append(0.5 * np.real(u_field(b, 0).value) * weight)
@@ -367,7 +367,7 @@ def weighted_complex_bochner_sides(geom, batch, psi: Jet) -> tuple[Jet, Jet]:
     lam = kh.complex_laplacian(geom, batch, psi) - psi.truncate(psi.order - 2) * 2.0
     vec = grad_J(geom, batch, kh.conj_jet(psi))
     B = kh.dbar_vector(geom, batch, vec)
-    lhs = tc.adjoint_endo(geom, batch, B)
+    lhs = tc.adjoint(geom, batch, B, "ul")
     rhs = grad_J(geom, batch, kh.conj_jet(lam)) * 0.5
     return lhs, rhs.truncate(lhs.order)
 
@@ -407,7 +407,7 @@ def tangent_cone_sides(geom, batch, v: Jet, Vs: Jet):
     vs = tc.sharp_sym2(geom, batch, v)
     db = kh.dbar_endo(geom, batch, vs)
     t1 = ddc_scalar(geom, batch, Vs) * 2.0
-    W = tc.adjoint_endo(geom, batch, vs)
+    W = tc.adjoint(geom, batch, vs, "ul")
     om = geom.omega(batch, W.order)
     t2 = d_oneform(jet_einsum("pi,pij->pj", W, om))
     return (v, JvJ * (-1.0)), (db, 0.0), (t1, t2.truncate(t1.order) * (-1.0))

@@ -6,10 +6,17 @@ derivative prepends its direction slot.  All frame sums are written as
 metric contractions, so no explicit orthonormal frame enters the operators;
 a Cholesky-frame route exists separately for frame-independence checks.
 
+Each derivative rule is written once, for any valence, given as a slot
+string after the point axis: ``u`` a tangent slot, ``l`` a covariant one
+("u" a vector, "l" a 1-form, "ll" a 2-tensor, "ul" an endomorphism, "ull"
+a tangent-valued 2-slot object, "lll" a covariant 3-tensor).  ``cd`` is the
+one place outside the curvature where Gamma meets a tensor, and ``adjoint``
+is the weighted adjoint of ``cd`` on a tensor's first covariant slot.
+
 Weighted objects use the fixture density through f = log(dV_g / Omega):
 div_w(xi) = tr(grad xi) - df.xi, the adjoints gain a "+ (grad f) hook" term,
-and the scalar Laplacian is positive-spectrum: lap_w(u) = -tr_g Hess u
-+ <grad f, grad u>.
+and the scalar Laplacian ``adjoint(du, "l")`` is positive-spectrum:
+lap_w(u) = -tr_g Hess u + <grad f, grad u>.
 """
 
 from __future__ import annotations
@@ -20,63 +27,31 @@ from .errors import BadDegreeError, BadValenceError
 from .jets import Jet, jet_einsum, jet_map
 
 # ---------------------------------------------------------------------------
-# covariant derivatives (direction slot first in the output)
+# the covariant derivative (direction slot first in the output)
+
+_SLOTS = "ijkl"        # value and form slots; "a" is the direction, "z" a dummy
 
 
-def cd_vector(geom, batch, X: Jet) -> Jet:
-    dX = jet_map("pid->pdi", X.gradient())
-    G = geom.gamma(batch, X.order - 1)
-    return dX + jet_einsum("piaj,pj->pai", G, X)
+def _labels(slots: str) -> str:
+    if not slots or len(slots) > len(_SLOTS) or set(slots) - set("ul"):
+        raise BadValenceError(f"slot string {slots!r}: one to four of 'u' and 'l'")
+    return _SLOTS[:len(slots)]
 
 
-def cd_oneform(geom, batch, al: Jet) -> Jet:
-    da = jet_map("pid->pdi", al.gradient())
-    G = geom.gamma(batch, al.order - 1)
-    return da - jet_einsum("pkai,pk->pai", G, al)
-
-
-def cd_sym2(geom, batch, v: Jet) -> Jet:
-    dv = jet_map("pijd->pdij", v.gradient())
-    G = geom.gamma(batch, v.order - 1)
-    return (
-        dv
-        - jet_einsum("pkai,pkj->paij", G, v)
-        - jet_einsum("pkaj,pik->paij", G, v)
-    )
-
-
-def cd_endo(geom, batch, A: Jet) -> Jet:
-    dA = jet_map("pijd->pdij", A.gradient())
-    G = geom.gamma(batch, A.order - 1)
-    return (
-        dA
-        + jet_einsum("piak,pkj->paij", G, A)
-        - jet_einsum("pkaj,pik->paij", G, A)
-    )
-
-
-def cd_mixed12(geom, batch, T: Jet) -> Jet:
-    """Covariant derivative of T^i_{jk} (one upper, two lower slots)."""
-    dT = jet_map("pijkd->pdijk", T.gradient())
+def cd(geom, batch, T: Jet, slots: str) -> Jet:
+    """nabla T, layout (m, a, *slots): the coordinate derivative, then, slot
+    by slot in order, + Gamma . T on a tangent slot ``u`` and - Gamma . T on
+    a covariant slot ``l``."""
+    s = _labels(slots)
+    out = jet_map(f"p{s}a->pa{s}", T.gradient())
     G = geom.gamma(batch, T.order - 1)
-    return (
-        dT
-        + jet_einsum("pial,pljk->paijk", G, T)
-        - jet_einsum("plaj,pilk->paijk", G, T)
-        - jet_einsum("plak,pijl->paijk", G, T)
-    )
-
-
-def cd_cov3(geom, batch, T: Jet) -> Jet:
-    """Covariant derivative of a fully covariant 3-tensor T_{abc}."""
-    dT = jet_map("pabcd->pdabc", T.gradient())
-    G = geom.gamma(batch, T.order - 1)
-    return (
-        dT
-        - jet_einsum("pkda,pkbc->pdabc", G, T)
-        - jet_einsum("pkdb,pakc->pdabc", G, T)
-        - jet_einsum("pkdc,pabk->pdabc", G, T)
-    )
+    for k, (kind, c) in enumerate(zip(slots, s)):
+        Tz = f"p{s[:k]}z{s[k + 1:]}"
+        if kind == "u":
+            out = out + jet_einsum(f"p{c}az,{Tz}->pa{s}", G, T)
+        else:
+            out = out - jet_einsum(f"pza{c},{Tz}->pa{s}", G, T)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,65 +138,35 @@ def transpose_endo(geom, batch, A: Jet) -> Jet:
 
 
 def div_omega_vector(geom, batch, X: Jet) -> Jet:
-    cd = cd_vector(geom, batch, X)
-    tr = jet_map("paa->p", cd)
-    df = geom.df(batch, cd.order)
+    """div_w X = tr(nabla X) - df(X): it traces the tangent slot, so no metric."""
+    cdX = cd(geom, batch, X, "u")
+    tr = jet_map("paa->p", cdX)
+    df = geom.df(batch, cdX.order)
     return tr - jet_einsum("pi,pi->p", df, X)
 
 
-def div_omega_oneform(geom, batch, al: Jet) -> Jet:
-    cd = cd_oneform(geom, batch, al)
-    gi = geom.ginv(batch, cd.order)
-    tr = jet_einsum("pai,pai->p", gi, cd)
-    return tr - jet_einsum("pi,pi->p", geom.gradf(batch, cd.order), al)
-
-
-def adjoint_sym2(geom, batch, v: Jet) -> Jet:
-    """nabla*_w on symmetric 2-tensors, a 1-form: -g^{-1} hook cd(v) + grad f hook v."""
-    cd = cd_sym2(geom, batch, v)
-    gi = geom.ginv(batch, cd.order)
-    t1 = jet_einsum("pkl,pklj->pj", gi, cd) * (-1.0)
-    t2 = jet_einsum("pk,pkj->pj", geom.gradf(batch, cd.order), v)
+def adjoint(geom, batch, T: Jet, slots: str) -> Jet:
+    """nabla*_w on T's first covariant slot: -g^{ab} (nabla_a T)(..e_b..)
+    + T(..grad f..), with that slot removed.  The weighted Laplacian is
+    ``adjoint(du, "l")``, the rough Laplacian of a 2-tensor
+    ``adjoint(cd(v, "ll"), "lll")`` and the weighted divergence of a 1-form
+    ``-adjoint(alpha, "l")``."""
+    s = _labels(slots)
+    if "l" not in slots:
+        raise BadValenceError(f"slot string {slots!r} has no covariant slot")
+    k = slots.index("l")
+    c, rest = s[k], s[:k] + s[k + 1:]
+    cdT = cd(geom, batch, T, slots)
+    gi = geom.ginv(batch, cdT.order)
+    t1 = jet_einsum(f"pa{c},pa{s}->p{rest}", gi, cdT) * (-1.0)
+    gradf = geom.gradf(batch, cdT.order)
+    # the operand order sets the convolution's order of summation: grad f
+    # filling the last of several slots is written T . grad f, as A grad f
+    if 0 < k == len(s) - 1:
+        t2 = jet_einsum(f"p{s},p{c}->p{rest}", T, gradf)
+    else:
+        t2 = jet_einsum(f"p{c},p{s}->p{rest}", gradf, T)
     return t1 + t2
-
-
-def adjoint_endo(geom, batch, A: Jet) -> Jet:
-    """nabla*_w on endomorphisms, a vector field: -sum_k (cd_k A)(e_k) + A grad f."""
-    cd = cd_endo(geom, batch, A)
-    gi = geom.ginv(batch, cd.order)
-    t1 = jet_einsum("pal,pail->pi", gi, cd) * (-1.0)
-    t2 = jet_einsum("pij,pj->pi", A, geom.gradf(batch, cd.order))
-    return t1 + t2
-
-
-def adjoint_slots2(geom, batch, B: Jet) -> Jet:
-    """nabla*_w on tangent-valued 2-slot objects (m, i, a, b), contracting the
-    first slot: an endomorphism -sum_k (cd_k B)(e_k, .) + B(grad f, .)."""
-    cd = cd_mixed12(geom, batch, B)  # (m, d, i, a, b)
-    gi = geom.ginv(batch, cd.order)
-    t1 = jet_einsum("pda,pdiab->pib", gi, cd) * (-1.0)
-    t2 = jet_einsum("pa,piab->pib", geom.gradf(batch, cd.order), B)
-    return t1 + t2
-
-
-def laplacian_scalar(geom, batch, u: Jet) -> Jet:
-    H = cd_oneform(geom, batch, u.gradient())
-    gi = geom.ginv(batch, H.order)
-    lap = jet_einsum("pab,pab->p", gi, H) * (-1.0)
-    du = u.gradient().truncate(H.order)
-    return lap + jet_einsum("pa,pa->p", geom.gradf(batch, H.order), du)
-
-
-def hessian_scalar(geom, batch, u: Jet) -> Jet:
-    return cd_oneform(geom, batch, u.gradient())
-
-
-def rough_laplacian_sym2(geom, batch, v: Jet) -> Jet:
-    cdv = cd_sym2(geom, batch, v)                       # (m, a, i, j)
-    cd2 = cd_cov3(geom, batch, cdv)                     # (m, b, a, i, j)
-    gi = geom.ginv(batch, cd2.order)
-    lap = jet_einsum("pba,pbaij->pij", gi, cd2) * (-1.0)
-    return lap + jet_einsum("pa,paij->pij", geom.gradf(batch, cd2.order), cdv)
 
 
 def curvature_action_sym2(geom, batch, v: Jet) -> Jet:
@@ -237,8 +182,8 @@ def curvature_action_sym2(geom, batch, v: Jet) -> Jet:
 
 def m_form(geom, batch, u: Jet, v: Jet) -> Jet:
     """M(u, v)(xi) = 2 cd(v)(e_k, u* e_k, xi) + cd(u)(xi, v* e_k, e_k)."""
-    cdv = cd_sym2(geom, batch, v)
-    cdu = cd_sym2(geom, batch, u)
+    cdv = cd(geom, batch, v, "ll")
+    cdu = cd(geom, batch, u, "ll")
     u_up = raise2(geom, batch, u).truncate(cdv.order)
     v_up = raise2(geom, batch, v).truncate(cdu.order)
     t1 = jet_einsum("pab,pabc->pc", u_up, cdv) * 2.0
@@ -309,8 +254,8 @@ def m_form_frame_values(geom, batch, u: Jet, v: Jet, frame: np.ndarray) -> np.nd
 
     ``frame[p, :, k]`` is the k-th frame vector at node p.
     """
-    cdv = cd_sym2(geom, batch, v).value
-    cdu = cd_sym2(geom, batch, u).value
+    cdv = cd(geom, batch, v, "ll").value
+    cdu = cd(geom, batch, u, "ll").value
     u_star = sharp_sym2(geom, batch, u).value
     v_star = sharp_sym2(geom, batch, v).value
     t1 = 2.0 * np.einsum("pak,pbm,pmk,pabc->pc", frame, u_star, frame, cdv)

@@ -18,17 +18,22 @@ def sup(x):
 
 
 def test_bidegree_split_reconstructs_and_types():
+    # both value actions: J on the value slot of a real anti-linear A, and i
+    # on the T^{1,0}-valued theta = cayley_half(mu)
     geom = geom_for("KAH4")
     batch = geom.fixture.check_nodes(0, 40)[0]
     A = fl.seeded_antilinear(geom, 1)(batch, 2)
-    n10, n01 = kh.bidegree_split_endo(geom, batch, A)
-    cdA = tc.cd_endo(geom, batch, A)
-    assert sup((n10 + n01).value - cdA.value) < 1e-12
-    # J-anti-linearity of nabla01 in the direction slot
+    theta = kh.cayley_half(geom, batch, fl.seeded_antilinear(geom, 2)(batch, 2))
     J = geom.J(batch, 1).value
-    rot = np.einsum("pba,pbij->paij", J, n01.value)
-    post = -np.einsum("pik,pakj->paij", J, n01.value)
-    assert sup(rot - post) < 1e-11
+    for T, value in ((A, "J"), (theta, "i")):
+        n10, n01 = (kh.nabla_half(geom, batch, T, "ul", half, value=value)
+                    for half in ("10", "01"))
+        assert sup((n10 + n01).value - tc.cd(geom, batch, T, "ul").value) < 1e-12, value
+        # nabla_{J e_a} of the (1,0) half is +J of it, of the (0,1) half -J
+        for n, sign in ((n10, 1.0), (n01, -1.0)):
+            rot = np.einsum("pba,pbij->paij", J, n.value)
+            acted = np.einsum("pik,pakj->paij", J, n.value) if value == "J" else 1j * n.value
+            assert sup(rot - sign * acted) < 1e-11, (value, sign)
 
 
 def test_dbar_kills_holomorphic_fields_on_fs():
@@ -182,8 +187,8 @@ def test_lie_bracket_degree_zero():
     b = (Y + jet_einsum("pij,pj->pi", J, Y) * (-1j)) * 0.5
     br = kh.lie_bracket_forms(geom, batch, a, b, 0, 0)
     # bracket of (1,0) fields equals nabla_a b - nabla_b a
-    cda = tc.cd_vector(geom, batch, a)
-    cdb = tc.cd_vector(geom, batch, b)
+    cda = tc.cd(geom, batch, a, "u")
+    cdb = tc.cd(geom, batch, b, "u")
     k = cda.order
     rhs = jet_einsum("pc,pci->pi", a.truncate(k), cdb) - \
         jet_einsum("pc,pci->pi", b.truncate(k), cda)

@@ -251,7 +251,7 @@ def test_phi_sequence_and_drift_terms_are_bit_identical():
                                     tc.flat_endo(geom, b, tc.endo_mul(A2, A2)))
             J = geom.J(b, 1)
             Jgf = jet_einsum("pij,pj->pi", J, geom.gradf(b, 1))
-            hook = jet_einsum("pa,paij->pij", Jgf, tc.cd_endo(geom, b, A2))
+            hook = jet_einsum("pa,paij->pij", Jgf, tc.cd(geom, b, A2, "ul"))
             cross = tc.pair_endos(geom, b, hook, tc.endo_mul(J, A2.truncate(1)))
             assert np.array_equal(hess.value, terms[0]), kind
             assert np.array_equal(cross.value, terms[2]), kind

@@ -21,7 +21,7 @@ def test_metric_compatibility():
         geom = geom_for(kind)
         batch = geom.fixture.check_nodes(0, 50)[0]
         g = geom.g(batch, 1)
-        cdg = tc.cd_sym2(geom, batch, g)
+        cdg = tc.cd(geom, batch, g, "ll")
         assert sup(cdg.value) < tol, kind
 
 
@@ -30,8 +30,57 @@ def test_kahler_parallel_J():
         geom = geom_for(kind)
         batch = geom.fixture.check_nodes(1, 50)[0]
         J = geom.J(batch, 1)
-        cdJ = tc.cd_endo(geom, batch, J)
+        cdJ = tc.cd(geom, batch, J, "ul")
         assert sup(cdJ.value) < tol, kind
+
+
+def _outer(A, na, B, nb):
+    """A (x) B for jets with ``na`` and ``nb`` tensor slots."""
+    x, y = "ijkl"[:na], "ijkl"[na:na + nb]
+    return jet_einsum(f"p{x},p{y}->p{x}{y}", A, B)
+
+
+def _leibniz(geom, batch, A, sa, B, sb):
+    """nabla A (x) B + A (x) nabla B in ``tc.cd``'s layout; a scalar A
+    (``sa`` empty) contributes its gradient."""
+    x, y = "ijkl"[:len(sa)], "ijkl"[len(sa):len(sa) + len(sb)]
+    dA = tc.cd(geom, batch, A, sa) if sa else A.gradient()
+    dB = tc.cd(geom, batch, B, sb)
+    return jet_einsum(f"pa{x},p{y}->pa{x}{y}", dA, B) + \
+        jet_einsum(f"p{x},pa{y}->pa{x}{y}", A, dB)
+
+
+@pytest.mark.parametrize("kind", ["KAH4", "FS"])
+def test_cd_leibniz_rule_on_every_valence(kind):
+    # nabla(A (x) B) = nabla A (x) B + A (x) nabla B, coefficient by
+    # coefficient, where Gamma != 0; the contraction alpha(X) checks that
+    # the covariant rule is dual to the tangent one
+    geom = geom_for(kind)
+    batch = geom.fixture.check_nodes(2, 40)[0]
+    u = fl.seeded_scalar(geom, 3)(batch, 2)
+    X = fl.seeded_vector(geom, 4)(batch, 2)
+    al = fl.seeded_oneform(geom, 5)(batch, 2)
+    be = fl.seeded_oneform(geom, 6)(batch, 2)
+    v = fl.seeded_sym2(geom, 7)(batch, 2)
+    Xal = _outer(X, 1, al, 1)
+    cases = {
+        "u": (u, "", X, "u"),
+        "l": (u, "", al, "l"),
+        "ll": (al, "l", be, "l"),
+        "ul": (X, "u", al, "l"),
+        "ull": (Xal, "ul", be, "l"),
+        "lll": (v, "ll", al, "l"),
+    }
+    for slots, (A, sa, B, sb) in cases.items():
+        lhs = tc.cd(geom, batch, _outer(A, len(sa), B, len(sb)), slots)
+        rhs = _leibniz(geom, batch, A, sa, B, sb)
+        scale = max(sup(lhs.coeffs), sup(rhs.coeffs))
+        assert sup(lhs.coeffs - rhs.coeffs) < 1e-14 * scale, (kind, slots)
+    pairing = jet_einsum("pi,pi->p", al, X).gradient()
+    dual = jet_einsum("pai,pi->pa", tc.cd(geom, batch, al, "l"), X) + \
+        jet_einsum("pi,pai->pa", al, tc.cd(geom, batch, X, "u"))
+    scale = max(sup(pairing.coeffs), sup(dual.coeffs))
+    assert sup(pairing.coeffs - dual.coeffs) < 1e-14 * scale, kind
 
 
 def test_div_grad_is_minus_laplacian():
@@ -40,7 +89,7 @@ def test_div_grad_is_minus_laplacian():
     u = fl.seeded_scalar(geom, 4)(batch, 3)
     X = tc.grad_scalar(geom, batch, u)
     lhs = tc.div_omega_vector(geom, batch, X)
-    rhs = tc.laplacian_scalar(geom, batch, u.truncate(2 + 1)) * (-1.0)
+    rhs = tc.adjoint(geom, batch, u.truncate(2 + 1).gradient(), "l") * (-1.0)
     assert sup(lhs.value - rhs.value) < 1e-11
 
 
@@ -73,9 +122,9 @@ def test_adjoint_sym2_quadrature_duality():
         for b in nodes:
             uj = u(b, 1)
             aj = al(b, 1)
-            adj = tc.adjoint_sym2(geom, b, uj)
+            adj = tc.adjoint(geom, b, uj, "ll")
             lhs_vals.append(tc.pair_oneforms(geom, b, adj, aj.truncate(0)).value)
-            cda = tc.cd_oneform(geom, b, aj)
+            cda = tc.cd(geom, b, aj, "l")
             rhs_vals.append(jet_einsum("pij,pij->p", tc.raise2(geom, b, uj.truncate(0)), cda).value)
         lhs = geom.fixture.integrate(lhs_vals)
         rhs = geom.fixture.integrate(rhs_vals)
@@ -91,8 +140,9 @@ def test_adjoint_endo_quadrature_duality():
     for b in nodes:
         Aj = A(b, 1)
         Xj = X(b, 1)
-        lhs_vals.append(tc.pair_vectors(geom, b, tc.adjoint_endo(geom, b, Aj), Xj.truncate(0)).value)
-        cdX = tc.cd_vector(geom, b, Xj)
+        adj = tc.adjoint(geom, b, Aj, "ul")
+        lhs_vals.append(tc.pair_vectors(geom, b, adj, Xj.truncate(0)).value)
+        cdX = tc.cd(geom, b, Xj, "u")
         # <A, cd X> = g_{ij} A^i_a g^{ab} (cd_b X)^j
         g = geom.g(b, 0).value
         gi = geom.ginv(b, 0).value
@@ -110,8 +160,8 @@ def test_laplacian_symmetry_and_positivity():
     uv, vu, uu, du2 = [], [], [], []
     for b in nodes:
         uj, vj = u(b, 2), v(b, 2)
-        lu = tc.laplacian_scalar(geom, b, uj)
-        lv = tc.laplacian_scalar(geom, b, vj)
+        lu = tc.adjoint(geom, b, uj.gradient(), "l")
+        lv = tc.adjoint(geom, b, vj.gradient(), "l")
         uv.append((lu * vj.truncate(0)).value)
         vu.append((lv * uj.truncate(0)).value)
         uu.append((lu * uj.truncate(0)).value)
@@ -132,10 +182,10 @@ def residual_divergence_identities(kind, seed, tol):
 
     # adj(u A) = -A grad u + u adj(A)
     uA = jet_einsum("p,pij->pij", u, A)
-    lhs1 = tc.adjoint_endo(geom, batch, uA)
+    lhs1 = tc.adjoint(geom, batch, uA, "ul")
     gradu = tc.grad_scalar(geom, batch, u)
     rhs1 = jet_einsum("pij,pj->pi", A.truncate(gradu.order), gradu) * (-1.0) + \
-        jet_einsum("p,pi->pi", u.truncate(1), tc.adjoint_endo(geom, batch, A))
+        jet_einsum("p,pi->pi", u.truncate(1), tc.adjoint(geom, batch, A, "ul"))
     assert sup(lhs1.value - rhs1.value) < tol, f"{kind} div-uA"
 
     # div_w(u xi) = <grad u, xi> + u div_w xi
@@ -147,18 +197,19 @@ def residual_divergence_identities(kind, seed, tol):
 
     # adj(A^2) = -Tr_g(cd A . A) + A adj(A)
     A2 = tc.endo_mul(A, A)
-    lhs3 = tc.adjoint_endo(geom, batch, A2)
-    cdA = tc.cd_endo(geom, batch, A)
+    lhs3 = tc.adjoint(geom, batch, A2, "ul")
+    cdA = tc.cd(geom, batch, A, "ul")
     W = jet_einsum("paij,pjm->paim", cdA, A.truncate(cdA.order))
     trace_term = jet_einsum("pam,paim->pi", geom.ginv(batch, cdA.order), W)
-    rhs3 = trace_term * (-1.0) + jet_einsum("pij,pj->pi", A.truncate(1), tc.adjoint_endo(geom, batch, A))
+    rhs3 = trace_term * (-1.0) + \
+        jet_einsum("pij,pj->pi", A.truncate(1), tc.adjoint(geom, batch, A, "ul"))
     assert sup(lhs3.value - rhs3.value) < tol, f"{kind} div-A2"
 
     # div_w(A xi) = -<adj A, xi> + <A, cd xi>
     Axi = jet_einsum("pij,pj->pi", A, xi)
     lhs4 = tc.div_omega_vector(geom, batch, Axi)
-    adjA = tc.adjoint_endo(geom, batch, A)
-    cdxi = tc.cd_vector(geom, batch, xi)
+    adjA = tc.adjoint(geom, batch, A, "ul")
+    cdxi = tc.cd(geom, batch, xi, "u")
     gA = tc.flat_endo(geom, batch, A.truncate(1))
     pairing = jet_einsum("pai,pai->p",
                          jet_einsum("pja,pji->pai", geom.ginv(batch, 1), gA),
@@ -170,7 +221,7 @@ def residual_divergence_identities(kind, seed, tol):
     TrW = jet_einsum("pam,paim->pi", geom.ginv(batch, cdA.order), W)
     lhs5 = tc.div_omega_vector(geom, batch, TrW)
     hat = jet_map("pjia->piaj", cdA)     # hat(cd A)(xi, eta) = cd A(eta, xi)
-    adjB = tc.adjoint_slots2(geom, batch, hat)
+    adjB = tc.adjoint(geom, batch, hat, "ull")
     rhs5 = tc.pair_endos(geom, batch, adjB, A.truncate(adjB.order)) * (-1.0) + \
         tc.pair_slots2(geom, batch, hat.truncate(1), jet_map("paij->piaj", cdA.truncate(1)))
     assert sup(lhs5.value - rhs5.value) < tol, f"{kind} div-Tr"
@@ -195,9 +246,9 @@ def test_m_form_identity_and_frames():
         v = fl.seeded_sym2(geom, 31)(batch, 2)
         M = tc.m_form(geom, batch, v, v)
         vstar = tc.sharp_sym2(geom, batch, v)
-        adj_vs = tc.adjoint_endo(geom, batch, vstar)
+        adj_vs = tc.adjoint(geom, batch, vstar, "ul")
         vs2 = tc.endo_mul(vstar, vstar)
-        adj_vs2 = tc.adjoint_endo(geom, batch, vs2)
+        adj_vs2 = tc.adjoint(geom, batch, vs2, "ul")
         normsq = tc.pair_2tensors(geom, batch, v, v)
         rhs = jet_einsum("pi,pij->pj", adj_vs, v.truncate(adj_vs.order)) * 2.0 \
             - tc.flat_vector(geom, batch, adj_vs2) * 2.0 \
@@ -271,7 +322,7 @@ def test_adjoint_of_metric_is_weight_differential():
         geom = geom_for(kind)
         batch = geom.fixture.check_nodes(70, 40)[0]
         g = geom.g(batch, 2)
-        adj = tc.adjoint_sym2(geom, batch, g)
+        adj = tc.adjoint(geom, batch, g, "ll")
         df = geom.df(batch, 1)
         assert sup(adj.value - df.value) < 1e-11, kind
         M = tc.m_form(geom, batch, g, g)
