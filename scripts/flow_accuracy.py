@@ -17,11 +17,9 @@ four) that integrated the same flows before, measured against 64 steps of
 the sixth-order method.  It
 exits 1 when any row is less accurate than its bound.
 
-Seed 3 is in the sweep, although the suite runs of CI leave it out (where
-S-GAUGE/PERT2 fails on the quadrature mean of H, not on its flow): its PERT2
-flow is the steepest of the five, the one that the step rule gives three
-steps where the others take two, and the one that RK4 integrated least
-accurately.  Takes about a minute on two cores.
+Seed 3 matters most: its PERT2 flow is the steepest of the five, the one
+that the step rule gives three steps where the others take two, and the one
+that RK4 integrated least accurately.  Takes about a minute on two cores.
 """
 
 import argparse
@@ -41,7 +39,11 @@ from kahlercheck.variation import HamiltonianFlowCurve
 REF_FACTOR = 8
 
 # the largest error of each row under RK4 in steps of at most 0.0125, by
-# seed, rounded up to three digits
+# seed, rounded up to three digits.  They were measured on the 32 x 64 FS
+# rule and the 24^2 PERT2 grid.  The 24^2 nodes are every other node of the
+# 48^2 grid along each axis, and RK4's error at a node does not depend on
+# its batch, so RK4 on the 48^2 grid is at least as far off as the PERT2
+# quadrature row says; the FS flows are at roundoff on either rule.
 RK4_BOUNDS = {
     "FS": (2.40e-13, 9.27e-15, 1.55e-13, 1.06e-13, 6.06e-15),
     "PERT2 check": (4.61e-8, 3.71e-6, 6.55e-7, 5.61e-4, 1.69e-6),

@@ -182,7 +182,7 @@ class CP1(Backend):
 
     dim = 2
 
-    def __init__(self, n_theta: int = 32, n_phi: int = 64):
+    def __init__(self, n_theta: int, n_phi: int):
         super().__init__()
         self.n_theta = n_theta
         self.n_phi = n_phi
@@ -574,10 +574,10 @@ CAPABILITIES = {
 # Every key a descriptor of each kind may set, with its default.
 _DEFAULTS = {
     "FLAT2": {"grid": 24},
-    "PERT2": {"grid": 24, "epsilon": 0.08},
+    "PERT2": {"grid": 48, "epsilon": 0.08},
     "RIEM4": {"grid": 10, "seed": 7, "epsilon": 0.05},
     "KAH4": {"grid": 10, "seed": 11, "epsilon": 0.04},
-    "FS": {"n_theta": 32, "n_phi": 64},
+    "FS": {"n_theta": 16, "n_phi": 32},
 }
 
 _cache: dict = {}

@@ -28,7 +28,11 @@ def test_torus_grids_come_in_lexicographic_blocks_of_at_most_the_cap(monkeypatch
     for kind in ("FLAT2", "PERT2", "RIEM4", "KAH4", "FS"):
         nodes = bk.make_fixture(kind).quad_nodes()
         assert all(b.size <= bk.QUAD_BLOCK for b in nodes), kind
-        assert (len(nodes) > 1) == (kind in ("RIEM4", "KAH4", "FS")), kind
+        assert (len(nodes) > 1) == (kind != "FLAT2"), kind
+    # the 48^2 PERT2 grid is two blocks of 1152, the 16 x 32 FS rule one
+    # block of 256 per chart
+    assert [b.size for b in bk.make_fixture("PERT2").quad_nodes()] == [1152, 1152]
+    assert [(b.chart, b.size) for b in bk.make_fixture("FS").quad_nodes()] == [(0, 256), (1, 256)]
     # the blocks, in order, are the unblocked grid with the last axis fastest
     nodes = bk.Torus(4, 10).quad_nodes()
     assert [b.size for b in nodes] == [2000] * 5
@@ -128,6 +132,37 @@ def test_cp1_quadrature_total_area():
         r2 = np.sum(b.pts**2, axis=1)
         vals.append(4.0 / (1.0 + r2) ** 2)
     assert abs(cp.integrate_chart(vals, nodes) - 4 * math.pi) < 1e-12
+
+
+def _sphere_moment(a: int, b: int, c: int) -> float:
+    """Mean of X^a Y^b Z^c over the round unit sphere: 0 unless every
+    exponent is even, else Gamma(A) Gamma(B) Gamma(C) / (2 pi Gamma(A+B+C))
+    with A = (a+1)/2, B = (b+1)/2, C = (c+1)/2."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    A, B, C = (a + 1) / 2, (b + 1) / 2, (c + 1) / 2
+    return math.exp(math.lgamma(A) + math.lgamma(B) + math.lgamma(C)
+                    - math.lgamma(A + B + C)) / (2 * math.pi)
+
+
+def test_default_fs_rule_is_exact_to_ambient_degree_31():
+    # n Gauss-Legendre nodes in cos(theta) by m uniform angles integrate every
+    # ambient polynomial of degree <= min(2n - 1, m - 1) exactly: 31 on the
+    # default 16 x 32 rule, and not 32
+    fx = bk.make_fixture("FS")
+    assert (fx.backend.n_theta, fx.backend.n_phi) == (16, 32)
+    nodes = fx.quad_nodes()
+    xyz = [[c.value for c in bk.ambient_coordinates(b.chart, Jet.coordinates(b.pts, 2, 0))]
+           for b in nodes]
+
+    def error(a, b, c):
+        got = fx.integrate([X**a * Y**b * Z**c for X, Y, Z in xyz])
+        return abs(got - _sphere_moment(a, b, c))
+
+    worst = max(error(a, b, d - a - b)
+                for d in range(32) for a in range(d + 1) for b in range(d - a + 1))
+    assert worst < 1e-14
+    assert error(0, 0, 32) > 1e-12
 
 
 def test_cp1_chart_transition_roundtrip_and_vector():
