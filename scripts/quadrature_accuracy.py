@@ -2,22 +2,20 @@
 """Every record on FS and PERT2 against the same check on a rule twice as fine.
 
     PYTHONPATH=src python scripts/quadrature_accuracy.py [--seeds 0 1 2 3 4]
-        [--fixture FS --fixture PERT2:grid=24 ...]
 
 At each seed, every registered check runs on each fixture twice: on the
-fixture's rule and on the rule with twice the nodes per axis (by default FS
-16 x 32 against 32 x 64 and PERT2 48^2 against 96^2).  Each rule's checks
-run one fixture at a time inside a ``FixtureScope``, as ``kahlercheck run``
-runs them.  A ``--fixture`` is a kind, optionally with descriptor values
-(``PERT2:grid=24``); the finer rule doubles its ``grid``, ``n_theta`` and
-``n_phi``.
+default rule and on the rule with twice the nodes per axis (FS 16 x 32
+against 32 x 64, PERT2 48^2 against 96^2).  Each rule's checks run one
+fixture at a time inside a ``FixtureScope``, as ``kahlercheck run`` runs
+them.
 
 For each fixture and seed the script prints the number of records, the
 largest move of ``residual_sup`` between the two rules as a share of the
 record's tolerance, and the record that moved most.  It exits 1 when a
 record's status differs between the two rules, or when its ``residual_sup``
 moves by more than ``DRIFT`` of its tolerance: then the rule does not
-resolve what that check integrates.  Takes about half a minute on two cores.
+resolve what that check integrates.  It also exits 1 when a check raises on
+either rule.  Takes about half a minute on two cores.
 """
 
 import argparse
@@ -36,50 +34,41 @@ DRIFT = 1e-2
 AXES = ("grid", "n_theta", "n_phi")
 
 
-def descriptor(text: str) -> dict:
-    """``KIND`` or ``KIND:key=value,...`` as a completed fixture descriptor."""
-    kind, _, rest = text.partition(":")
-    desc = {"kind": kind}
-    for item in filter(None, rest.split(",")):
-        key, _, value = item.partition("=")
-        desc[key] = float(value) if key == "epsilon" else int(value)
-    return dict(bk.make_fixture(desc).descriptor, kind=kind)
-
-
 def finer(desc: dict) -> dict:
     return {k: 2 * v if k in AXES else v for k, v in desc.items()}
 
 
-def records(desc: dict, seed: int) -> dict:
-    """(check id -> record) of every registered check on the fixture."""
+def records(desc: dict, seed: int):
+    """The rule's label, as ``FS 16 x 32`` or ``PERT2 48^2``, and (check id
+    -> record) of every registered check on the fixture."""
     fixture = bk.make_fixture(desc)
     with FixtureScope(fixture):
-        return {cid: ck.run_check(cid, desc, seed)
+        recs = {cid: ck.run_check(cid, desc, seed)
                 for cid, _ in ck.checks_for(fixtures=[fixture.name])}
-
-
-def label(desc: dict) -> str:
-    """The rule, as ``FS 16 x 32`` or ``PERT2 48^2``."""
     if "grid" in desc:
-        return f"{desc['kind']} {desc['grid']}^{bk.make_fixture(desc).dim}"
-    return f"{desc['kind']} {desc['n_theta']} x {desc['n_phi']}"
+        return f"{desc['kind']} {desc['grid']}^{fixture.dim}", recs
+    return f"{desc['kind']} {desc['n_theta']} x {desc['n_phi']}", recs
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    ap.add_argument("--fixture", action="append", dest="fixtures")
     a = ap.parse_args(argv)
     bad = []
     print(f"{'rule':<11} {'finer':<11} {'seed':>4} {'records':>7} "
           f"{'drift/tol':>9}  worst")
-    for text in a.fixtures or ["FS", "PERT2"]:
-        base = descriptor(text)
+    for kind in ("FS", "PERT2"):
+        base = dict(bk.make_fixture(kind).descriptor)
         for seed in a.seeds:
-            coarse, fine = records(base, seed), records(finer(base), seed)
+            (coarse_rule, coarse), (fine_rule, fine) = (
+                records(base, seed), records(finer(base), seed))
             worst, worst_id = 0.0, "-"
             for cid, r in coarse.items():
                 f = fine[cid]
+                where = f"{cid}/{kind} at seed {seed}"
+                for rule, rec in ((coarse_rule, r), (fine_rule, f)):
+                    if rec.reason.startswith("internal-error"):
+                        bad.append(f"{where} on {rule}: {rec.reason}")
                 drift = abs(r.residual_sup - f.residual_sup) / r.tolerance
                 if math.isnan(drift):
                     # a NaN on both rules is no move; on one rule, the largest
@@ -88,12 +77,12 @@ def main(argv=None) -> int:
                 if drift >= worst:
                     worst, worst_id = drift, cid
                 if r.status != f.status:
-                    bad.append(f"{cid}/{base['kind']} at seed {seed}: {r.status} "
-                               f"on {label(base)}, {f.status} on {label(finer(base))}")
+                    bad.append(f"{where}: {r.status} on {coarse_rule}, "
+                               f"{f.status} on {fine_rule}")
                 elif drift > DRIFT:
-                    bad.append(f"{cid}/{base['kind']} at seed {seed}: residual_sup "
-                               f"{r.residual_sup:.3e} against {f.residual_sup:.3e}")
-            print(f"{label(base):<11} {label(finer(base)):<11} {seed:>4} "
+                    bad.append(f"{where}: residual_sup {r.residual_sup:.3e} "
+                               f"against {f.residual_sup:.3e}")
+            print(f"{coarse_rule:<11} {fine_rule:<11} {seed:>4} "
                   f"{len(coarse):>7} {worst:9.2e}  {worst_id}")
     for line in bad:
         print(line)

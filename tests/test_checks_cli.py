@@ -82,9 +82,10 @@ def test_capability_requirements_select_the_pairs_that_named_fixtures_did():
 
 
 # A descriptor of each kind that is not its default, cheap to run
-_OTHER_DESCRIPTORS = [{"kind": "FLAT2", "grid": 32}, {"kind": "PERT2", "epsilon": 0.16},
+_OTHER_DESCRIPTORS = [{"kind": "FLAT2", "grid": 32},
+                      {"kind": "PERT2", "epsilon": 0.16, "grid": 24},
                       {"kind": "RIEM4", "seed": 8}, {"kind": "KAH4", "seed": 12},
-                      {"kind": "FS", "n_theta": 24, "n_phi": 48}]
+                      {"kind": "FS", "n_theta": 12, "n_phi": 24}]
 
 
 @pytest.mark.parametrize("desc", _OTHER_DESCRIPTORS, ids=lambda d: d["kind"])
